@@ -101,6 +101,20 @@ def _parse_rows(fld: Field, dim: int, rows, where: str) -> list:
     return out
 
 
+def _section(raw: dict, key: str, path: str):
+    """The (name, body) entries of one named section; every body must be
+    a JSON object."""
+    section = raw.get(key)
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ParseError(f"{path}: {key} must be an object")
+    for name, body in section.items():
+        if not isinstance(body, dict):
+            raise ParseError(f"{path}: {key} entry {name!r} must be an object")
+    return section.items()
+
+
 def load_instances(path: str) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,19 +131,19 @@ def load_instances(path: str) -> InstanceFile:
     except ValueError:
         raise ParseError(f"{path}: field must be \"Q\" or \"Qi\"") from None
     dim = raw.get("ambient_dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise ParseError(f"{path}: ambient_dim must be a nonnegative integer")
 
     inst = InstanceFile(fld, dim)
-    for name, body in (raw.get("subspaces") or {}).items():
+    for name, body in _section(raw, "subspaces", path):
         rows = _parse_rows(fld, dim, body.get("basis", []), f"subspace {name!r}")
         inst.subspaces[name] = Subspace(fld, dim, rows)
 
-    for name, body in (raw.get("ortho") or {}).items():
+    for name, body in _section(raw, "ortho", path):
         parts = []
         for key in ("one", "zero"):
             ref = body.get(key)
-            if ref not in inst.subspaces:
+            if not isinstance(ref, str) or ref not in inst.subspaces:
                 raise ParseError(
                     f"ortho pair {name!r}: {key} references unknown subspace {ref!r}"
                 )
@@ -139,9 +153,9 @@ def load_instances(path: str) -> InstanceFile:
         except (ValueError, OrthoQLError) as exc:
             raise ParseError(f"ortho pair {name!r}: {exc}") from None
 
-    for name, body in (raw.get("operators") or {}).items():
+    for name, body in _section(raw, "operators", path):
         ref = body.get("dom")
-        if ref not in inst.subspaces:
+        if not isinstance(ref, str) or ref not in inst.subspaces:
             raise ParseError(
                 f"operator {name!r}: dom references unknown subspace {ref!r}"
             )

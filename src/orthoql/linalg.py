@@ -1,9 +1,13 @@
 """Exact vectors and matrices over Q and Q(i).
 
 Everything here is an immutable value; operations return fresh
-objects.  Row reduction delegates the integer elimination loop to the
-kernel backend and finishes the canonical form (leading ones) in field
-arithmetic, so a given row space always produces the same bits.
+objects.  Products clear denominators once per left row and once per
+right column and accumulate every dot product in Python ints.  Row
+reduction delegates the integer elimination loop to the kernel backend
+and finishes the canonical form (leading ones) by dividing each
+eliminated integer row by its pivot in integer arithmetic (Gaussian
+integers over Q(i)), building one exact fraction per output part.  A
+given row space always produces the same bits.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from orthoql import scalars
@@ -192,29 +197,15 @@ class Matrix:
                 raise DimensionMismatch(
                     f"matrix has {self.ncols} columns, vector has dim {other.dim}"
                 )
-            return Vector(
-                self.field,
-                (
-                    sum(
-                        (self.entry(i, k) * other[k] for k in range(self.ncols)),
-                        self.field.zero,
-                    )
-                    for i in range(self.nrows)
-                ),
-            )
+            return Vector(self.field, _product(self, [other.entries], other.field))
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            out = []
-            for i in range(self.nrows):
-                for j in range(other.ncols):
-                    acc = self.field.zero
-                    for k in range(self.ncols):
-                        acc = acc + self.entry(i, k) * other.entry(k, j)
-                    out.append(acc)
-            return Matrix(self.field, self.nrows, other.ncols, out)
+            p = other.ncols
+            cols = [other.entries[j::p] for j in range(p)]
+            return Matrix(self.field, self.nrows, p, _product(self, cols, other.field))
         return NotImplemented
 
     def transpose(self) -> "Matrix":
@@ -269,6 +260,57 @@ def _check_shape(a: Matrix, b: Matrix):
         )
 
 
+# --- exact products on integers -----------------------------------------
+
+def _cleared(entries: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator of ``entries`` and their numerators over it."""
+    den = lcm(*(e.denominator for e in entries))
+    return den, [e.numerator * (den // e.denominator) for e in entries]
+
+
+def _cleared_parts(entries: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
+    """One common denominator for the real and imaginary parts of
+    ``entries``, and both parts' numerators over it."""
+    parts = [_scalar_parts(e) for e in entries]
+    den = lcm(*(p.denominator for pair in parts for p in pair))
+    return (
+        den,
+        [re.numerator * (den // re.denominator) for re, _ in parts],
+        [im.numerator * (den // im.denominator) for _, im in parts],
+    )
+
+
+def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[Scalar]:
+    """Entries of ``a`` times each column in ``cols``, row-major; ``field``
+    is the field of the right operand the columns come from.
+
+    Every left row and every right column is brought to one denominator
+    once; each dot product then runs on Python ints and the exact result
+    is built once per output part.
+    """
+    m = a.ncols
+    rows = [a.entries[i * m : (i + 1) * m] for i in range(a.nrows)]
+    if a.field is Field.Q and field is Field.Q:
+        left = [_cleared(r) for r in rows]
+        right = [_cleared(c) for c in cols]
+        return [
+            Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in left for dy, y in right
+        ]
+    left = [_cleared_parts(r) for r in rows]
+    right = [_cleared_parts(c) for c in cols]
+    out: list[Scalar] = []
+    for dx, xr, xi in left:
+        for dy, yr, yi in right:
+            d = dx * dy
+            out.append(
+                GaussianRational(
+                    Fraction(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)), d),
+                    Fraction(sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), d),
+                )
+            )
+    return out
+
+
 # --- inner product ----------------------------------------------------
 
 def inner(x: Vector, y: Vector) -> Scalar:
@@ -298,21 +340,29 @@ def _integral_rows(m: Matrix) -> list[list[int]]:
     and the canonical form is unique per row space, so scaling is safe."""
     data = []
     for i in range(m.nrows):
-        parts = [_scalar_parts(m.entry(i, j)) for j in range(m.ncols)]
-        mult = lcm(*(p.denominator for pair in parts for p in pair)) if parts else 1
-        flat: list[int] = []
-        for re, im in parts:
-            flat.append(int(re * mult))
-            flat.append(int(im * mult))
+        _, re, im = _cleared_parts(m.entries[i * m.ncols : (i + 1) * m.ncols])
+        flat = [0] * (2 * m.ncols)
+        flat[0::2], flat[1::2] = re, im
         data.append(flat)
     return data
 
 
-def _pair_scalar(field: Field, re: int, im: int) -> Scalar:
+def _leading_one_row(field: Field, row: list[int], c: int) -> list[Scalar]:
+    """Divide an eliminated integer row by its pivot entry in column c.
+
+    Over Q(i) the division stays on integers until the last step:
+    (er + ei i) / (pr + pi i) = ((er pr + ei pi) + (ei pr - er pi) i) / (pr^2 + pi^2).
+    """
     if field is Field.Q:
         # Real input rows stay real through integer elimination.
-        return Fraction(re)
-    return GaussianRational(re, im)
+        piv = row[2 * c]
+        return [Fraction(row[j], piv) for j in range(0, len(row), 2)]
+    pr, pi = row[2 * c], row[2 * c + 1]
+    d = pr * pr + pi * pi
+    return [
+        GaussianRational(Fraction(er * pr + ei * pi, d), Fraction(ei * pr - er * pi, d))
+        for er, ei in zip(row[0::2], row[1::2])
+    ]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -329,10 +379,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     out: list[Scalar] = []
     for idx, row in enumerate(rows):
         if idx < len(pivots):
-            c = pivots[idx]
-            piv = _pair_scalar(m.field, row[2 * c], row[2 * c + 1])
-            for j in range(m.ncols):
-                out.append(_pair_scalar(m.field, row[2 * j], row[2 * j + 1]) / piv)
+            out.extend(_leading_one_row(m.field, row, pivots[idx]))
         else:
             out.extend([m.field.zero] * m.ncols)
     reduced = Matrix(m.field, m.nrows, m.ncols, out)

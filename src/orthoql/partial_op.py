@@ -122,16 +122,20 @@ class PartialProjection(PartialOperator):
     def __init__(self, dom: Subspace, matrix: Matrix):
         super().__init__(dom, matrix)
         m = self.matrix
-        images = [m @ b for b in dom.basis.rows()]
-        for b, pb in zip(dom.basis.rows(), images):
-            if not dom.contains(pb):
+        basis = dom.basis
+        r = basis.nrows
+        # Column j of images is M b_j for the j-th basis row b_j.
+        images = m @ basis.transpose()
+        twice = m @ images
+        for j in range(r):
+            if not dom.contains(images.col(j)):
                 raise ValueError("projection must map its domain into itself")
-            if m @ pb != pb:
+            if twice.entries[j::r] != images.entries[j::r]:
                 raise ValueError("projection must be idempotent on its domain")
-        for b, pb in zip(dom.basis.rows(), images):
-            for c, pc in zip(dom.basis.rows(), images):
-                if inner(pb, c) != inner(b, pc):
-                    raise ValueError("projection must be self-adjoint on its domain")
+        # S[c][b] = <M b, c>, and <M b, c> = <b, M c> for all b, c iff S = S^H.
+        s = basis.conj() @ images
+        if s != s.conj_transpose():
+            raise ValueError("projection must be self-adjoint on its domain")
 
 
 def _check_ambient(t: PartialOperator, u: PartialOperator):

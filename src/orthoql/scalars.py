@@ -48,8 +48,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # Parts that are already exact fractions are kept as they are.
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def _lift(other):
@@ -221,16 +222,19 @@ class Field(enum.Enum):
 
     def parse(self, text: str) -> Scalar:
         t = text.strip().replace(" ", "")
-        m = _REAL_RE.match(t)
-        if m:
-            return self.coerce(Fraction(t))
-        if self is Field.Qi:
-            m = _FULL_RE.match(t)
+        try:
+            m = _REAL_RE.match(t)
             if m:
-                return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
-            m = _IMAG_RE.match(t)
-            if m:
-                return GaussianRational(0, Fraction(m.group(1)))
+                return self.coerce(Fraction(t))
+            if self is Field.Qi:
+                m = _FULL_RE.match(t)
+                if m:
+                    return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+                m = _IMAG_RE.match(t)
+                if m:
+                    return GaussianRational(0, Fraction(m.group(1)))
+        except ZeroDivisionError:
+            raise ParseError(f"{text!r} has a zero denominator") from None
         raise ParseError(f"cannot parse {text!r} as a scalar over {self.value}")
 
     def format(self, value: Scalar) -> str:

@@ -240,6 +240,71 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "check", "--file", str(imag_path))[0] == 2
 
 
+def assert_rejected(capsys, *argv):
+    """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def write_instances(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("scalar", ["1/0", "1/0+1i", "2/0i", "1+1/0i"])
+def test_zero_denominator_in_a_file(tmp_path, capsys, scalar):
+    payload = {
+        "field": "Qi",
+        "ambient_dim": 2,
+        "subspaces": {"A": {"basis": [[scalar, "1"]]}},
+    }
+    assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+
+
+@pytest.mark.parametrize("vector", ["(1/0,0,0)", "(1,0/0,0)"])
+def test_zero_denominator_in_a_vector(good_file, capsys, vector):
+    assert_rejected(capsys, "project", "L", vector, "--file", good_file)
+
+
+def test_zero_denominator_in_a_gaussian_vector(tmp_path, capsys):
+    payload = {
+        "field": "Qi",
+        "ambient_dim": 2,
+        "subspaces": {"A": {"basis": [["1", "0"]]}, "B": {"basis": [["0", "1"]]}},
+        "ortho": {"P": {"one": "A", "zero": "B"}},
+    }
+    path = write_instances(tmp_path, payload)
+    assert_rejected(capsys, "project", "P", "(1/0+1i,0)", "--file", path)
+
+
+@pytest.mark.parametrize(
+    "section, body",
+    [
+        ("subspaces", {"A": [["1", "0", "0"]]}),
+        ("ortho", {"L": ["A", "B"]}),
+        ("operators", {"T": "Plane"}),
+        ("subspaces", [["1", "0", "0"]]),
+        ("subspaces", []),
+        ("ortho", False),
+        ("ortho", {"L": {"one": ["A"], "zero": "B"}}),
+        ("operators", {"T": {"dom": ["Plane"], "matrix": GOOD["operators"]["T"]["matrix"]}}),
+    ],
+)
+def test_malformed_sections_are_rejected(tmp_path, capsys, section, body):
+    payload = dict(GOOD, **{section: body})
+    assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+
+
+def test_boolean_ambient_dim_is_rejected(tmp_path, capsys):
+    payload = {"field": "Q", "ambient_dim": True, "subspaces": {"A": {"basis": [["1"]]}}}
+    assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+
+
 def test_file_and_random_conflict(good_file, capsys):
     code, _ = run(
         capsys, "check", "--file", good_file, "--random", "3", "5", "1"

@@ -49,7 +49,7 @@ from orthoql.partial_op import (
     total_zero,
     zero_on,
 )
-from orthoql.scalars import Field
+from orthoql.scalars import Field, GaussianRational as G
 from orthoql.subspace import Subspace
 
 
@@ -127,14 +127,48 @@ def test_roundtrips_both_ways():
             assert pair.is_total == p.is_total
 
 
+CLOSURE = "map its domain into itself"
+IDEMPOTENT = "idempotent on its domain"
+SELF_ADJOINT = "self-adjoint on its domain"
+I = G(0, 1)
+
+# One matrix per rejected property, over Q and over Q(i), on the plane
+# spanned by e1 and e2.
+REJECTED = [
+    # e1 leaves the plane.
+    (Field.Q, [[0, 0, 0], [0, 0, 0], [1, 0, 0]], CLOSURE),
+    # Scaling by 2 keeps the plane but is not idempotent.
+    (Field.Q, [[2, 0, 0], [0, 2, 0], [0, 0, 0]], IDEMPOTENT),
+    # A quarter turn keeps the plane; its square is -1 there.
+    (Field.Q, [[0, -1, 0], [1, 0, 0], [0, 0, 0]], IDEMPOTENT),
+    # The shear e2 -> e1 is an oblique, not an orthogonal, projection.
+    (Field.Q, [[1, 1, 0], [0, 0, 0], [0, 0, 0]], SELF_ADJOINT),
+    (Field.Qi, [[0, 0, 0], [0, 0, 0], [I, 0, 0]], CLOSURE),
+    # Multiplication by i: its square is -1 on the plane.
+    (Field.Qi, [[I, 0, 0], [0, I, 0], [0, 0, 0]], IDEMPOTENT),
+    (Field.Qi, [[1, I, 0], [0, 0, 0], [0, 0, 0]], SELF_ADJOINT),
+    # v v^T / (v^T v) for v = (2, i): idempotent and symmetric, not Hermitian.
+    (Field.Qi, [[F(4, 3), F(2, 3) * I, 0], [F(2, 3) * I, F(-1, 3), 0], [0, 0, 0]], SELF_ADJOINT),
+]
+
+
 def test_projection_validation():
-    dom = qs([1, 0, 0], [0, 1, 0])
-    shear = Matrix.from_rows(Field.Q, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        PartialProjection(dom, shear)
-    rot = Matrix.from_rows(Field.Q, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        PartialProjection(dom, rot)
+    for field, rows, message in REJECTED:
+        dom = Subspace(field, 3, [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match=message):
+            PartialProjection(dom, Matrix.from_rows(field, rows))
+    # The identity on a line passes all three checks.
+    accepted = PartialProjection(Subspace(Field.Q, 3, [[1, 0, 0]]), Matrix.identity(Field.Q, 3))
+    assert accepted.matrix == Matrix.from_rows(Field.Q, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def test_projection_validation_checks_every_basis_vector():
+    # The first basis vector (1, 1, 0) is fixed; the second, e3, is sent
+    # to e1, outside the domain.
+    dom = Subspace(Field.Q, 3, [[1, 1, 0], [0, 0, 1]])
+    m = Matrix.from_rows(Field.Q, [[F(1, 2), F(1, 2), 1], [F(1, 2), F(1, 2), 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match=CLOSURE):
+        PartialProjection(dom, m)
 
 
 # --- equality and apartness ----------------------------------------------

@@ -10,8 +10,11 @@ Reports are printed to stdout and are byte-identical for identical
 inputs; wall-clock timing goes to stderr, which keeps stdout
 diff-friendly.  Exit status: 0 when every law that should hold does
 hold, 1 when a violation was found (a library bug, not a user error),
-2 for unusable input.  Laws that are known to fail on Hilbert lattices
-are tagged expected-fail and never affect the exit status.
+2 for unusable input, 3 for an internal error (an exception orthoql
+does not raise on purpose, also a library bug).  Every error exit
+writes exactly one ``error:`` line to stderr.  Laws that are known to
+fail on Hilbert lattices are tagged expected-fail and never affect the
+exit status.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from orthoql.scalars import Field, scalar_text
 from orthoql.subspace import Subspace
 
 __all__ = [
+    "EXIT_INTERNAL_ERROR",
     "InstanceFile",
     "load_instances",
     "save_instances",
@@ -75,6 +79,8 @@ __all__ = [
     "main",
 ]
 
+
+EXIT_INTERNAL_ERROR = 3
 
 # --- instance files ----------------------------------------------------
 
@@ -142,7 +148,9 @@ def load_instances(path: str) -> InstanceFile:
     for name, body in _section(raw, "ortho", path):
         parts = []
         for key in ("one", "zero"):
-            ref = body.get(key)
+            if key not in body:
+                raise ParseError(f"ortho pair {name!r}: missing key {key!r}")
+            ref = body[key]
             if not isinstance(ref, str) or ref not in inst.subspaces:
                 raise ParseError(
                     f"ortho pair {name!r}: {key} references unknown subspace {ref!r}"
@@ -154,7 +162,9 @@ def load_instances(path: str) -> InstanceFile:
             raise ParseError(f"ortho pair {name!r}: {exc}") from None
 
     for name, body in _section(raw, "operators", path):
-        ref = body.get("dom")
+        if "dom" not in body:
+            raise ParseError(f"operator {name!r}: missing key 'dom'")
+        ref = body["dom"]
         if not isinstance(ref, str) or ref not in inst.subspaces:
             raise ParseError(
                 f"operator {name!r}: dom references unknown subspace {ref!r}"
@@ -649,12 +659,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             inst = _load_if_needed(args, random_ok=False)
             code = cmd_quotient(inst, args.ortho, args.x, args.y, args.fmt)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OrthoQLError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        # repr keeps the report on one line.
+        sys.stderr.write(f"error: internal error: {exc!r}\n")
+        return EXIT_INTERNAL_ERROR
     sys.stderr.write(f"elapsed: {time.monotonic() - started:.3f}s\n")
     return code
 

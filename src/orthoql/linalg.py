@@ -445,12 +445,23 @@ def gram_projection(basis: Matrix) -> Matrix:
     conj-transpose(P) = P and P @ b = b for every basis column b.
     """
     n = basis.nrows
-    if basis.ncols == 0:
+    r = basis.ncols
+    if r == 0:
         return Matrix.zero(basis.field, n, n)
     bh = basis.conj_transpose()
     gram = bh @ basis
-    inv = matrix_inverse(gram)
-    return basis @ inv @ bh
+    # One reduction of [G | B^H] leaves [I | X] with X = G^-1 B^H.  A
+    # dependency among the rows of G = B^H B is one among the rows of
+    # B^H, so the rank falls below r exactly when G is singular.
+    rows = [
+        list(gram.entries[i * r : (i + 1) * r]) + list(bh.entries[i * n : (i + 1) * n])
+        for i in range(r)
+    ]
+    reduced, rank, _ = rref(Matrix.from_rows(basis.field, rows))
+    if rank < r:
+        raise SingularGram("basis columns are dependent")
+    x = Matrix(basis.field, r, n, (reduced.entry(i, r + j) for i in range(r) for j in range(n)))
+    return basis @ x
 
 
 def det(m: Matrix) -> Scalar:

@@ -5,6 +5,18 @@ elsewhere are deliberately meaningless.  The stored ambient matrix is
 normalized to vanish on the orthocomplement of the domain, which makes
 equality of operators literal equality of (domain, matrix) pairs.
 
+The general constructor normalizes with one product, ``M @ P`` for the
+orthogonal projector ``P`` of the domain.  Constructors whose matrix
+already vanishes on the orthocomplement skip that product, which leaves
+the same bits because ``P @ P = P``: ``identity_on`` (``P`` itself),
+``zero_on`` (the zero matrix), ``projection_of`` (the projector of the
+one-part, which lies inside the domain), ``proj_compl`` (``P - M``),
+``pls_scale`` and ``pls_negate`` (a multiple of a normalized matrix),
+and ``pls_add`` when both operands have equal domains (a sum of two
+normalized matrices on the operands' domain, so no meet is computed).
+Every partial projection, whichever way it is built, is still
+validated in full.
+
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces; the maps
 ``projection_of`` and ``subspaces_of`` realize the two directions of
@@ -71,7 +83,7 @@ class PartialOperator:
 
     __slots__ = ("dom", "matrix")
 
-    def __init__(self, dom: Subspace, matrix: Matrix):
+    def __init__(self, dom: Subspace, matrix: Matrix, *, _normalized: bool = False):
         if matrix.nrows != dom.ambient_dim or matrix.ncols != dom.ambient_dim:
             raise AmbientMismatch(
                 f"{matrix.nrows}x{matrix.ncols} matrix on ambient dimension {dom.ambient_dim}"
@@ -80,8 +92,10 @@ class PartialOperator:
             raise AmbientMismatch(f"{matrix.field.value} matrix over {dom.field.value} domain")
         self.dom = dom
         # Kill the orthocomplement of the domain so that equal operators
-        # have bit-equal matrices.  Harmless on the domain itself.
-        self.matrix = matrix @ dom.projector
+        # have bit-equal matrices.  Harmless on the domain itself.  The
+        # constructors of this module pass _normalized only for a matrix
+        # that already vanishes there, where the product changes nothing.
+        self.matrix = matrix if _normalized else matrix @ dom.projector
 
     @property
     def field(self) -> Field:
@@ -119,16 +133,19 @@ class PartialProjection(PartialOperator):
     """A partial operator that is idempotent and self-adjoint on its
     domain and maps the domain into itself."""
 
-    def __init__(self, dom: Subspace, matrix: Matrix):
-        super().__init__(dom, matrix)
+    def __init__(self, dom: Subspace, matrix: Matrix, *, _normalized: bool = False):
+        super().__init__(dom, matrix, _normalized=_normalized)
         m = self.matrix
         basis = dom.basis
         r = basis.nrows
         # Column j of images is M b_j for the j-th basis row b_j.
         images = m @ basis.transpose()
+        # A vector lies in the domain iff the domain's orthogonal
+        # projector fixes it.
+        kept = dom.projector @ images
         twice = m @ images
         for j in range(r):
-            if not dom.contains(images.col(j)):
+            if kept.entries[j::r] != images.entries[j::r]:
                 raise ValueError("projection must map its domain into itself")
             if twice.entries[j::r] != images.entries[j::r]:
                 raise ValueError("projection must be idempotent on its domain")
@@ -149,12 +166,13 @@ def _check_ambient(t: PartialOperator, u: PartialOperator):
 
 def identity_on(dom: Subspace) -> PartialProjection:
     """The identity as a partial map on ``dom``."""
-    return PartialProjection(dom, Matrix.identity(dom.field, dom.ambient_dim))
+    return PartialProjection(dom, dom.projector, _normalized=True)
 
 
 def zero_on(dom: Subspace) -> PartialProjection:
     """The zero map on ``dom`` (distinct from zero maps on other domains)."""
-    return PartialProjection(dom, Matrix.zero(dom.field, dom.ambient_dim, dom.ambient_dim))
+    n = dom.ambient_dim
+    return PartialProjection(dom, Matrix.zero(dom.field, n, n), _normalized=True)
 
 
 def total_identity(field: Field, ambient_dim: int) -> PartialProjection:
@@ -179,7 +197,7 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
     and killing the zero-part."""
-    return PartialProjection(pair.dom, pair.one.projector)
+    return PartialProjection(pair.dom, pair.one.projector, _normalized=True)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
@@ -271,7 +289,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
 def proj_compl(p: PartialProjection) -> PartialProjection:
     """1 - p with 1 meaning the identity of dom(p): same domain,
     x mapped to x - p(x)."""
-    return PartialProjection(p.dom, p.dom.projector - p.matrix)
+    return PartialProjection(p.dom, p.dom.projector - p.matrix, _normalized=True)
 
 
 def proj_meet(p: PartialProjection, q: PartialProjection) -> PartialProjection:
@@ -311,16 +329,18 @@ def proj_orthogonal(p: PartialProjection, q: PartialProjection) -> bool:
 def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
     """Pointwise sum on the meet of the domains."""
     _check_ambient(t, u)
+    if t.dom == u.dom:
+        return PartialOperator(t.dom, t.matrix + u.matrix, _normalized=True)
     return PartialOperator(t.dom.meet(u.dom), t.matrix + u.matrix)
 
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    return PartialOperator(t.dom, t.matrix.scaled(k))
+    return PartialOperator(t.dom, t.matrix.scaled(k), _normalized=True)
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:
-    return PartialOperator(t.dom, -t.matrix)
+    return PartialOperator(t.dom, -t.matrix, _normalized=True)
 
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:

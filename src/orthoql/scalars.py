@@ -235,6 +235,10 @@ class Field(enum.Enum):
                     return GaussianRational(0, Fraction(m.group(1)))
         except ZeroDivisionError:
             raise ParseError(f"{text!r} has a zero denominator") from None
+        except ValueError:
+            # CPython refuses to convert integer strings past its digit
+            # limit (sys.get_int_max_str_digits, 4300 by default).
+            raise ParseError(f"scalar of {len(t)} characters has too many digits") from None
         raise ParseError(f"cannot parse {text!r} as a scalar over {self.value}")
 
     def format(self, value: Scalar) -> str:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from orthoql import cli
 from orthoql.cli import InstanceFile, load_instances, main, save_instances
 from orthoql.scalars import Field
 
@@ -280,6 +281,58 @@ def test_zero_denominator_in_a_gaussian_vector(tmp_path, capsys):
     }
     path = write_instances(tmp_path, payload)
     assert_rejected(capsys, "project", "P", "(1/0+1i,0)", "--file", path)
+
+
+@pytest.mark.parametrize("scalar", ["9" * 5000, "1/" + "7" * 5000 + "i"])
+def test_overlong_scalar_in_a_file(tmp_path, capsys, scalar):
+    # Past CPython's integer-string digit limit int() raises ValueError.
+    payload = {
+        "field": "Qi",
+        "ambient_dim": 2,
+        "subspaces": {"A": {"basis": [[scalar, "1"]]}},
+    }
+    assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+
+
+@pytest.mark.parametrize("scalar", ["9" * 5000, "1/" + "7" * 5000])
+def test_overlong_scalar_in_a_vector(good_file, capsys, scalar):
+    vector = f"({scalar},0,0)"
+    assert_rejected(capsys, "project", "L", vector, "--file", good_file)
+    assert_rejected(capsys, "quotient", "L", vector, "(1,0,0)", "--file", good_file)
+
+
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("ortho", {"P": {"zero": "B"}}, "ortho pair 'P': missing key 'one'"),
+        ("ortho", {"P": {"one": "A"}}, "ortho pair 'P': missing key 'zero'"),
+        (
+            "operators",
+            {"T": {"matrix": GOOD["operators"]["T"]["matrix"]}},
+            "operator 'T': missing key 'dom'",
+        ),
+    ],
+)
+def test_a_missing_key_is_named(tmp_path, capsys, section, body, message):
+    payload = dict(GOOD, **{section: body})
+    code = main(["check", "--file", write_instances(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unexpected_exception_exits_with_the_internal_error_code(good_file, capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("line one\nline two")
+
+    monkeypatch.setattr(cli, "cmd_op", broken)
+    code = main(["op", "meet", "A", "B", "--file", good_file])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert code not in (0, 1, 2)
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: internal error: KeyError")
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,13 @@ def test_gram_projection_known():
     assert p == Matrix(Field.Q, 2, 2, [F(1, 2)] * 4)
 
 
+def test_gram_projection_rejects_dependent_columns():
+    for field in (Field.Q, Field.Qi):
+        cols = Matrix.from_cols(field, [[1, 2, 0], [2, 4, 0]])
+        with pytest.raises(SingularGram):
+            gram_projection(cols)
+
+
 def test_projection_matrix_properties():
     rng = random.Random(5)
     for field in (Field.Q, Field.Qi):

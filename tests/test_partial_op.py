@@ -49,7 +49,7 @@ from orthoql.partial_op import (
     total_zero,
     zero_on,
 )
-from orthoql.scalars import Field, GaussianRational as G
+from orthoql.scalars import Field, GaussianRational as G, scalar_text
 from orthoql.subspace import Subspace
 
 
@@ -169,6 +169,108 @@ def test_projection_validation_checks_every_basis_vector():
     m = Matrix.from_rows(Field.Q, [[F(1, 2), F(1, 2), 1], [F(1, 2), F(1, 2), 0], [0, 0, 0]])
     with pytest.raises(ValueError, match=CLOSURE):
         PartialProjection(dom, m)
+    # Over Q(i): (1, i, 0) is fixed, e3 is sent to e1, outside the domain.
+    dom = Subspace(Field.Qi, 3, [[1, I, 0], [0, 0, 1]])
+    half = F(1, 2)
+    m = Matrix.from_rows(
+        Field.Qi, [[half, -half * I, 1], [half * I, half, 0], [0, 0, 0]]
+    )
+    with pytest.raises(ValueError, match=CLOSURE):
+        PartialProjection(dom, m)
+    # Over Q^4: e1 and e2 are fixed, the third basis vector e3 goes to e4.
+    dom = Subspace(Field.Q, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    with pytest.raises(ValueError, match=CLOSURE):
+        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+
+
+def test_validation_reports_the_first_failing_basis_vector():
+    # Column by column, closure before idempotence: e1 -> 2 e1 breaks
+    # idempotence first, e2 -> e3 breaks closure only on the second column.
+    dom = qs([1, 0, 0], [0, 1, 0])
+    rows = [[2, 0, 0], [0, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError, match=IDEMPOTENT):
+        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+    rows = [[0, 0, 0], [0, 2, 0], [1, 0, 0]]
+    with pytest.raises(ValueError, match=CLOSURE):
+        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+
+
+# --- constructors that skip the normalizing product -------------------------
+
+def domains(field):
+    """A zero, a line, a plane and the full space of field^3."""
+    w = I if field is Field.Qi else F(1, 2)
+    return [
+        Subspace(field, 3),
+        Subspace(field, 3, [[1, w, 2]]),
+        Subspace(field, 3, [[1, 0, w], [0, 3, -1]]),
+        Subspace.full(field, 3),
+    ]
+
+
+def pairs_on(dom):
+    """Orthogonal pairs whose domain is ``dom``."""
+    zero = Subspace.zero(dom.field, dom.ambient_dim)
+    pairs = [OrthoSubspace(dom, zero), OrthoSubspace(zero, dom)]
+    if dom.rank:
+        line = Subspace(dom.field, dom.ambient_dim, [dom.basis.row(0)])
+        pairs.append(OrthoSubspace(line, line.perp().meet(dom)))
+    return pairs
+
+
+def random_matrix(rng, field):
+    return Matrix(field, 3, 3, [random_scalar(rng, field) for _ in range(9)])
+
+
+def assert_same_operator(built, general):
+    """Same class, same domain, and the same exact entries, text included."""
+    assert type(built) is type(general)
+    assert built.dom == general.dom
+    assert built.matrix == general.matrix
+    texts = [scalar_text(e) for e in built.matrix.entries]
+    assert texts == [scalar_text(e) for e in general.matrix.entries]
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_projection_constructors_match_the_general_path(field):
+    for dom in domains(field):
+        assert_same_operator(identity_on(dom), PartialProjection(dom, Matrix.identity(field, 3)))
+        assert_same_operator(zero_on(dom), PartialProjection(dom, Matrix.zero(field, 3, 3)))
+        for pair in pairs_on(dom):
+            assert pair.dom == dom
+            p = projection_of(pair)
+            assert_same_operator(p, PartialProjection(pair.dom, pair.one.projector))
+            assert_same_operator(
+                proj_compl(p), PartialProjection(p.dom, p.dom.projector - p.matrix)
+            )
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_linear_structure_constructors_match_the_general_path(field):
+    rng = rng_from(61)
+    doms = domains(field)
+    for dom in doms:
+        t = PartialOperator(dom, random_matrix(rng, field))
+        for k in (random_scalar(rng, field), field.zero):
+            assert_same_operator(pls_scale(k, t), PartialOperator(t.dom, t.matrix.scaled(k)))
+        assert_same_operator(pls_negate(t), PartialOperator(t.dom, -t.matrix))
+        # Equal domains held by a distinct object, then by the same object:
+        # the sum keeps the first operand's domain.
+        twin = Subspace(field, 3, dom.basis.rows())
+        assert twin == dom and twin is not dom
+        for other in (twin, dom):
+            u = PartialOperator(other, random_matrix(rng, field))
+            s = pls_add(t, u)
+            assert_same_operator(s, PartialOperator(dom.meet(other), t.matrix + u.matrix))
+            assert s.dom is t.dom
+        # Unequal domains meet.
+        for other in doms:
+            if other != dom:
+                u = PartialOperator(other, random_matrix(rng, field))
+                assert_same_operator(
+                    pls_add(t, u), PartialOperator(dom.meet(other), t.matrix + u.matrix)
+                )
 
 
 # --- equality and apartness ----------------------------------------------

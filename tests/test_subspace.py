@@ -9,7 +9,7 @@ import oracle
 from conftest import sub_to_oracle, to_vec
 from orthoql.errors import AmbientMismatch
 from orthoql.generators import random_subspace, random_vector, rng_from
-from orthoql.linalg import Vector, norm_sq
+from orthoql.linalg import Vector, matrix_inverse, norm_sq
 from orthoql.scalars import Field, GaussianRational as G
 from orthoql.subspace import Subspace, coperp_rel, perp_rel
 
@@ -69,6 +69,28 @@ def test_projector_shape():
     assert p.conj_transpose() == p
     x = Vector(Field.Q, [F(1), F(1), F(0)])
     assert p @ x == x
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_projector_matches_the_inverse_route_and_the_oracle(field):
+    rng = rng_from(62)
+    w = G(0, 1) if field is Field.Qi else F(1, 2)
+    subs = [
+        Subspace(field, 3),
+        Subspace(field, 3, [[1, w, 2]]),
+        Subspace(field, 3, [[1, 0, w], [0, 3, -1]]),
+        Subspace.full(field, 3),
+    ] + [random_subspace(rng, field, 3) for _ in range(16)]
+    assert {s.rank for s in subs} == {0, 1, 2, 3}
+    for sub in subs:
+        p = sub.projector
+        # B has the basis as columns; B^H is the conjugated basis.
+        b, bh = sub.basis.transpose(), sub.basis.conj()
+        assert p == b @ matrix_inverse(bh @ b) @ bh
+        basis = sub_to_oracle(sub)
+        for j in range(3):
+            e = tuple(oracle.num(1 if i == j else 0) for i in range(3))
+            assert to_vec(p.col(j)) == oracle.project_onto(e, basis, 3)
 
 
 def test_lattice_matches_oracle():

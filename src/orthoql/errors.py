@@ -10,7 +10,6 @@ __all__ = [
     "NotInDomain",
     "NotCommuting",
     "ParseError",
-    "DivisionByZero",
 ]
 
 
@@ -44,8 +43,3 @@ class NotCommuting(OrthoQLError):
 
 class ParseError(OrthoQLError):
     """Malformed textual input (scalar, vector, expression, or file)."""
-
-
-# Exact scalar division already raises the builtin on a zero divisor;
-# callers can catch either name.
-DivisionByZero = ZeroDivisionError

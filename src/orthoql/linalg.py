@@ -3,7 +3,7 @@
 Everything here is an immutable value; operations return fresh
 objects.  Products clear denominators once per left row and once per
 right column and accumulate every dot product in Python ints.  Row
-reduction delegates the integer elimination loop to the kernel backend
+reduction hands the integer elimination loop to ``kernel.rref_gauss``
 and finishes the canonical form (leading ones) by dividing each
 eliminated integer row by its pivot in integer arithmetic (Gaussian
 integers over Q(i)), building one exact fraction per output part.  A

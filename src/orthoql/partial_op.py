@@ -114,8 +114,6 @@ class PartialOperator:
             raise NotInDomain(f"{x!r} is outside the domain")
         return self.matrix @ x
 
-    apply = __call__
-
     def __eq__(self, other):
         if not isinstance(other, PartialOperator):
             return NotImplemented

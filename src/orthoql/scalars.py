@@ -10,24 +10,21 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
-from orthoql.errors import ParseError
+from orthoql.errors import OrthoQLError, ParseError
 
 __all__ = [
     "Field",
     "GaussianRational",
     "Scalar",
     "abs_sq",
-    "add",
     "conj",
-    "div",
     "is_zero",
-    "mul",
     "real_part",
     "scalar_text",
-    "sub",
 ]
 
 Scalar = Union[Fraction, "GaussianRational"]
@@ -39,7 +36,15 @@ _IMAG_RE = re.compile(rf"^({_RAT})i$")
 
 
 def _frac_text(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # Exact results can outgrow CPython's integer-string limit even
+        # when every input stayed within it.
+        raise OrthoQLError(
+            f"an exact result has more than {sys.get_int_max_str_digits()} digits, "
+            "past the integer-string limit, and cannot be printed"
+        ) from None
 
 
 class GaussianRational:
@@ -142,24 +147,6 @@ class GaussianRational:
         return f"{_frac_text(self.re)}{sign}{_frac_text(abs(self.im))}i"
 
 
-# --- dispatch helpers -------------------------------------------------
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def div(a: Scalar, b: Scalar) -> Scalar:
-    return a / b
-
-
 def conj(a: Scalar) -> Scalar:
     """Complex conjugate; real scalars are fixed points."""
     if isinstance(a, GaussianRational):
@@ -240,6 +227,3 @@ class Field(enum.Enum):
             # limit (sys.get_int_max_str_digits, 4300 by default).
             raise ParseError(f"scalar of {len(t)} characters has too many digits") from None
         raise ParseError(f"cannot parse {text!r} as a scalar over {self.value}")
-
-    def format(self, value: Scalar) -> str:
-        return scalar_text(self.coerce(value))

@@ -66,10 +66,6 @@ class Subspace:
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows())
 
-    @classmethod
-    def span(cls, field: Field, ambient_dim: int, vectors: Sequence) -> "Subspace":
-        return cls(field, ambient_dim, vectors)
-
     # --- basic structure ---------------------------------------------
 
     @property

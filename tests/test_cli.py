@@ -301,6 +301,17 @@ def test_overlong_scalar_in_a_vector(good_file, capsys, scalar):
     assert_rejected(capsys, "quotient", "L", vector, "(1,0,0)", "--file", good_file)
 
 
+def test_overlong_result_is_refused(good_file, capsys):
+    # Each input stays inside the digit limit; their inner product does not.
+    vector = "(0," + "9" * 3000 + ",0)"
+    code = main(["quotient", "L", vector, vector, "--file", good_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{sys.get_int_max_str_digits()} digits" in lines[0]
+
+
 @pytest.mark.parametrize(
     "section, body, message",
     [

@@ -68,6 +68,8 @@ from orthoql.subspace import Subspace
 
 __all__ = [
     "EXIT_INTERNAL_ERROR",
+    "MAX_RANDOM_DIM",
+    "MAX_RANDOM_COUNT",
     "InstanceFile",
     "load_instances",
     "save_instances",
@@ -81,6 +83,11 @@ __all__ = [
 
 
 EXIT_INTERNAL_ERROR = 3
+
+# Limits on ``--random DIM COUNT``, so that a mistyped value is refused at
+# once instead of starting a run whose exact arithmetic has no bound.
+MAX_RANDOM_DIM = 16
+MAX_RANDOM_COUNT = 10000
 
 # --- instance files ----------------------------------------------------
 
@@ -589,7 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 nargs=3,
                 type=int,
                 metavar=("DIM", "COUNT", "SEED"),
-                help="generate instances over Q instead of reading a file",
+                help="generate instances over Q instead of reading a file "
+                f"(DIM <= {MAX_RANDOM_DIM}, COUNT <= {MAX_RANDOM_COUNT})",
             )
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -632,6 +640,11 @@ def _load_if_needed(args, random_ok: bool) -> Optional[InstanceFile]:
     dim, count, seed = args.random
     if dim < 0 or count < 0:
         raise ParseError("--random needs a nonnegative dimension and count")
+    if dim > MAX_RANDOM_DIM or count > MAX_RANDOM_COUNT:
+        raise ParseError(
+            f"--random allows a dimension up to {MAX_RANDOM_DIM} "
+            f"and a count up to {MAX_RANDOM_COUNT}"
+        )
     return None
 
 

@@ -62,10 +62,8 @@ def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
     return Vector(field, (random_scalar(rng, field) for _ in range(dim)))
 
 
-def random_subspace(
-    rng: random.Random, field: Field, dim: int, max_rank: Optional[int] = None
-) -> Subspace:
-    k = rng.randint(0, dim if max_rank is None else min(max_rank, dim))
+def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
+    k = rng.randint(0, dim)
     return Subspace(field, dim, [random_vector(rng, field, dim) for _ in range(k)])
 
 

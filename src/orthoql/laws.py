@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from orthoql.generators import random_subspace
 from orthoql.ortho import (
     OrthoSubspace,
     o_eq,
@@ -610,24 +611,10 @@ def _modularity_gap(l: Subspace, m: Subspace, n: Subspace) -> Optional[Counterex
     return None
 
 
-def _default_sampler(field: Field, dim: int):
-    from orthoql.generators import random_subspace
-
-    def sample(rng: random.Random):
-        return (
-            random_subspace(rng, field, dim),
-            random_subspace(rng, field, dim),
-            random_subspace(rng, field, dim),
-        )
-
-    return sample
-
-
 def find_counterexample(
     law: str,
     dim: int,
     field: Field = Field.Q,
-    sampler: Optional[Callable] = None,
     budget: int = 400,
     seed: int = 0,
 ) -> Optional[Counterexample]:
@@ -674,9 +661,8 @@ def find_counterexample(
         if found is not None:
             return found
     rng = random.Random(seed)
-    sample = sampler if sampler is not None else _default_sampler(field, dim)
     for _ in range(budget):
-        found = gap(*sample(rng))
+        found = gap(*(random_subspace(rng, field, dim) for _ in range(3)))
         if found is not None:
             return found
     return None

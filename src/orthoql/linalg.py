@@ -7,13 +7,14 @@ reduction hands the integer elimination loop to ``kernel.rref_gauss``
 and finishes the canonical form (leading ones) by dividing each
 eliminated integer row by its pivot in integer arithmetic (Gaussian
 integers over Q(i)), building one exact fraction per output part.  A
-given row space always produces the same bits.
+given row space always produces the same bits.  ``rref`` is the only
+elimination: null spaces, solutions, inverses and projectors are all
+read off one reduced form each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -33,8 +34,6 @@ __all__ = [
     "solve",
     "gram_projection",
     "matrix_inverse",
-    "det",
-    "principal_minors_nonneg",
 ]
 
 
@@ -417,7 +416,7 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     return Vector(m.field, x)
 
 
-# --- projections and determinants -------------------------------------
+# --- inverses and projections -----------------------------------------
 
 def matrix_inverse(g: Matrix) -> Matrix:
     """Inverse of a square matrix; raises SingularGram when singular."""
@@ -462,49 +461,3 @@ def gram_projection(basis: Matrix) -> Matrix:
         raise SingularGram("basis columns are dependent")
     x = Matrix(basis.field, r, n, (reduced.entry(i, r + j) for i in range(r) for j in range(n)))
     return basis @ x
-
-
-def det(m: Matrix) -> Scalar:
-    """Determinant by exact Gaussian elimination."""
-    n = m.nrows
-    if n != m.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    rows = [[m.entry(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    acc = m.field.one
-    for c in range(n):
-        p = next((k for k in range(c, n) if not scalars.is_zero(rows[k][c])), -1)
-        if p < 0:
-            return m.field.zero
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        acc = acc * piv
-        for k in range(c + 1, n):
-            factor = rows[k][c] / piv
-            if scalars.is_zero(factor):
-                continue
-            rows[k] = [a - factor * b for a, b in zip(rows[k], rows[c])]
-    return acc if sign > 0 else -acc
-
-
-def principal_minors_nonneg(g: Matrix) -> bool:
-    """Whether every principal minor of a Hermitian matrix is >= 0.
-
-    For Hermitian matrices this is equivalent to positive
-    semidefiniteness; minors are evaluated exactly.
-    """
-    n = g.nrows
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            sub = Matrix(
-                g.field, size, size, (g.entry(i, j) for i in idx for j in idx)
-            )
-            d = det(sub)
-            re = scalars.real_part(d)
-            if isinstance(d, GaussianRational) and d.im != 0:
-                return False
-            if re < 0:
-                return False
-    return True

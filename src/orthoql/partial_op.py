@@ -21,9 +21,15 @@ Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces; the maps
 ``projection_of`` and ``subspaces_of`` realize the two directions of
 that correspondence, and the logical operations on projections are
-routed through it.  The calculus of composites for ordered pairs and
-for commuting projections is checked clause by clause, with each
-clause reported as holds / fails / hypothesis-not-met.
+routed through it.  ``subspaces_of`` reads the pair off images, with
+no kernel computed.  This is exact because every partial projection is
+validated when it is built: its stored matrix M is idempotent and
+self-adjoint on the domain and vanishes on the domain's
+orthocomplement, so M is the orthogonal projector onto the fixed part
+and ``P_dom - M`` the one onto the killed part, and each part is the
+column space of its projector.  The calculus of composites for ordered
+pairs and for commuting projections is checked clause by clause, with
+each clause reported as holds / fails / hypothesis-not-met.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from orthoql.errors import AmbientMismatch, NotCommuting, NotInDomain
-from orthoql.linalg import Matrix, Vector, inner, norm_sq, null_space, principal_minors_nonneg, solve
+from orthoql.linalg import Matrix, Vector, inner, norm_sq, null_space, solve
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
 from orthoql.subspace import Subspace, perp_rel
@@ -199,14 +205,14 @@ def projection_of(pair: OrthoSubspace) -> PartialProjection:
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
-    """Recover the orthogonal pair of a partial projection: fixed
-    vectors and the kernel inside the domain."""
-    n = p.ambient_dim
-    fix = null_space(p.matrix - Matrix.identity(p.field, n))
-    one = Subspace(p.field, n, [list(fix.col(j)) for j in range(fix.ncols)])
-    ker = null_space(p.matrix)
-    ker_sub = Subspace(p.field, n, [list(ker.col(j)) for j in range(ker.ncols)])
-    return OrthoSubspace(one, ker_sub.meet(p.dom))
+    """Recover the orthogonal pair of a partial projection: the fixed
+    vectors and the kernel inside the domain, as the column spaces of
+    the projectors M and ``P_dom - M`` onto them."""
+    return OrthoSubspace(_colspace(p.matrix), _colspace(p.dom.projector - p.matrix))
+
+
+def _colspace(m: Matrix) -> Subspace:
+    return Subspace(m.field, m.nrows, m.transpose().rows())
 
 
 # --- equality and apartness ---------------------------------------------
@@ -216,6 +222,17 @@ def op_eq(t: PartialOperator, u: PartialOperator) -> bool:
     literal comparison)."""
     _check_ambient(t, u)
     return t.dom == u.dom and t.matrix == u.matrix
+
+
+def _first_difference(a: Matrix, b: Matrix, basis: Matrix) -> Optional[Vector]:
+    """The first basis row that ``a`` and ``b`` map to different
+    vectors, or None when they agree on the span of ``basis``."""
+    gaps = (a - b) @ basis.transpose()
+    r = basis.nrows
+    for j in range(r):
+        if any(gaps.entries[j::r]):
+            return basis.row(j)
+    return None
 
 
 def op_eq_witness(t: PartialOperator, u: PartialOperator):
@@ -229,11 +246,8 @@ def op_eq_witness(t: PartialOperator, u: PartialOperator):
         for b in u.dom.basis.rows():
             if not t.dom.contains(b):
                 return ("domain", b)
-    if t.matrix != u.matrix:
-        for b in t.dom.basis.rows():
-            if t.matrix @ b != u.matrix @ b:
-                return ("value", b)
-    return None
+    b = _first_difference(t.matrix, u.matrix, t.dom.basis)
+    return None if b is None else ("value", b)
 
 
 def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vector]]:
@@ -251,11 +265,8 @@ def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vecto
     right = u.dom.meet(t.dom.perp())
     if right.is_strict:
         return True, right.basis.row(0)
-    common = t.dom.meet(u.dom)
-    for b in common.basis.rows():
-        if t.matrix @ b != u.matrix @ b:
-            return True, b
-    return False, None
+    b = _first_difference(t.matrix, u.matrix, t.dom.meet(u.dom).basis)
+    return b is not None, b
 
 
 def o_neq(a: OrthoSubspace, b: OrthoSubspace) -> tuple[bool, Optional[Vector]]:
@@ -274,11 +285,10 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     """
     _check_ambient(q, p)
     n = p.ambient_dim
-    b_t = p.dom.basis.transpose()
+    basis = p.dom.basis
     outside = (Matrix.identity(p.field, n) - q.dom.projector) @ p.matrix
-    ker = null_space(outside @ b_t)
-    vectors = [list(b_t @ ker.col(j)) for j in range(ker.ncols)]
-    dom = Subspace(p.field, n, vectors)
+    ker = null_space(outside @ basis.transpose())
+    dom = Subspace(p.field, n, (ker.transpose() @ basis).rows())
     return PartialOperator(dom, q.matrix @ p.matrix)
 
 
@@ -356,10 +366,12 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
     """Whether the operator norm of p is exactly one.
 
     True precisely when the fixed space is nonzero; certified from both
-    sides: a nonzero fixed vector attains the norm, and the quadratic
-    form |x|^2 - |p(x)|^2 over domain coefficients is positive
-    semidefinite (all principal minors of its Hermitian matrix are
-    nonnegative), so no vector exceeds it.
+    sides: a nonzero fixed vector attains the norm, and no vector
+    exceeds it.  For the latter, with the domain basis rows B, their
+    images I = B M^T and what the images leave out C = B - I, the
+    matrix B B^H - I I^H of the quadratic form |x|^2 - |p(x)|^2 over
+    domain coefficients must equal the Gram matrix C C^H, which is
+    positive semidefinite.
     """
     one = subspaces_of(p).one
     if one.is_strict:
@@ -367,20 +379,11 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
         attained = (p.matrix @ l == l) and not l.is_zero
     else:
         attained = False
-    basis = p.dom.basis.rows()
-    images = [p.matrix @ b for b in basis]
-    r = len(basis)
-    diff = Matrix(
-        p.field,
-        r,
-        r,
-        (
-            inner(basis[i], basis[j]) - inner(images[i], images[j])
-            for i in range(r)
-            for j in range(r)
-        ),
-    )
-    bounded = diff == diff.conj_transpose() and principal_minors_nonneg(diff)
+    basis = p.dom.basis
+    images = basis @ p.matrix.transpose()
+    missed = basis - images
+    form = basis @ basis.conj_transpose() - images @ images.conj_transpose()
+    bounded = form == missed @ missed.conj_transpose()
     return one.is_strict and attained and bounded
 
 
@@ -456,10 +459,7 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
     for the zero-parts.  The remaining clauses assume l <= m and are
     reported as hypothesis-not-met otherwise.
     """
-    if l.field is not m.field or l.ambient_dim != m.ambient_dim:
-        raise AmbientMismatch(
-            f"{l.field.value}^{l.ambient_dim} vs {m.field.value}^{m.ambient_dim}"
-        )
+    l.one._check_ambient(m.one)
     report = OrderReport()
     p_l1 = projection_of(l)
     p_l0 = projection_of(o_neg(l))
@@ -490,9 +490,9 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
     c1 = compose(p_l1, p_m1)
     c0 = compose(p_m0, p_l0)
     doms_ok = c1.dom == meet and c0.dom == meet
-    values_ok = all(
-        c1.matrix @ b == p_l1.matrix @ b and c0.matrix @ b == p_m0.matrix @ b
-        for b in meet.basis.rows()
+    values_ok = (
+        _first_difference(c1.matrix, p_l1.matrix, meet.basis) is None
+        and _first_difference(c0.matrix, p_m0.matrix, meet.basis) is None
     )
     report.record(
         "lescomp1_iia",
@@ -582,9 +582,7 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> CommReport
         join_proj = proj_join(p, q)
         rhs = pls_sub(pls_add(p, q), qp)
         common = join_proj.dom.meet(rhs.dom)
-        pointwise = all(
-            join_proj.matrix @ b == rhs.matrix @ b for b in common.basis.rows()
-        )
+        pointwise = _first_difference(join_proj.matrix, rhs.matrix, common.basis) is None
         ones_raw = _raw_sum_covers(jp.one, jq.one)
         report.record(
             "comm1_iv",
@@ -599,10 +597,7 @@ def cor7_calculus(l: OrthoSubspace, m: OrthoSubspace) -> ClauseReport:
     of m: the one-parts sum without closure, the projections compose to
     the total zero map, and the projection of the join is the sum of
     the projections."""
-    if l.field is not m.field or l.ambient_dim != m.ambient_dim:
-        raise AmbientMismatch(
-            f"{l.field.value}^{l.ambient_dim} vs {m.field.value}^{m.ambient_dim}"
-        )
+    l.one._check_ambient(m.one)
     report = ClauseReport()
     if not (l.is_total and m.is_total and o_leq(l, o_neg(m))):
         for clause in ("cor7_i", "cor7_ii", "cor7_iii"):

@@ -23,7 +23,6 @@ __all__ = [
     "abs_sq",
     "conj",
     "is_zero",
-    "real_part",
     "scalar_text",
 ]
 
@@ -163,12 +162,6 @@ def abs_sq(a: Scalar) -> Fraction:
     if isinstance(a, GaussianRational):
         return a.abs_sq()
     return a * a
-
-
-def real_part(a: Scalar) -> Fraction:
-    if isinstance(a, GaussianRational):
-        return a.re
-    return a
 
 
 def scalar_text(a: Scalar) -> str:

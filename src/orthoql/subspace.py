@@ -85,9 +85,6 @@ class Subspace:
         """Contains a nonzero vector."""
         return self.rank >= 1
 
-    def basis_vectors(self) -> list[Vector]:
-        return self.basis.rows()
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -2,8 +2,10 @@
 operation calculator, law runs, projection, quotients, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +378,33 @@ def test_file_and_random_conflict(good_file, capsys):
     assert code == 2
 
 
+def test_random_sizes_up_to_the_bound_are_accepted(capsys):
+    # The catalog suites ignore COUNT and search at DIM, so both limits
+    # are reached without a long run.
+    dim, count = str(cli.MAX_RANDOM_DIM), str(cli.MAX_RANDOM_COUNT)
+    for argv in (
+        ["check", "--random", dim, "0", "0", "--laws", "distributivity"],
+        ["check", "--random", "2", count, "0", "--laws", "heyting"],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert "result: ok" in out
+
+
+def test_random_sizes_past_the_bound_are_rejected(capsys):
+    # Each command would also finish quickly if it were accepted: the
+    # catalog suite ignores COUNT, and pairs in dimension 0 are trivial.
+    dim, count = str(cli.MAX_RANDOM_DIM + 1), str(cli.MAX_RANDOM_COUNT + 1)
+    for argv in (
+        ["check", "--random", dim, "0", "0", "--laws", "heyting"],
+        ["check", "--random", "2", count, "0", "--laws", "heyting"],
+        ["check", "--random", dim, count, "0", "--laws", "heyting"],
+        ["roundtrip", "--random", dim, "0", "0"],
+        ["roundtrip", "--random", "0", count, "0"],
+    ):
+        assert_rejected(capsys, *argv)
+
+
 def test_missing_source(capsys):
     assert run(capsys, "project", "L", "(1,0,0)")[0] == 2
 
@@ -419,10 +448,14 @@ def load_instances_from_parts(tmp_path):
 # --- module entry point --------------------------------------------------------------
 
 def test_module_invocation():
+    # The subprocess imports the package from this checkout's src/.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orthoql", "check", "--random", "2", "5", "1", "--laws", "clql"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "result: ok" in proc.stdout

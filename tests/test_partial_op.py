@@ -6,19 +6,22 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
-from conftest import sub_to_oracle, to_vec
+from conftest import sub_to_oracle, to_mat, to_vec
 from orthoql.errors import AmbientMismatch, NotCommuting, NotInDomain
 from orthoql.generators import (
+    cayley_unitary,
     commuting_pairs,
+    conjugated,
     ordered_ortho_pairs,
     orthogonal_total_pair,
     random_ortho,
     random_partial_operator,
+    random_partial_projection,
     random_scalar,
     rng_from,
 )
 from orthoql.laws import check_pls
-from orthoql.linalg import Matrix, Vector
+from orthoql.linalg import Matrix, Vector, null_space
 from orthoql.ortho import OrthoSubspace, o_eq, o_join, o_leq, o_neg
 from orthoql.partial_op import (
     HOLDS,
@@ -48,6 +51,7 @@ from orthoql.partial_op import (
     total_identity,
     total_zero,
     zero_on,
+    _first_difference,
 )
 from orthoql.scalars import Field, GaussianRational as G, scalar_text
 from orthoql.subspace import Subspace
@@ -246,6 +250,49 @@ def test_projection_constructors_match_the_general_path(field):
             )
 
 
+def kernel_pair(p):
+    """The pair of ``p`` by the kernel definition: the fixed space is
+    null(M - I) and the zero part is null(M) inside the domain."""
+    n = p.ambient_dim
+
+    def col_span(k):
+        return Subspace(p.field, n, [list(k.col(j)) for j in range(k.ncols)])
+
+    one = col_span(null_space(p.matrix - Matrix.identity(p.field, n)))
+    return one, col_span(null_space(p.matrix)).meet(p.dom)
+
+
+def general_projections(field):
+    """Projections built by ``PartialProjection(dom, M)`` on a zero, a
+    line, a plane and the full domain: from the one-part's projector
+    plus a term the normalisation kills, and the same pushed through a
+    unitary."""
+    rng = rng_from(67)
+    out = []
+    for dom in domains(field):
+        off = Matrix.identity(field, 3) - dom.projector
+        for pair in pairs_on(dom):
+            p = PartialProjection(dom, pair.one.projector + off)
+            out += [p, conjugated(p, cayley_unitary(rng, field, 3))]
+    return out
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_pair_read_off_images_matches_the_kernel_definition(field):
+    rng = rng_from(71)
+    projections = general_projections(field) + [
+        random_partial_projection(rng, field, 3, total=bool(i % 2)) for i in range(12)
+    ]
+    ranks = set()
+    for p in projections:
+        one, zero = kernel_pair(p)
+        pair = subspaces_of(p)
+        assert pair.one == one and pair.zero == zero
+        assert pair.dom == p.dom
+        ranks.add(p.dom.rank)
+    assert ranks == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_linear_structure_constructors_match_the_general_path(field):
     rng = rng_from(61)
@@ -320,6 +367,30 @@ def test_zero_assignment_is_strongly_extensional():
             assert op_neq(t, u)[0]
 
 
+def first_difference_by_vector(a, b, basis):
+    for v in basis.rows():
+        if a @ v != b @ v:
+            return v
+    return None
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_first_difference_matches_a_per_vector_loop(field):
+    # b differs from a only off the span of the first k basis rows, so
+    # the first differing row is row k, for every k including none.
+    rng = rng_from(89)
+    positions = set()
+    for dom in domains(field):
+        for k in range(dom.rank + 1):
+            a = random_matrix(rng, field)
+            kept = Subspace(field, 3, dom.basis.rows()[:k])
+            b = a + random_matrix(rng, field) @ (Matrix.identity(field, 3) - kept.projector)
+            want = first_difference_by_vector(a, b, dom.basis)
+            assert _first_difference(a, b, dom.basis) == want
+            positions.add(None if want is None else dom.basis.rows().index(want))
+    assert positions == {None, 0, 1, 2}
+
+
 # --- composition ----------------------------------------------------------
 
 def test_composition_domains_differ_by_order():
@@ -338,6 +409,25 @@ def test_projections_are_idempotent_under_composition():
     for _ in range(20):
         p = projection_of(random_ortho(rng, Field.Q, 3))
         assert op_eq(compose(p, p), p)
+
+
+def per_column_domain(q, p):
+    """dom(q after p) built one kernel column at a time."""
+    n = p.ambient_dim
+    b_t = p.dom.basis.transpose()
+    outside = (Matrix.identity(p.field, n) - q.dom.projector) @ p.matrix
+    ker = null_space(outside @ b_t)
+    return Subspace(p.field, n, [list(b_t @ ker.col(j)) for j in range(ker.ncols)])
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_composition_domain_matches_the_per_column_construction(field):
+    rng = rng_from(73)
+    ops = [PartialOperator(dom, random_matrix(rng, field)) for dom in domains(field)]
+    ops += [projection_of(random_ortho(rng, field, 3)) for _ in range(4)]
+    for q in ops:
+        for p in ops:
+            assert compose(q, p).dom == per_column_domain(q, p)
 
 
 def test_composition_restricts_the_domain():
@@ -527,6 +617,26 @@ def test_algebra_suite_over_gaussians():
 
 
 # --- the norm certificate ------------------------------------------------------
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_norm_form_is_the_gram_matrix_of_what_images_miss(field):
+    # <b_i, b_j> - <M b_i, M b_j> = <b_i - M b_i, b_j - M b_j>, in the
+    # oracle's arithmetic, on the basis of every domain.
+    rng = rng_from(79)
+    for _ in range(15):
+        p = random_partial_projection(rng, field, 4)
+        m = to_mat(p.matrix)
+        basis = [to_vec(b) for b in p.dom.basis.rows()]
+        images = [oracle.mat_vec(m, b) for b in basis]
+        missed = [oracle.vsub(b, mb) for b, mb in zip(basis, images)]
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                form = oracle.csub(
+                    oracle.inner(basis[i], basis[j]), oracle.inner(images[i], images[j])
+                )
+                assert form == oracle.inner(missed[i], missed[j])
+        assert norm_sq_is_one(p) == subspaces_of(p).one.is_strict
+
 
 def test_norm_is_one_exactly_when_something_is_fixed():
     assert norm_sq_is_one(projection_of(L))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from orthoql import laws
-from orthoql.errors import NotCommuting, NotInDomain, OrthoQLError, ParseError
+from orthoql.errors import NotInDomain, OrthoQLError, ParseError
 from orthoql.generators import (
     clql_triples,
     commuting_pairs,
@@ -51,12 +51,7 @@ from orthoql.ortho import (
     o_neg,
 )
 from orthoql.partial_op import (
-    FAILS,
     PartialOperator,
-    SKIPPED,
-    check_order,
-    commuting_calculus,
-    cor7_calculus,
     decompose,
     op_eq,
     projection_of,
@@ -68,11 +63,10 @@ from orthoql.subspace import Subspace
 
 __all__ = [
     "EXIT_INTERNAL_ERROR",
-    "MAX_RANDOM_DIM",
+    "MAX_DIM",
     "MAX_RANDOM_COUNT",
     "InstanceFile",
     "load_instances",
-    "save_instances",
     "cmd_op",
     "cmd_check",
     "cmd_project",
@@ -84,9 +78,10 @@ __all__ = [
 
 EXIT_INTERNAL_ERROR = 3
 
-# Limits on ``--random DIM COUNT``, so that a mistyped value is refused at
-# once instead of starting a run whose exact arithmetic has no bound.
-MAX_RANDOM_DIM = 16
+# Limits on the ambient dimension of a file or of ``--random DIM COUNT``,
+# and on COUNT, so that a mistyped value is refused at once instead of
+# starting a run whose exact arithmetic has no bound.
+MAX_DIM = 16
 MAX_RANDOM_COUNT = 10000
 
 # --- instance files ----------------------------------------------------
@@ -146,6 +141,8 @@ def load_instances(path: str) -> InstanceFile:
     dim = raw.get("ambient_dim")
     if type(dim) is not int or dim < 0:
         raise ParseError(f"{path}: ambient_dim must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise ParseError(f"{path}: ambient_dim may be at most {MAX_DIM}")
 
     inst = InstanceFile(fld, dim)
     for name, body in _section(raw, "subspaces", path):
@@ -192,46 +189,6 @@ def _basis_payload(sub: Subspace) -> list:
     return [[scalar_text(e) for e in row] for row in sub.basis.rows()]
 
 
-def _fresh_name(taken: dict, base: str, sub: Subspace) -> str:
-    name = base
-    while name in taken and taken[name] != sub:
-        name += "_"
-    taken[name] = sub
-    return name
-
-
-def save_instances(inst: InstanceFile, path: str) -> None:
-    """Write the canonical JSON form; loading it back reproduces every
-    instance up to canonical equality."""
-    subs = dict(inst.subspaces)
-    ortho_payload = {}
-    for name in sorted(inst.ortho):
-        pair = inst.ortho[name]
-        one = _fresh_name(subs, f"{name}.one", pair.one)
-        zero = _fresh_name(subs, f"{name}.zero", pair.zero)
-        ortho_payload[name] = {"one": one, "zero": zero}
-    op_payload = {}
-    for name in sorted(inst.operators):
-        op = inst.operators[name]
-        dom = _fresh_name(subs, f"{name}.dom", op.dom)
-        op_payload[name] = {
-            "dom": dom,
-            "matrix": [[scalar_text(e) for e in row] for row in op.matrix.rows()],
-        }
-    payload = {
-        "field": inst.field.value,
-        "ambient_dim": inst.ambient_dim,
-        "subspaces": {
-            name: {"basis": _basis_payload(subs[name])} for name in sorted(subs)
-        },
-        "ortho": ortho_payload,
-        "operators": op_payload,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _parse_vector(fld: Field, dim: int, text: str) -> Vector:
     t = text.strip()
     if t[:1] in "([" and t[-1:] in ")]":
@@ -272,17 +229,6 @@ def _law_payload(report: laws.LawReport) -> dict:
             ],
         }
     return out
-
-
-def _merge_clause_report(report: laws.LawReport, clause_report, operands: str):
-    for clause in sorted(clause_report.clauses):
-        outcome = clause_report.clauses[clause]
-        report.result(clause).record(
-            outcome.status != SKIPPED,
-            outcome.status != FAILS,
-            operands,
-            outcome.detail if outcome.status == FAILS else "",
-        )
 
 
 # --- subcommands --------------------------------------------------------
@@ -386,7 +332,6 @@ def _check_suite(
     random_spec: Optional[tuple],
     fld: Field,
 ) -> laws.LawReport:
-    report = laws.LawReport()
     if random_spec is not None:
         dim, count, seed = random_spec
     else:
@@ -397,14 +342,14 @@ def _check_suite(
             triples = _windows(_named_sorted(inst.subspaces), 3)
         else:
             triples = clql_triples(rng_from(seed), fld, dim, count)
-        return report.merge(laws.check_clql(triples))
+        return laws.check_clql(triples)
 
     if selector == "complql":
         if inst is not None:
             triples = _windows(_named_sorted(inst.ortho), 3)
         else:
             triples = complql_triples(rng_from(seed), fld, dim, count)
-        return report.merge(laws.check_complql(triples))
+        return laws.check_complql(triples)
 
     if selector == "order":
         if inst is not None:
@@ -413,9 +358,7 @@ def _check_suite(
             rng = rng_from(seed)
             pairs = ordered_ortho_pairs(rng, fld, dim, count // 2)
             pairs += non_ordered_ortho_pairs(rng, fld, dim, count - count // 2)
-        for i, (l, m) in enumerate(pairs):
-            _merge_clause_report(report, check_order(l, m), f"pair #{i}")
-        return report
+        return laws.check_lescomp(pairs)
 
     if selector == "comm":
         if inst is not None:
@@ -426,15 +369,7 @@ def _check_suite(
             rng = rng_from(seed)
             proj_pairs = commuting_pairs(rng, fld, dim, count)
             cor7_pairs = [orthogonal_total_pair(rng, fld, dim) for _ in range(count)]
-        for i, (p, q) in enumerate(proj_pairs):
-            try:
-                _merge_clause_report(report, commuting_calculus(p, q), f"pair #{i}")
-            except NotCommuting:
-                for clause in ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv"):
-                    report.result(clause).record(False, True, f"pair #{i}")
-        for i, (l, m) in enumerate(cor7_pairs):
-            _merge_clause_report(report, cor7_calculus(l, m), f"pair #{i}")
-        return report
+        return laws.check_comm(proj_pairs, cor7_pairs)
 
     if selector == "pls":
         if inst is not None:
@@ -447,18 +382,11 @@ def _check_suite(
                 for i in range(count)
             ]
             ks = [random_scalar(rng, fld) for _ in range(max(count, 1))]
-        return report.merge(laws.check_pls(ops, ks))
+        return laws.check_pls(ops, ks)
 
-    law_id = "heyting_adjunction" if selector == "heyting" else selector
+    law = "heyting_adjunction" if selector == "heyting" else selector
     search_dim = dim if dim is not None else (inst.ambient_dim if inst else 2)
-    found = laws.find_counterexample(law_id, max(search_dim, 2), fld)
-    res = report.result(law_id, expected_fail=True)
-    if found is None:
-        res.record(True, True, "no violating instance found")
-    else:
-        binds = ", ".join(f"{k}={v!r}" for k, v in found.operands.items())
-        res.record(True, False, binds, f"lhs={found.lhs!r} rhs={found.rhs!r}")
-    return report
+    return laws.check_catalog(law, search_dim, fld)
 
 
 def cmd_check(
@@ -597,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=int,
                 metavar=("DIM", "COUNT", "SEED"),
                 help="generate instances over Q instead of reading a file "
-                f"(DIM <= {MAX_RANDOM_DIM}, COUNT <= {MAX_RANDOM_COUNT})",
+                f"(DIM <= {MAX_DIM}, COUNT <= {MAX_RANDOM_COUNT})",
             )
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -640,9 +568,9 @@ def _load_if_needed(args, random_ok: bool) -> Optional[InstanceFile]:
     dim, count, seed = args.random
     if dim < 0 or count < 0:
         raise ParseError("--random needs a nonnegative dimension and count")
-    if dim > MAX_RANDOM_DIM or count > MAX_RANDOM_COUNT:
+    if dim > MAX_DIM or count > MAX_RANDOM_COUNT:
         raise ParseError(
-            f"--random allows a dimension up to {MAX_RANDOM_DIM} "
+            f"--random allows a dimension up to {MAX_DIM} "
             f"and a count up to {MAX_RANDOM_COUNT}"
         )
     return None

@@ -8,7 +8,6 @@ __all__ = [
     "AmbientMismatch",
     "SingularGram",
     "NotInDomain",
-    "NotCommuting",
     "ParseError",
 ]
 
@@ -31,14 +30,6 @@ class SingularGram(OrthoQLError):
 
 class NotInDomain(OrthoQLError):
     """A vector lies outside the domain of a partial map."""
-
-
-class NotCommuting(OrthoQLError):
-    """The two partial projections do not commute."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ParseError(OrthoQLError):

@@ -1,13 +1,21 @@
-"""Law suites for the subspace lattice and the orthocomplemented lattice.
+"""Law suites for the subspace lattice, the orthocomplemented lattice and
+the operator calculus.
 
-Each law is evaluated instance by instance with exact arithmetic, so a
-"holds" verdict is a finite proof for the tested operands and a
-violation comes with a concrete witness.  Conditional laws first
-decide their hypothesis; instances where it fails are counted as
-hypothesis-not-met, never as passes, so coverage is visible in the
-report.  A small catalog of classical counterexamples (distributivity
-and the Heyting adjunction) is kept separate: those laws are expected
-to fail and the finder must reproduce the standard witnesses.
+Every suite the ``check`` command runs is a ``check_*`` function here,
+and each returns a ``LawReport``: per law, the instances tried, how many
+met the law's hypothesis, and the violations.  Each law is evaluated
+instance by instance with exact arithmetic, so a "holds" verdict is a
+finite proof for the tested operands and a violation comes with a
+concrete witness.  Conditional laws first decide their hypothesis;
+instances where it fails are counted as hypothesis-not-met, never as
+passes, so coverage is visible in the report.  The clause calculi of
+``partial_op`` (the order characterization, commuting projections and
+Cor. 7) return plain {clause: (applicable, holds, detail)} maps, which
+``check_lescomp`` and ``check_comm`` tally clause by clause.  A small
+catalog of classical counterexamples (distributivity and the Heyting
+adjunction) is kept separate: those laws are expected to fail, the
+finder must reproduce the standard witnesses, and ``check_catalog``
+reports them as expected-fail.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from orthoql.ortho import (
 )
 from orthoql.partial_op import (
     PartialOperator,
+    PartialProjection,
+    check_order,
+    commuting_calculus,
+    cor7_calculus,
     o_neq,
     op_eq,
     op_neq,
@@ -48,8 +60,11 @@ __all__ = [
     "check_clql",
     "check_complql",
     "check_pls",
+    "check_lescomp",
+    "check_comm",
     "Counterexample",
     "find_counterexample",
+    "check_catalog",
     "CLQL_LAWS",
     "COMPLQL_LAWS",
     "PLS_LAWS",
@@ -551,6 +566,38 @@ def check_pls(
     return report
 
 
+# --- the clause calculi of ordered pairs and commuting projections ---------
+
+def _record_clauses(report: LawReport, clauses: dict, operands: str) -> None:
+    for clause, (applicable, holds, detail) in clauses.items():
+        report.result(clause).record(applicable, holds, operands, detail)
+
+
+def check_lescomp(
+    pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
+) -> LawReport:
+    """Evaluate the composite characterization of the order
+    (``partial_op.check_order``) on pairs of orthogonal pairs."""
+    report = LawReport()
+    for i, (l, m) in enumerate(pairs):
+        _record_clauses(report, check_order(l, m), f"pair #{i}")
+    return report
+
+
+def check_comm(
+    proj_pairs: Sequence[tuple[PartialProjection, PartialProjection]],
+    total_pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
+) -> LawReport:
+    """Evaluate the commuting-projection calculus on pairs of projections
+    and Cor. 7 on pairs of orthogonal pairs."""
+    report = LawReport()
+    for i, (p, q) in enumerate(proj_pairs):
+        _record_clauses(report, commuting_calculus(p, q), f"pair #{i}")
+    for i, (l, m) in enumerate(total_pairs):
+        _record_clauses(report, cor7_calculus(l, m), f"pair #{i}")
+    return report
+
+
 # --- counterexample catalog -----------------------------------------------
 
 @dataclass
@@ -666,3 +713,17 @@ def find_counterexample(
         if found is not None:
             return found
     return None
+
+
+def check_catalog(law: str, dim: int, field: Field) -> LawReport:
+    """Search for a violation of one ``FAILING_LAWS`` entry in dimension
+    ``max(dim, 2)`` and report it as an expected failure."""
+    report = LawReport()
+    res = report.result(law, expected_fail=True)
+    found = find_counterexample(law, max(dim, 2), field)
+    if found is None:
+        res.record(True, True, "no violating instance found")
+    else:
+        binds = ", ".join(f"{k}={v!r}" for k, v in found.operands.items())
+        res.record(True, False, binds, f"lhs={found.lhs!r} rhs={found.rhs!r}")
+    return report

@@ -28,17 +28,18 @@ self-adjoint on the domain and vanishes on the domain's
 orthocomplement, so M is the orthogonal projector onto the fixed part
 and ``P_dom - M`` the one onto the killed part, and each part is the
 column space of its projector.  The calculus of composites for ordered
-pairs and for commuting projections is checked clause by clause, with
-each clause reported as holds / fails / hypothesis-not-met.
+pairs and for commuting projections is checked clause by clause: each
+calculus returns a plain map {clause: (applicable, holds, detail)}, in
+which a clause whose hypothesis is not met has applicable False, and
+``laws`` tallies those maps into law reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from orthoql.errors import AmbientMismatch, NotCommuting, NotInDomain
+from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.linalg import Matrix, Vector, inner, norm_sq, null_space, solve
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
@@ -74,10 +75,6 @@ __all__ = [
     "pls_zero_of",
     "pls_sub",
     "norm_sq_is_one",
-    "ClauseOutcome",
-    "ClauseReport",
-    "OrderReport",
-    "CommReport",
     "check_order",
     "commuting_calculus",
     "cor7_calculus",
@@ -387,51 +384,7 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
     return one.is_strict and attained and bounded
 
 
-# --- clause reports ---------------------------------------------------
-
-HOLDS = "holds"
-FAILS = "fails"
-SKIPPED = "hypothesis-not-met"
-
-
-@dataclass
-class ClauseOutcome:
-    status: str
-    detail: str = ""
-
-
-@dataclass
-class ClauseReport:
-    clauses: dict = dc_field(default_factory=dict)
-
-    def record(self, clause: str, ok: bool, detail: str = ""):
-        self.clauses[clause] = ClauseOutcome(HOLDS if ok else FAILS, detail if not ok else "")
-
-    def skip(self, clause: str, detail: str = ""):
-        self.clauses[clause] = ClauseOutcome(SKIPPED, detail)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != FAILS for c in self.clauses.values())
-
-    def summary(self) -> str:
-        lines = []
-        for name in sorted(self.clauses):
-            c = self.clauses[name]
-            suffix = f" ({c.detail})" if c.detail else ""
-            lines.append(f"{name}: {c.status}{suffix}")
-        return "\n".join(lines)
-
-
-@dataclass
-class OrderReport(ClauseReport):
-    order_holds: bool = False
-
-
-@dataclass
-class CommReport(ClauseReport):
-    pass
-
+# --- clause calculi ---------------------------------------------------
 
 def _spanning_samples(sub: Subspace) -> list[Vector]:
     # Basis vectors plus pairwise sums: enough to exercise the
@@ -450,40 +403,34 @@ def _real_or_none(v: Scalar) -> Optional[Fraction]:
     return v
 
 
-def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
+def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     """Clause-by-clause check of the composite characterization of the
-    order on orthogonal pairs.
+    order on orthogonal pairs, as {clause: (applicable, holds, detail)}.
 
     The unconditional clause is the biconditional: l <= m exactly when
     projecting into m after projecting into l changes nothing, and dually
-    for the zero-parts.  The remaining clauses assume l <= m and are
-    reported as hypothesis-not-met otherwise.
+    for the zero-parts.  The remaining clauses assume l <= m; otherwise
+    they come back as hypothesis-not-met (applicable False, holds True).
     """
     l.one._check_ambient(m.one)
-    report = OrderReport()
     p_l1 = projection_of(l)
     p_l0 = projection_of(o_neg(l))
     p_m1 = projection_of(m)
     p_m0 = projection_of(o_neg(m))
     ordered = o_leq(l, m)
-    report.order_holds = ordered
 
     composites = op_eq(compose(p_m1, p_l1), p_l1) and op_eq(compose(p_l0, p_m0), p_m0)
-    if ordered == composites:
-        report.record("lescomp1_i", True)
-    else:
+    detail = ""
+    if ordered != composites:
         w1 = op_eq_witness(compose(p_m1, p_l1), p_l1)
         w0 = op_eq_witness(compose(p_l0, p_m0), p_m0)
-        report.record(
-            "lescomp1_i",
-            False,
-            f"order={ordered} composites={composites} witness_one={w1} witness_zero={w0}",
-        )
+        detail = f"order={ordered} composites={composites} witness_one={w1} witness_zero={w0}"
+    clauses = {"lescomp1_i": (True, ordered == composites, detail)}
 
     if not ordered:
         for clause in ("lescomp1_iia", "lescomp1_meet", "lescomp1_iiia", "lescomp1_iva"):
-            report.skip(clause, "pairs are not ordered")
-        return report
+            clauses[clause] = (False, True, "pairs are not ordered")
+        return clauses
 
     meet = l.dom.meet(m.dom)
 
@@ -494,8 +441,8 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
         _first_difference(c1.matrix, p_l1.matrix, meet.basis) is None
         and _first_difference(c0.matrix, p_m0.matrix, meet.basis) is None
     )
-    report.record(
-        "lescomp1_iia",
+    clauses["lescomp1_iia"] = (
+        True,
         doms_ok and values_ok,
         f"domains_match={doms_ok} values_match={values_ok}",
     )
@@ -505,7 +452,7 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
     split_ok = (l.one.join(middle).join(m.zero) == meet) and all(
         perp_rel(a, b) for a, b in ((parts[0], parts[1]), (parts[0], parts[2]), (parts[1], parts[2]))
     )
-    report.record("lescomp1_meet", split_ok)
+    clauses["lescomp1_meet"] = (True, split_ok, "")
 
     samples = _spanning_samples(meet)
     norm_ok = True
@@ -517,7 +464,7 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
             norm_ok = False
             norm_detail = f"sample {x!r}"
             break
-    report.record("lescomp1_iiia", norm_ok, norm_detail)
+    clauses["lescomp1_iiia"] = (True, norm_ok, norm_detail)
 
     inner_ok = True
     inner_detail = ""
@@ -532,8 +479,8 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> OrderReport:
             inner_ok = False
             inner_detail = f"sample {x!r}"
             break
-    report.record("lescomp1_iva", inner_ok, inner_detail)
-    return report
+    clauses["lescomp1_iva"] = (True, inner_ok, inner_detail)
+    return clauses
 
 
 def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
@@ -546,72 +493,63 @@ def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
     return all(solve(stacked, v) is not None for v in joined.basis.rows())
 
 
-def commuting_calculus(p: PartialProjection, q: PartialProjection) -> CommReport:
-    """The composite calculus available once p and q commute.
+def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
+    """The composite calculus of two commuting projections, as
+    {clause: (applicable, holds, detail)}.
 
-    Raises NotCommuting (with an apartness witness for the two
-    composites) when they do not.
+    Every clause assumes that p and q commute.  When the composites
+    differ, all four clauses come back as hypothesis-not-met, and their
+    detail names the ``op_eq_witness`` of the two composites.
     """
     _check_ambient(p, q)
     qp = compose(q, p)
     pq = compose(p, q)
     if not op_eq(qp, pq):
-        raise NotCommuting(
-            "the composites differ", witness=op_eq_witness(pq, qp)
-        )
+        detail = f"the composites differ: witness={op_eq_witness(pq, qp)}"
+        return {c: (False, True, detail) for c in ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")}
     jp = subspaces_of(p)
     jq = subspaces_of(q)
-    report = CommReport()
 
     meet_part = jp.one.meet(jq.one)
     join_part = jp.zero.join(jq.zero)
     dom_ok = pq.dom == meet_part.join(join_part) and perp_rel(meet_part, join_part)
-    report.record("comm1_i", dom_ok)
-
-    report.record("comm1_ii", _raw_sum_covers(jp.zero, jq.zero))
-
-    report.record("comm1_iii", op_eq(proj_meet(p, q), qp))
+    clauses = {
+        "comm1_i": (True, dom_ok, ""),
+        "comm1_ii": (True, _raw_sum_covers(jp.zero, jq.zero), ""),
+        "comm1_iii": (True, op_eq(proj_meet(p, q), qp), ""),
+    }
 
     cp = proj_compl(p)
     cq = proj_compl(q)
-    d_qp = compose(cq, cp).dom
-    d_pq = compose(cp, cq).dom
-    if d_qp != d_pq:
-        report.skip("comm1_iv", "complement composites have different domains")
+    if compose(cq, cp).dom != compose(cp, cq).dom:
+        clauses["comm1_iv"] = (False, True, "complement composites have different domains")
     else:
         join_proj = proj_join(p, q)
         rhs = pls_sub(pls_add(p, q), qp)
         common = join_proj.dom.meet(rhs.dom)
         pointwise = _first_difference(join_proj.matrix, rhs.matrix, common.basis) is None
         ones_raw = _raw_sum_covers(jp.one, jq.one)
-        report.record(
-            "comm1_iv",
+        clauses["comm1_iv"] = (
+            True,
             pointwise and ones_raw,
             f"pointwise={pointwise} one_parts_raw_sum={ones_raw}",
         )
-    return report
+    return clauses
 
 
-def cor7_calculus(l: OrthoSubspace, m: OrthoSubspace) -> ClauseReport:
+def cor7_calculus(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     """Consequences of joining total pairs with l below the complement
-    of m: the one-parts sum without closure, the projections compose to
-    the total zero map, and the projection of the join is the sum of
-    the projections."""
+    of m, as {clause: (applicable, holds, detail)}: the one-parts sum
+    without closure, the projections compose to the total zero map, and
+    the projection of the join is the sum of the projections."""
     l.one._check_ambient(m.one)
-    report = ClauseReport()
     if not (l.is_total and m.is_total and o_leq(l, o_neg(m))):
-        for clause in ("cor7_i", "cor7_ii", "cor7_iii"):
-            report.skip(clause, "pairs are not total and orthogonal")
-        return report
+        detail = "pairs are not total and orthogonal"
+        return {c: (False, True, detail) for c in ("cor7_i", "cor7_ii", "cor7_iii")}
     p_l = projection_of(l)
     p_m = projection_of(m)
-    report.record("cor7_i", _raw_sum_covers(l.one, m.one))
-    report.record(
-        "cor7_ii",
-        op_eq(compose(p_l, p_m), total_zero(l.field, l.ambient_dim)),
-    )
-    report.record(
-        "cor7_iii",
-        op_eq(projection_of(o_join(l, m)), pls_add(p_l, p_m)),
-    )
-    return report
+    return {
+        "cor7_i": (True, _raw_sum_covers(l.one, m.one), ""),
+        "cor7_ii": (True, op_eq(compose(p_l, p_m), total_zero(l.field, l.ambient_dim)), ""),
+        "cor7_iii": (True, op_eq(projection_of(o_join(l, m)), pls_add(p_l, p_m)), ""),
+    }

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: file loading, the
 operation calculator, law runs, projection, quotients, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from orthoql import cli
-from orthoql.cli import InstanceFile, load_instances, main, save_instances
-from orthoql.scalars import Field
+from orthoql import cli, laws
+from orthoql.cli import main
 
 GOOD = {
     "field": "Q",
@@ -169,6 +169,45 @@ def test_check_stdout_is_deterministic(capsys):
     code2, out2 = run(capsys, *argv)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+# sha256 of the exact stdout bytes of the order and comm suites: a change
+# to the clause calculi or to the law reports must not move them.  The
+# file's pairs include unordered and non-commuting ones, so they reach
+# the hypothesis-not-met paths as well.
+PINNED_STDOUT = {
+    ("random", "order", "text"): "deb76e74ba1554f9b78ff86bea2b48862011034bc4b5a52ef4769b2acd313ce4",
+    ("random", "order", "json"): "7b886b8623e366d91c2b0018d6fca76fab790dd1d167074a3b9c4484fb15013a",
+    ("random", "comm", "text"): "ab365acd6ae0d3619a3c58754dd3ad53866c56fe9f06829cd53c8e3379caa1b7",
+    ("random", "comm", "json"): "3500a70cd3b07b3a58eef5b0a28b0a68d82ea037047a6699acb3a53b4f9d093b",
+    ("file", "order", "text"): "793fe49e971fca488b1ed496bd73b0c97e4279453c3afa4415f087793355be70",
+    ("file", "order", "json"): "1fcdffbf67fc194214e7f39e36ca41b10d16d1b1886df93b519bd395c42ba5fd",
+    ("file", "comm", "text"): "a9d417b70a4dd88c5dcb55b1e4a6e9bd93d937faf84b2167b62c45abe1f4e41e",
+    ("file", "comm", "json"): "b4e439498c7e7b0d6f3aca6cfb8ea572485f950c9958ec184d5b1b1cb32d6418",
+}
+
+
+@pytest.mark.parametrize("source, laws, fmt", sorted(PINNED_STDOUT))
+def test_check_stdout_bytes_are_pinned(good_file, capsys, source, laws, fmt):
+    where = ["--random", "3", "6", "5"] if source == "random" else ["--file", good_file]
+    code, out = run(capsys, "check", *where, "--laws", laws, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[source, laws, fmt]
+
+
+def test_a_failing_clause_detail_is_the_json_witness(good_file, capsys, monkeypatch):
+    def broken_order(l, m):
+        return {"lescomp1_i": (True, False, "made-up detail"), "lescomp1_iia": (False, True, "unused")}
+
+    monkeypatch.setattr(laws, "check_order", broken_order)
+    code, out = run(capsys, "check", "--file", good_file, "--laws", "order", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["unexpected_violations"] == 3
+    assert payload["laws"]["lescomp1_i"]["violations"] == [
+        {"operands": f"pair #{i}", "witness": "made-up detail"} for i in range(3)
+    ]
+    assert payload["laws"]["lescomp1_iia"]["violations"] == []
 
 
 def test_unknown_selector(good_file, capsys):
@@ -381,7 +420,7 @@ def test_file_and_random_conflict(good_file, capsys):
 def test_random_sizes_up_to_the_bound_are_accepted(capsys):
     # The catalog suites ignore COUNT and search at DIM, so both limits
     # are reached without a long run.
-    dim, count = str(cli.MAX_RANDOM_DIM), str(cli.MAX_RANDOM_COUNT)
+    dim, count = str(cli.MAX_DIM), str(cli.MAX_RANDOM_COUNT)
     for argv in (
         ["check", "--random", dim, "0", "0", "--laws", "distributivity"],
         ["check", "--random", "2", count, "0", "--laws", "heyting"],
@@ -394,7 +433,7 @@ def test_random_sizes_up_to_the_bound_are_accepted(capsys):
 def test_random_sizes_past_the_bound_are_rejected(capsys):
     # Each command would also finish quickly if it were accepted: the
     # catalog suite ignores COUNT, and pairs in dimension 0 are trivial.
-    dim, count = str(cli.MAX_RANDOM_DIM + 1), str(cli.MAX_RANDOM_COUNT + 1)
+    dim, count = str(cli.MAX_DIM + 1), str(cli.MAX_RANDOM_COUNT + 1)
     for argv in (
         ["check", "--random", dim, "0", "0", "--laws", "heyting"],
         ["check", "--random", "2", count, "0", "--laws", "heyting"],
@@ -405,44 +444,22 @@ def test_random_sizes_past_the_bound_are_rejected(capsys):
         assert_rejected(capsys, *argv)
 
 
+def test_file_dimension_up_to_the_bound_is_accepted(tmp_path, capsys):
+    payload = {"field": "Q", "ambient_dim": cli.MAX_DIM, "subspaces": {"A": {"basis": []}}}
+    code, out = run(capsys, "op", "neg", "A", "--file", write_instances(tmp_path, payload))
+    assert code == 0
+    assert out.count("(") == cli.MAX_DIM
+
+
+def test_file_dimension_past_the_bound_is_rejected(tmp_path, capsys):
+    # Accepted, this file would build the identity of the whole space.
+    payload = {"field": "Q", "ambient_dim": cli.MAX_DIM + 1, "subspaces": {"A": {"basis": []}}}
+    for command in (["op", "neg", "A"], ["check"]):
+        assert_rejected(capsys, *command, "--file", write_instances(tmp_path, payload))
+
+
 def test_missing_source(capsys):
     assert run(capsys, "project", "L", "(1,0,0)")[0] == 2
-
-
-# --- persistence ------------------------------------------------------------------
-
-def test_save_and_reload_preserves_instances(good_file, tmp_path):
-    inst = load_instances(good_file)
-    out_path = str(tmp_path / "saved.json")
-    save_instances(inst, out_path)
-    back = load_instances(out_path)
-    assert back.field is Field.Q and back.ambient_dim == 3
-    for name, sub in inst.subspaces.items():
-        assert back.subspaces[name] == sub
-    for name, pair in inst.ortho.items():
-        assert back.ortho[name] == pair
-    for name, op in inst.operators.items():
-        assert back.operators[name] == op
-
-
-def test_save_handles_anonymous_components(tmp_path):
-    inst = load_instances_from_parts(tmp_path)
-    out_path = str(tmp_path / "anon.json")
-    save_instances(inst, out_path)
-    back = load_instances(out_path)
-    assert back.ortho["P"] == inst.ortho["P"]
-
-
-def load_instances_from_parts(tmp_path):
-    from orthoql.ortho import OrthoSubspace
-    from orthoql.subspace import Subspace
-
-    inst = InstanceFile(Field.Q, 2)
-    pair = OrthoSubspace(
-        Subspace(Field.Q, 2, [[1, 0]]), Subspace(Field.Q, 2, [[0, 1]])
-    )
-    inst.ortho["P"] = pair
-    return inst
 
 
 # --- module entry point --------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from conftest import sub_to_oracle, to_mat, to_vec
-from orthoql.errors import AmbientMismatch, NotCommuting, NotInDomain
+from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.generators import (
     cayley_unitary,
     commuting_pairs,
@@ -22,10 +22,18 @@ from orthoql.generators import (
 )
 from orthoql.laws import check_pls
 from orthoql.linalg import Matrix, Vector, null_space
-from orthoql.ortho import OrthoSubspace, o_eq, o_join, o_leq, o_neg
+from orthoql.ortho import (
+    OrthoSubspace,
+    o_eq,
+    o_iff,
+    o_join,
+    o_leq,
+    o_minus,
+    o_neg,
+    o_not,
+    o_perp,
+)
 from orthoql.partial_op import (
-    HOLDS,
-    SKIPPED,
     PartialOperator,
     PartialProjection,
     check_order,
@@ -43,9 +51,13 @@ from orthoql.partial_op import (
     pls_scale,
     pls_zero_of,
     proj_compl,
+    proj_iff,
     proj_join,
     proj_leq,
     proj_meet,
+    proj_minus,
+    proj_not,
+    proj_orthogonal,
     projection_of,
     subspaces_of,
     total_identity,
@@ -442,24 +454,31 @@ def test_composition_restricts_the_domain():
 
 # --- the order characterization -------------------------------------------
 
+PASSES = (True, True)
+NOT_MET = (False, True)
+ORDER_CLAUSES = ("lescomp1_i", "lescomp1_iia", "lescomp1_meet", "lescomp1_iiia", "lescomp1_iva")
+
+
+def verdicts(clauses):
+    """clause -> (applicable, holds), dropping the details."""
+    return {c: (applicable, holds) for c, (applicable, holds, _) in clauses.items()}
+
+
+def failing(clauses):
+    return [c for c, (applicable, holds, _) in clauses.items() if applicable and not holds]
+
+
 def test_ordered_pair_passes_every_clause():
-    report = check_order(L, M)
-    assert report.order_holds
-    for clause in (
-        "lescomp1_i",
-        "lescomp1_iia",
-        "lescomp1_meet",
-        "lescomp1_iiia",
-        "lescomp1_iva",
-    ):
-        assert report.clauses[clause].status == HOLDS, report.summary()
+    clauses = check_order(L, M)
+    assert o_leq(L, M)
+    assert verdicts(clauses) == {c: PASSES for c in ORDER_CLAUSES}, clauses
 
 
 def test_unordered_pair_skips_the_conditional_clauses():
-    report = check_order(M, L)
-    assert not report.order_holds
-    assert report.clauses["lescomp1_i"].status == HOLDS
-    assert report.clauses["lescomp1_iia"].status == SKIPPED
+    clauses = check_order(M, L)
+    assert not o_leq(M, L)
+    assert verdicts(clauses) == {"lescomp1_i": PASSES, **{c: NOT_MET for c in ORDER_CLAUSES[1:]}}
+    assert clauses["lescomp1_iia"][2] == "pairs are not ordered"
     # The composite equalities fail concretely, with a witness.
     p_l1 = projection_of(M)
     p_m1 = projection_of(L)
@@ -470,16 +489,16 @@ def test_unordered_pair_skips_the_conditional_clauses():
 def test_order_suite_on_generated_pairs():
     rng = rng_from(91)
     for l, m in ordered_ortho_pairs(rng, Field.Q, 4, 15):
-        report = check_order(l, m)
-        assert report.order_holds
-        assert report.ok, report.summary()
+        clauses = check_order(l, m)
+        assert o_leq(l, m)
+        assert verdicts(clauses) == {c: PASSES for c in ORDER_CLAUSES}, clauses
     bad = 0
     from orthoql.generators import non_ordered_ortho_pairs
 
     for l, m in non_ordered_ortho_pairs(rng, Field.Q, 3, 15):
-        report = check_order(l, m)
-        assert not report.order_holds
-        assert report.clauses["lescomp1_i"].status == HOLDS
+        clauses = check_order(l, m)
+        assert not o_leq(l, m)
+        assert verdicts(clauses) == {"lescomp1_i": PASSES, **{c: NOT_MET for c in ORDER_CLAUSES[1:]}}
         bad += 1
     assert bad == 15
 
@@ -491,31 +510,35 @@ def test_order_requires_matching_ambients():
 
 # --- commutation ------------------------------------------------------------
 
+COMM_CLAUSES = ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")
+
+
 def test_commuting_coordinate_projections():
     p = projection_of(OrthoSubspace.total_from(qs([1, 0, 0])))
     q = projection_of(OrthoSubspace.total_from(qs([0, 1, 0])))
-    report = commuting_calculus(p, q)
-    assert report.ok, report.summary()
-    assert report.clauses["comm1_i"].status == HOLDS
-    assert report.clauses["comm1_iii"].status == HOLDS
-    assert report.clauses["comm1_iv"].status == HOLDS
+    clauses = commuting_calculus(p, q)
+    assert verdicts(clauses) == {c: PASSES for c in COMM_CLAUSES}, clauses
 
 
-def test_non_commuting_raises_with_witness():
+def test_non_commuting_pair_meets_no_hypothesis_and_names_a_witness():
     p = projection_of(OrthoSubspace.total_from(Subspace(Field.Q, 2, [[1, 1]])))
     q = projection_of(OrthoSubspace.total_from(Subspace(Field.Q, 2, [[1, 0]])))
-    with pytest.raises(NotCommuting) as exc:
-        commuting_calculus(p, q)
-    assert exc.value.witness is not None
+    clauses = commuting_calculus(p, q)
+    assert verdicts(clauses) == {c: NOT_MET for c in COMM_CLAUSES}
+    witness = op_eq_witness(compose(p, q), compose(q, p))
+    assert witness is not None
+    for _, _, detail in clauses.values():
+        assert detail == f"the composites differ: witness={witness}"
 
 
 def test_commutation_suite_on_generated_pairs():
     rng = rng_from(17)
     gated = 0
     for p, q in commuting_pairs(rng, Field.Q, 4, 20):
-        report = commuting_calculus(p, q)
-        assert report.ok, report.summary()
-        if report.clauses["comm1_iv"].status == HOLDS:
+        clauses = commuting_calculus(p, q)
+        assert failing(clauses) == [], clauses
+        assert all(clauses[c][0] for c in COMM_CLAUSES[:3])
+        if clauses["comm1_iv"][:2] == PASSES:
             gated += 1
     assert gated > 0
 
@@ -525,9 +548,9 @@ def test_total_orthogonal_pairs_add_up():
     fired = 0
     for _ in range(20):
         l, m = orthogonal_total_pair(rng, Field.Q, 3)
-        report = cor7_calculus(l, m)
-        assert report.ok, report.summary()
-        if report.clauses["cor7_iii"].status == HOLDS:
+        clauses = cor7_calculus(l, m)
+        assert failing(clauses) == [], clauses
+        if clauses["cor7_iii"][:2] == PASSES:
             fired += 1
             p = pls_add(projection_of(l), projection_of(m))
             assert op_eq(p, projection_of(o_join(l, m)))
@@ -535,8 +558,8 @@ def test_total_orthogonal_pairs_add_up():
 
 
 def test_cor7_skips_when_not_orthogonal():
-    report = cor7_calculus(M, M)
-    assert report.clauses["cor7_i"].status == SKIPPED
+    clauses = cor7_calculus(M, M)
+    assert verdicts(clauses) == {c: NOT_MET for c in ("cor7_i", "cor7_ii", "cor7_iii")}
 
 
 # --- lattice structure carried through projections --------------------------
@@ -549,6 +572,34 @@ def test_complement_agrees_with_the_pair_route():
         assert op_eq(proj_compl(p), projection_of(o_neg(pair)))
         assert op_eq(proj_meet(p, p), p)
         assert op_eq(proj_join(p, p), p)
+
+
+def pairs_with_extreme_ranks(field, rng):
+    """Seeded pairs of field^3 plus the bottom, the top, the pair with
+    domain {0}, and a full-rank one-part over an empty zero-part."""
+    zero, full = Subspace.zero(field, 3), Subspace.full(field, 3)
+    pairs = [
+        OrthoSubspace.bottom(field, 3),
+        OrthoSubspace.top(field, 3),
+        OrthoSubspace(zero, zero),
+        OrthoSubspace(zero, Subspace(field, 3, [[0, 1, 0]])),
+        OrthoSubspace(Subspace(field, 3, [[1, 0, 0], [0, 1, 0]]), zero),
+    ]
+    return pairs + [random_ortho(rng, field, 3) for _ in range(6)]
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_projection_connectives_agree_with_the_pair_connectives(field):
+    pairs = pairs_with_extreme_ranks(field, rng_from(29))
+    assert {a.one.rank for a in pairs} >= {0, 3} and {a.dom.rank for a in pairs} >= {0, 3}
+    for a in pairs:
+        p = projection_of(a)
+        assert subspaces_of(proj_not(p)) == o_not(a)
+        for b in pairs:
+            q = projection_of(b)
+            assert subspaces_of(proj_minus(p, q)) == o_minus(a, b)
+            assert subspaces_of(proj_iff(p, q)) == o_iff(a, b)
+            assert proj_orthogonal(p, q) == o_perp(a, b)
 
 
 def test_projection_order_reflects_pair_order():

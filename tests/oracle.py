@@ -341,8 +341,69 @@ def o_total(a, ncols):
     return s_eq(o_dom(a, ncols), full(ncols), ncols)
 
 
+def o_iff(a, b, ncols):
+    return o_meet(o_implies(a, b, ncols), o_implies(b, a, ncols), ncols)
+
+
+def o_not(a, ncols):
+    return o_implies(a, ((), full(ncols)), ncols)
+
+
 def orthogonal(a: Mat, b: Mat) -> bool:
     return all(ciszero(inner(x, y)) for x in a for y in b)
+
+
+# ---------------------------------------------------------------------------
+# Partial operators: a domain basis plus the values on its rows
+# ---------------------------------------------------------------------------
+
+def combine(coeffs: Sequence[Num], rows: Sequence[Vec], ncols: int) -> Vec:
+    acc = vzero(ncols)
+    for c, row in zip(coeffs, rows):
+        acc = vadd(acc, vscale(c, row))
+    return acc
+
+
+def op_apply(dom: Mat, values: Mat, x: Vec, ncols: int) -> Optional[Vec]:
+    """t(x) by linearity from the values on the domain rows; None when x
+    is outside the domain."""
+    if not dom:
+        return vzero(ncols) if is_zero_vec(x) else None
+    coeffs = solve_naive(tuple(zip(*dom)), x)
+    return None if coeffs is None else combine(coeffs, values, ncols)
+
+
+def _where_combination_vanishes(dom: Mat, rows: Sequence[Vec], ncols: int) -> Mat:
+    """span{sum c_i dom_i : sum c_i rows_i = 0}."""
+    if not dom:
+        return ()
+    kernel = plain_nullspace(tuple(zip(*rows)), len(dom))
+    return span([combine(c, dom, ncols) for c in kernel], ncols)
+
+
+def compose_domain(q_dom: Mat, p_dom: Mat, p_values: Mat, ncols: int) -> Mat:
+    """{x in dom p : p(x) in dom q}.  For x = sum c_i b_i, p(x) lies in
+    the row space of q_dom iff every plain null vector n of q_dom has
+    n·p(x) = sum c_i n·p(b_i) = 0."""
+    nulls = plain_nullspace(q_dom, ncols)
+    conditions = [tuple(inner_plain(n, v) for n in nulls) for v in p_values]
+    return _where_combination_vanishes(p_dom, conditions, ncols)
+
+
+def projection_pair(dom: Mat, values: Mat, ncols: int):
+    """(fixed vectors, killed vectors) of a projection inside its domain."""
+    moved = [vsub(v, b) for b, v in zip(dom, values)]
+    return (
+        _where_combination_vanishes(dom, moved, ncols),
+        _where_combination_vanishes(dom, values, ncols),
+    )
+
+
+def op_eq(t_dom: Mat, t_values: Mat, u_dom: Mat, u_values: Mat, ncols: int) -> bool:
+    """Same domain and the same value at every vector of it."""
+    return s_eq(t_dom, u_dom, ncols) and all(
+        op_apply(u_dom, u_values, b, ncols) == v for b, v in zip(t_dom, t_values)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ order, commutation, and the operator algebra."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import sub_to_oracle, to_mat, to_vec
@@ -52,6 +53,7 @@ from orthoql.partial_op import (
     pls_zero_of,
     proj_compl,
     proj_iff,
+    proj_implies,
     proj_join,
     proj_leq,
     proj_meet,
@@ -698,3 +700,92 @@ def test_norm_is_one_exactly_when_something_is_fixed():
     for _ in range(20):
         pair = random_ortho(rng, Field.Q, 3)
         assert norm_sq_is_one(projection_of(pair)) == pair.one.is_strict
+
+
+# --- against the oracle's model of partial operators ---------------------------
+
+SMALL = st.sampled_from([1, -1, 2, 0, -2])
+
+
+@st.composite
+def spans(draw, field, n):
+    """A subspace of field^n spanned by k drawn rows, 0 <= k <= n."""
+    k = draw(st.sampled_from(range(n + 1)))
+    entry = st.builds(G, SMALL, SMALL) if field is Field.Qi else SMALL
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return Subspace(field, n, rows)
+
+
+@st.composite
+def matrices(draw, field, n):
+    entry = st.builds(G, SMALL, SMALL) if field is Field.Qi else SMALL
+    return Matrix(field, n, n, draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+
+
+@st.composite
+def operator_cases(draw):
+    """Two partial operators and two partial projections on field^n.  Each
+    projection gets an arbitrary matrix off its domain, and each operator
+    an equal twin built from a different matrix."""
+    field = draw(st.sampled_from([Field.Q, Field.Qi]))
+    n = draw(st.sampled_from([3, 4, 2, 1]))
+    eye = Matrix.identity(field, n)
+    ops, twins, projs = [], [], []
+    for _ in range(2):
+        dom = draw(spans(field, n))
+        t = PartialOperator(dom, draw(matrices(field, n)))
+        ops.append(t)
+        twins.append(PartialOperator(dom, t.matrix + draw(matrices(field, n)) @ (eye - dom.projector)))
+        one = draw(spans(field, n))
+        zero = draw(spans(field, n)).meet(one.perp())
+        pair = OrthoSubspace(one, zero)
+        off = draw(matrices(field, n)) @ (eye - pair.dom.projector)
+        projs.append(PartialProjection(pair.dom, one.projector + off))
+    return n, ops, twins, projs
+
+
+def as_oracle(t):
+    """An operator as the oracle sees it: its domain basis and its values
+    on that basis."""
+    return to_mat(t.dom.basis), tuple(to_vec(t.matrix @ b) for b in t.dom.basis.rows())
+
+
+def pair_to_oracle(pair):
+    return sub_to_oracle(pair.one), sub_to_oracle(pair.zero)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(operator_cases())
+def test_operator_layer_agrees_with_the_oracle(case):
+    n, ops, twins, projs = case
+    views = {id(t): as_oracle(t) for t in ops + twins + projs}
+
+    def pair_of(t):
+        return oracle.projection_pair(*views.get(id(t), as_oracle(t)), n)
+
+    for t, twin in zip(ops, twins):
+        assert op_eq(t, twin) and oracle.op_eq(*views[id(t)], *views[id(twin)], n)
+    everything = ops + projs
+    for q in everything:
+        for p in everything:
+            assert op_eq(q, p) == oracle.op_eq(*views[id(q)], *views[id(p)], n)
+            qp = compose(q, p)
+            want = oracle.compose_domain(views[id(q)][0], *views[id(p)], n)
+            assert sub_to_oracle(qp.dom) == want
+            for x, value in zip(*as_oracle(qp)):
+                inner_value = oracle.op_apply(*views[id(p)], x, n)
+                assert value == oracle.op_apply(*views[id(q)], inner_value, n)
+
+    for p in projs:
+        assert pair_to_oracle(subspaces_of(p)) == pair_of(p)
+        assert pair_of(proj_compl(p)) == oracle.o_neg(pair_of(p))
+        assert pair_of(proj_not(p)) == oracle.o_not(pair_of(p), n)
+        for q in projs:
+            a, b = pair_of(p), pair_of(q)
+            assert pair_of(proj_meet(p, q)) == oracle.o_meet(a, b, n)
+            assert pair_of(proj_join(p, q)) == oracle.o_join(a, b, n)
+            assert pair_of(proj_minus(p, q)) == oracle.o_minus(a, b, n)
+            assert pair_of(proj_implies(p, q)) == oracle.o_implies(a, b, n)
+            assert pair_of(proj_iff(p, q)) == oracle.o_iff(a, b, n)
+            assert proj_leq(p, q) == oracle.o_leq(a, b, n)
+            assert proj_orthogonal(p, q) == oracle.o_leq(a, oracle.o_neg(b), n)

@@ -36,6 +36,9 @@ from orthoql.ortho import (
     o_perp,
 )
 from orthoql.partial_op import (
+    COMM_CLAUSES,
+    COR7_CLAUSES,
+    ORDER_CLAUSES,
     PartialOperator,
     PartialProjection,
     check_order,
@@ -579,6 +582,8 @@ def check_lescomp(
     """Evaluate the composite characterization of the order
     (``partial_op.check_order``) on pairs of orthogonal pairs."""
     report = LawReport()
+    for law in ORDER_CLAUSES:
+        report.result(law)
     for i, (l, m) in enumerate(pairs):
         _record_clauses(report, check_order(l, m), f"pair #{i}")
     return report
@@ -591,6 +596,8 @@ def check_comm(
     """Evaluate the commuting-projection calculus on pairs of projections
     and Cor. 7 on pairs of orthogonal pairs."""
     report = LawReport()
+    for law in COMM_CLAUSES + COR7_CLAUSES:
+        report.result(law)
     for i, (p, q) in enumerate(proj_pairs):
         _record_clauses(report, commuting_calculus(p, q), f"pair #{i}")
     for i, (l, m) in enumerate(total_pairs):

@@ -1,33 +1,23 @@
 """Partial linear operators and partial projections.
 
 An operator acts only on the vectors of its domain subspace; values
-elsewhere are deliberately meaningless.  The stored ambient matrix is
-normalized to vanish on the orthocomplement of the domain, which makes
-equality of operators literal equality of (domain, matrix) pairs.
-
-The general constructor normalizes with one product, ``M @ P`` for the
-orthogonal projector ``P`` of the domain.  Constructors whose matrix
-already vanishes on the orthocomplement skip that product, which leaves
-the same bits because ``P @ P = P``: ``identity_on`` (``P`` itself),
-``zero_on`` (the zero matrix), ``projection_of`` (the projector of the
-one-part, which lies inside the domain), ``proj_compl`` (``P - M``),
-``pls_scale`` and ``pls_negate`` (a multiple of a normalized matrix),
-and ``pls_add`` when both operands have equal domains (a sum of two
-normalized matrices on the operands' domain, so no meet is computed).
-Every partial projection, whichever way it is built, is still
-validated in full.
+elsewhere are deliberately meaningless.  It is stored as its domain and
+the images of the domain's canonical (RREF) basis rows, which fix it
+and nothing else, so equality of operators is literal equality of
+(domain, images) pairs.  Building, comparing and composing operators
+needs no orthogonal projector onto a domain: y lies in the domain
+exactly when ``y == y[pivots] @ basis``.  Every partial projection is
+validated in full when it is built.
 
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces; the maps
 ``projection_of`` and ``subspaces_of`` realize the two directions of
 that correspondence, and the logical operations on projections are
 routed through it.  ``subspaces_of`` reads the pair off images, with
-no kernel computed.  This is exact because every partial projection is
-validated when it is built: its stored matrix M is idempotent and
-self-adjoint on the domain and vanishes on the domain's
-orthocomplement, so M is the orthogonal projector onto the fixed part
-and ``P_dom - M`` the one onto the killed part, and each part is the
-column space of its projector.  The calculus of composites for ordered
+no kernel computed: a validated projection maps its domain onto its
+fixed part, and ``1 - p`` maps it onto the killed part, so the images
+of the basis rows span the one and what they leave out, basis row minus
+image, spans the other.  The calculus of composites for ordered
 pairs and for commuting projections is checked clause by clause: each
 calculus returns a plain map {clause: (applicable, holds, detail)}, in
 which a clause whose hypothesis is not met has applicable False, and
@@ -84,9 +74,9 @@ __all__ = [
 class PartialOperator:
     """A linear map defined on a subspace of the ambient space."""
 
-    __slots__ = ("dom", "matrix")
+    __slots__ = ("dom", "images")
 
-    def __init__(self, dom: Subspace, matrix: Matrix, *, _normalized: bool = False):
+    def __init__(self, dom: Subspace, matrix: Matrix):
         if matrix.nrows != dom.ambient_dim or matrix.ncols != dom.ambient_dim:
             raise AmbientMismatch(
                 f"{matrix.nrows}x{matrix.ncols} matrix on ambient dimension {dom.ambient_dim}"
@@ -94,11 +84,19 @@ class PartialOperator:
         if matrix.field is not dom.field:
             raise AmbientMismatch(f"{matrix.field.value} matrix over {dom.field.value} domain")
         self.dom = dom
-        # Kill the orthocomplement of the domain so that equal operators
-        # have bit-equal matrices.  Harmless on the domain itself.  The
-        # constructors of this module pass _normalized only for a matrix
-        # that already vanishes there, where the product changes nothing.
-        self.matrix = matrix if _normalized else matrix @ dom.projector
+        # Row i is the image of the domain's i-th basis row.
+        self.images = dom.basis @ matrix.transpose()
+
+    @property
+    def matrix(self) -> Matrix:
+        """The canonical ambient matrix: image i in the column of the
+        domain's i-th pivot, zeros elsewhere.  It agrees with the operator
+        on the domain; off the domain its values mean nothing."""
+        n = self.ambient_dim
+        entries = [self.field.zero] * (n * n)
+        for i, c in enumerate(self.dom.pivots):
+            entries[c::n] = self.images.entries[i * n : (i + 1) * n]
+        return Matrix(self.field, n, n, entries)
 
     @property
     def field(self) -> Field:
@@ -123,7 +121,7 @@ class PartialOperator:
         return op_eq(self, other)
 
     def __hash__(self):
-        return hash((self.dom, self.matrix))
+        return hash((self.dom, self.images))
 
     def __repr__(self):
         kind = type(self).__name__
@@ -134,46 +132,42 @@ class PartialProjection(PartialOperator):
     """A partial operator that is idempotent and self-adjoint on its
     domain and maps the domain into itself."""
 
-    def __init__(self, dom: Subspace, matrix: Matrix, *, _normalized: bool = False):
-        super().__init__(dom, matrix, _normalized=_normalized)
-        m = self.matrix
-        basis = dom.basis
-        r = basis.nrows
-        # Column j of images is M b_j for the j-th basis row b_j.
-        images = m @ basis.transpose()
-        # A vector lies in the domain iff the domain's orthogonal
-        # projector fixes it.
-        kept = dom.projector @ images
-        twice = m @ images
-        for j in range(r):
-            if kept.entries[j::r] != images.entries[j::r]:
+    def __init__(self, dom: Subspace, matrix: Matrix):
+        super().__init__(dom, matrix)
+        images = self.images
+        # With C = images[:, pivots], C @ basis is what each image would
+        # be if it lay in the domain, and then C @ images is its image.
+        coords = _at_pivots(images, dom)
+        kept, twice = coords @ dom.basis, coords @ images
+        for j in range(dom.rank):
+            if kept.row(j) != images.row(j):
                 raise ValueError("projection must map its domain into itself")
-            if twice.entries[j::r] != images.entries[j::r]:
+            if twice.row(j) != images.row(j):
                 raise ValueError("projection must be idempotent on its domain")
-        # S[c][b] = <M b, c>, and <M b, c> = <b, M c> for all b, c iff S = S^H.
-        s = basis.conj() @ images
+        # S[b][c] = <M b, c>, and <M b, c> = <b, M c> for all b, c iff S = S^H.
+        s = images @ dom.basis.conj_transpose()
         if s != s.conj_transpose():
             raise ValueError("projection must be self-adjoint on its domain")
 
 
-def _check_ambient(t: PartialOperator, u: PartialOperator):
-    if t.field is not u.field or t.ambient_dim != u.ambient_dim:
-        raise AmbientMismatch(
-            f"{t.field.value}^{t.ambient_dim} vs {u.field.value}^{u.ambient_dim}"
-        )
+def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
+    """The columns of ``rows`` at the pivots of ``sub``: the coordinates
+    over ``sub.basis`` of each row, when the row lies in ``sub``."""
+    entries = [rows.entry(i, c) for i in range(rows.nrows) for c in sub.pivots]
+    return Matrix(rows.field, rows.nrows, sub.rank, entries)
 
 
 # --- constructors ------------------------------------------------------
 
 def identity_on(dom: Subspace) -> PartialProjection:
     """The identity as a partial map on ``dom``."""
-    return PartialProjection(dom, dom.projector, _normalized=True)
+    return PartialProjection(dom, Matrix.identity(dom.field, dom.ambient_dim))
 
 
 def zero_on(dom: Subspace) -> PartialProjection:
     """The zero map on ``dom`` (distinct from zero maps on other domains)."""
     n = dom.ambient_dim
-    return PartialProjection(dom, Matrix.zero(dom.field, n, n), _normalized=True)
+    return PartialProjection(dom, Matrix.zero(dom.field, n, n))
 
 
 def total_identity(field: Field, ambient_dim: int) -> PartialProjection:
@@ -198,18 +192,15 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
     and killing the zero-part."""
-    return PartialProjection(pair.dom, pair.one.projector, _normalized=True)
+    return PartialProjection(pair.dom, pair.one.projector)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
     """Recover the orthogonal pair of a partial projection: the fixed
-    vectors and the kernel inside the domain, as the column spaces of
-    the projectors M and ``P_dom - M`` onto them."""
-    return OrthoSubspace(_colspace(p.matrix), _colspace(p.dom.projector - p.matrix))
-
-
-def _colspace(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.nrows, m.transpose().rows())
+    vectors and the kernel inside the domain, spanned by the images
+    ``p(b)`` of the domain's basis rows and by ``b - p(b)``."""
+    n, fixed, killed = p.ambient_dim, p.images, p.dom.basis - p.images
+    return OrthoSubspace(Subspace(p.field, n, fixed.rows()), Subspace(p.field, n, killed.rows()))
 
 
 # --- equality and apartness ---------------------------------------------
@@ -217,8 +208,8 @@ def _colspace(m: Matrix) -> Subspace:
 def op_eq(t: PartialOperator, u: PartialOperator) -> bool:
     """Same domain and same values on it (canonical forms make this a
     literal comparison)."""
-    _check_ambient(t, u)
-    return t.dom == u.dom and t.matrix == u.matrix
+    t.dom._check_ambient(u.dom)
+    return t.dom == u.dom and t.images == u.images
 
 
 def _first_difference(a: Matrix, b: Matrix, basis: Matrix) -> Optional[Vector]:
@@ -235,7 +226,7 @@ def _first_difference(a: Matrix, b: Matrix, basis: Matrix) -> Optional[Vector]:
 def op_eq_witness(t: PartialOperator, u: PartialOperator):
     """None when equal; otherwise ("domain", v) for a vector in one
     domain only, or ("value", v) for a common vector mapped differently."""
-    _check_ambient(t, u)
+    t.dom._check_ambient(u.dom)
     if t.dom != u.dom:
         for b in t.dom.basis.rows():
             if not u.dom.contains(b):
@@ -255,7 +246,7 @@ def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vecto
     finer than the failure of op_eq: domains that overlap obliquely
     without an orthogonal witness make both op_eq and op_neq false.
     """
-    _check_ambient(t, u)
+    t.dom._check_ambient(u.dom)
     left = t.dom.meet(u.dom.perp())
     if left.is_strict:
         return True, left.basis.row(0)
@@ -276,16 +267,14 @@ def o_neq(a: OrthoSubspace, b: OrthoSubspace) -> tuple[bool, Optional[Vector]]:
 def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     """q after p, on the exact domain {x in dom(p) : p(x) in dom(q)}.
 
-    Membership of p(x) in dom(q) is one linear condition on the
-    coefficients of x over the domain basis, so the domain is the image
-    of a kernel.
+    For x = c @ basis, p(x) = c @ images lies in dom(q) exactly when
+    c @ residual = 0, with residual = images - images[:, pivots of
+    dom(q)] @ basis of dom(q), so the domain is the image of a kernel.
     """
-    _check_ambient(q, p)
-    n = p.ambient_dim
-    basis = p.dom.basis
-    outside = (Matrix.identity(p.field, n) - q.dom.projector) @ p.matrix
-    ker = null_space(outside @ basis.transpose())
-    dom = Subspace(p.field, n, (ker.transpose() @ basis).rows())
+    q.dom._check_ambient(p.dom)
+    residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
+    ker = null_space(residual.transpose())
+    dom = Subspace(p.field, p.ambient_dim, (ker.transpose() @ p.dom.basis).rows())
     return PartialOperator(dom, q.matrix @ p.matrix)
 
 
@@ -294,7 +283,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
 def proj_compl(p: PartialProjection) -> PartialProjection:
     """1 - p with 1 meaning the identity of dom(p): same domain,
     x mapped to x - p(x)."""
-    return PartialProjection(p.dom, p.dom.projector - p.matrix, _normalized=True)
+    return PartialProjection(p.dom, Matrix.identity(p.field, p.ambient_dim) - p.matrix)
 
 
 def proj_meet(p: PartialProjection, q: PartialProjection) -> PartialProjection:
@@ -333,19 +322,18 @@ def proj_orthogonal(p: PartialProjection, q: PartialProjection) -> bool:
 
 def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
     """Pointwise sum on the meet of the domains."""
-    _check_ambient(t, u)
-    if t.dom == u.dom:
-        return PartialOperator(t.dom, t.matrix + u.matrix, _normalized=True)
-    return PartialOperator(t.dom.meet(u.dom), t.matrix + u.matrix)
+    t.dom._check_ambient(u.dom)
+    dom = t.dom if t.dom == u.dom else t.dom.meet(u.dom)
+    return PartialOperator(dom, t.matrix + u.matrix)
 
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    return PartialOperator(t.dom, t.matrix.scaled(k), _normalized=True)
+    return PartialOperator(t.dom, t.matrix.scaled(k))
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:
-    return PartialOperator(t.dom, -t.matrix, _normalized=True)
+    return PartialOperator(t.dom, -t.matrix)
 
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:
@@ -376,8 +364,7 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
         attained = (p.matrix @ l == l) and not l.is_zero
     else:
         attained = False
-    basis = p.dom.basis
-    images = basis @ p.matrix.transpose()
+    basis, images = p.dom.basis, p.images
     missed = basis - images
     form = basis @ basis.conj_transpose() - images @ images.conj_transpose()
     bounded = form == missed @ missed.conj_transpose()
@@ -385,6 +372,12 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
 
 
 # --- clause calculi ---------------------------------------------------
+
+# The clauses each calculus decides, in the order it decides them.
+ORDER_CLAUSES = ("lescomp1_i", "lescomp1_iia", "lescomp1_meet", "lescomp1_iiia", "lescomp1_iva")
+COMM_CLAUSES = ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")
+COR7_CLAUSES = ("cor7_i", "cor7_ii", "cor7_iii")
+
 
 def _spanning_samples(sub: Subspace) -> list[Vector]:
     # Basis vectors plus pairwise sums: enough to exercise the
@@ -428,7 +421,7 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     clauses = {"lescomp1_i": (True, ordered == composites, detail)}
 
     if not ordered:
-        for clause in ("lescomp1_iia", "lescomp1_meet", "lescomp1_iiia", "lescomp1_iva"):
+        for clause in ORDER_CLAUSES[1:]:
             clauses[clause] = (False, True, "pairs are not ordered")
         return clauses
 
@@ -455,11 +448,12 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     clauses["lescomp1_meet"] = (True, split_ok, "")
 
     samples = _spanning_samples(meet)
+    m_l1, m_m1, m_m0, m_l0 = (t.matrix for t in (p_l1, p_m1, p_m0, p_l0))
     norm_ok = True
     norm_detail = ""
     for x in samples:
-        up = norm_sq(p_l1.matrix @ x) <= norm_sq(p_m1.matrix @ x)
-        down = norm_sq(p_m0.matrix @ x) <= norm_sq(p_l0.matrix @ x)
+        up = norm_sq(m_l1 @ x) <= norm_sq(m_m1 @ x)
+        down = norm_sq(m_m0 @ x) <= norm_sq(m_l0 @ x)
         if not (up and down):
             norm_ok = False
             norm_detail = f"sample {x!r}"
@@ -470,10 +464,10 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     inner_detail = ""
     for x in samples:
         vals = [
-            _real_or_none(inner(p_l1.matrix @ x, x)),
-            _real_or_none(inner(p_m1.matrix @ x, x)),
-            _real_or_none(inner(p_m0.matrix @ x, x)),
-            _real_or_none(inner(p_l0.matrix @ x, x)),
+            _real_or_none(inner(m_l1 @ x, x)),
+            _real_or_none(inner(m_m1 @ x, x)),
+            _real_or_none(inner(m_m0 @ x, x)),
+            _real_or_none(inner(m_l0 @ x, x)),
         ]
         if any(v is None for v in vals) or not (vals[0] <= vals[1] and vals[2] <= vals[3]):
             inner_ok = False
@@ -501,12 +495,12 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
     differ, all four clauses come back as hypothesis-not-met, and their
     detail names the ``op_eq_witness`` of the two composites.
     """
-    _check_ambient(p, q)
+    p.dom._check_ambient(q.dom)
     qp = compose(q, p)
     pq = compose(p, q)
     if not op_eq(qp, pq):
         detail = f"the composites differ: witness={op_eq_witness(pq, qp)}"
-        return {c: (False, True, detail) for c in ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")}
+        return {c: (False, True, detail) for c in COMM_CLAUSES}
     jp = subspaces_of(p)
     jq = subspaces_of(q)
 
@@ -545,7 +539,7 @@ def cor7_calculus(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     l.one._check_ambient(m.one)
     if not (l.is_total and m.is_total and o_leq(l, o_neg(m))):
         detail = "pairs are not total and orthogonal"
-        return {c: (False, True, detail) for c in ("cor7_i", "cor7_ii", "cor7_iii")}
+        return {c: (False, True, detail) for c in COR7_CLAUSES}
     p_l = projection_of(l)
     p_m = projection_of(m)
     return {

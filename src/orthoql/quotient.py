@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from orthoql.errors import NotInDomain
 from orthoql.linalg import Vector, inner, norm_sq
-from orthoql.ortho import OrthoSubspace, o_neg
-from orthoql.partial_op import PartialProjection, projection_of
+from orthoql.ortho import OrthoSubspace
 from orthoql.scalars import Scalar
 from orthoql.subspace import Subspace
 
@@ -24,11 +23,10 @@ __all__ = ["QuotientSpace"]
 class QuotientSpace:
     """dom(pair) with equality and inner product read off the zero-part."""
 
-    __slots__ = ("base", "_p0")
+    __slots__ = ("base",)
 
     def __init__(self, base: OrthoSubspace):
         self.base = base
-        self._p0: PartialProjection = projection_of(o_neg(base))
 
     @property
     def carrier(self) -> Subspace:
@@ -37,7 +35,7 @@ class QuotientSpace:
     def _checked(self, x: Vector) -> Vector:
         if not self.carrier.contains(x):
             raise NotInDomain(f"{x!r} does not represent a class of this quotient")
-        return self._p0.matrix @ x
+        return self.base.zero.project(x)
 
     def q_iso(self, x: Vector) -> Vector:
         """Canonical representative: the zero-component of x."""

@@ -33,7 +33,7 @@ __all__ = ["Subspace", "perp_rel", "coperp_rel"]
 class Subspace:
     """A subspace of the ambient space, canonically presented."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "_perp", "_projector")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Iterable = ()):
         if ambient_dim < 0:
@@ -46,8 +46,9 @@ class Subspace:
                 raise DimensionMismatch(
                     f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
+        self.pivots: tuple[int, ...] = ()
         if vectors:
-            reduced, rank, _ = rref(Matrix.from_rows(field, vectors))
+            reduced, rank, self.pivots = rref(Matrix.from_rows(field, vectors))
             self.basis = Matrix.from_rows(field, [list(reduced.row(i)) for i in range(rank)])
             if rank == 0:
                 self.basis = Matrix(field, 0, ambient_dim, [])

@@ -163,6 +163,27 @@ def test_check_json_payload(capsys):
     assert payload["laws"]["lescomp1_i"]["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "laws, clauses",
+    [
+        ("order", ["lescomp1_i", "lescomp1_iia", "lescomp1_iiia", "lescomp1_iva", "lescomp1_meet"]),
+        ("comm", ["comm1_i", "comm1_ii", "comm1_iii", "comm1_iv", "cor7_i", "cor7_ii", "cor7_iii"]),
+    ],
+)
+def test_order_and_comm_list_their_clauses_without_pairs(tmp_path, capsys, laws, clauses):
+    # Like every other suite, with nothing to check each law still gets
+    # its line.
+    path = tmp_path / "no-pairs.json"
+    path.write_text(json.dumps({**GOOD, "ortho": {}}))
+    for where in (["--random", "3", "0", "5"], ["--file", str(path)]):
+        code, out = run(capsys, "check", *where, "--laws", laws)
+        assert code == 0
+        assert out.splitlines() == [
+            *(f"{c}: instances=0 hypothesis_met=0 violations=0" for c in clauses),
+            "result: ok (unexpected violations: 0)",
+        ]
+
+
 def test_check_stdout_is_deterministic(capsys):
     argv = ["check", "--random", "3", "20", "11", "--laws", "all"]
     code1, out1 = run(capsys, *argv)

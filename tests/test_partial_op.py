@@ -97,6 +97,41 @@ def test_matrix_is_stored_up_to_domain():
     assert a.matrix == b.matrix
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_equal_operators_built_from_different_matrices_hash_alike(field):
+    rng = rng_from(97)
+    for dom in domains(field):
+        off = random_matrix(rng, field) @ (Matrix.identity(field, 3) - dom.projector)
+        a = PartialOperator(dom, random_matrix(rng, field))
+        b = PartialOperator(Subspace(field, 3, dom.basis.rows()), a.matrix + off)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_building_operators_computes_no_projector_of_a_domain():
+    # An operator is its domain plus images, so nothing here needs the
+    # orthogonal projector onto any domain, operand or result.
+    m = Matrix.from_rows(Field.Q, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+
+    def plane():
+        return qs([1, 2, 0], [0, 1, 1])
+
+    def other():
+        return qs([1, 0, 0], [0, 0, 1])
+
+    built = {
+        "identity_on": [identity_on(plane())],
+        "zero_on": [zero_on(plane())],
+        "PartialOperator": [PartialOperator(plane(), m)],
+        "PartialProjection": [PartialProjection(plane(), Matrix.identity(Field.Q, 3))],
+    }
+    for name, combine in (("compose", compose), ("pls_add", pls_add)):
+        t, u = PartialOperator(plane(), m), PartialOperator(other(), m)
+        assert t.dom != u.dom
+        built[name] = [t, u, combine(t, u)]
+    for name, ops in built.items():
+        assert [t.dom._projector for t in ops] == [None] * len(ops), name
+
+
 def test_application_respects_the_domain():
     t = identity_on(qs([1, 0, 0], [0, 1, 0]))
     assert t(qv(2, 3, 0)) == qv(2, 3, 0)
@@ -214,7 +249,7 @@ def test_validation_reports_the_first_failing_basis_vector():
         PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
 
 
-# --- constructors that skip the normalizing product -------------------------
+# --- special constructors against the general one --------------------------
 
 def domains(field):
     """A zero, a line, a plane and the full space of field^3."""
@@ -279,8 +314,8 @@ def kernel_pair(p):
 def general_projections(field):
     """Projections built by ``PartialProjection(dom, M)`` on a zero, a
     line, a plane and the full domain: from the one-part's projector
-    plus a term the normalisation kills, and the same pushed through a
-    unitary."""
+    plus a term that vanishes on the domain, and the same pushed through
+    a unitary."""
     rng = rng_from(67)
     out = []
     for dom in domains(field):
@@ -758,23 +793,21 @@ def pair_to_oracle(pair):
 @given(operator_cases())
 def test_operator_layer_agrees_with_the_oracle(case):
     n, ops, twins, projs = case
-    views = {id(t): as_oracle(t) for t in ops + twins + projs}
 
     def pair_of(t):
-        return oracle.projection_pair(*views.get(id(t), as_oracle(t)), n)
+        return oracle.projection_pair(*as_oracle(t), n)
 
     for t, twin in zip(ops, twins):
-        assert op_eq(t, twin) and oracle.op_eq(*views[id(t)], *views[id(twin)], n)
+        assert op_eq(t, twin) and oracle.op_eq(*as_oracle(t), *as_oracle(twin), n)
     everything = ops + projs
     for q in everything:
         for p in everything:
-            assert op_eq(q, p) == oracle.op_eq(*views[id(q)], *views[id(p)], n)
+            q_view, p_view = as_oracle(q), as_oracle(p)
+            assert op_eq(q, p) == oracle.op_eq(*q_view, *p_view, n)
             qp = compose(q, p)
-            want = oracle.compose_domain(views[id(q)][0], *views[id(p)], n)
-            assert sub_to_oracle(qp.dom) == want
+            assert sub_to_oracle(qp.dom) == oracle.compose_domain(q_view[0], *p_view, n)
             for x, value in zip(*as_oracle(qp)):
-                inner_value = oracle.op_apply(*views[id(p)], x, n)
-                assert value == oracle.op_apply(*views[id(q)], inner_value, n)
+                assert value == oracle.op_apply(*q_view, oracle.op_apply(*p_view, x, n), n)
 
     for p in projs:
         assert pair_to_oracle(subspaces_of(p)) == pair_of(p)

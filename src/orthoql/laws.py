@@ -15,7 +15,10 @@ Cor. 7) return plain {clause: (applicable, holds, detail)} maps, which
 catalog of classical counterexamples (distributivity and the Heyting
 adjunction) is kept separate: those laws are expected to fail, the
 finder must reproduce the standard witnesses, and ``check_catalog``
-reports them as expected-fail.
+reports them as expected-fail.  Each ``check_*`` runs inside one
+``subspace._shared_results`` block, so equal operands share their meets,
+joins, orders, orthocomplements and projectors for the length of the
+run and no longer.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from orthoql.partial_op import (
     total_zero,
 )
 from orthoql.scalars import Field, Scalar
-from orthoql.subspace import Subspace, perp_rel
+from orthoql.subspace import Subspace, _shared_results, perp_rel
 
 __all__ = [
     "Violation",
@@ -210,6 +213,7 @@ FAILING_LAWS = ("distributivity", "modularity", "heyting_adjunction")
 
 # --- the subspace lattice ------------------------------------------------
 
+@_shared_results()
 def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawReport:
     """Evaluate the lattice laws on triples of plain subspaces."""
     report = LawReport()
@@ -294,6 +298,7 @@ def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawR
 
 # --- the orthocomplemented lattice ---------------------------------------
 
+@_shared_results()
 def check_complql(
     instances: Sequence[tuple[OrthoSubspace, OrthoSubspace, OrthoSubspace]],
 ) -> LawReport:
@@ -438,6 +443,7 @@ def check_complql(
 
 # --- the partial linear space of operators --------------------------------
 
+@_shared_results()
 def check_pls(
     ops: Sequence[PartialOperator], ks: Sequence[Scalar]
 ) -> LawReport:
@@ -576,6 +582,7 @@ def _record_clauses(report: LawReport, clauses: dict, operands: str) -> None:
         report.result(clause).record(applicable, holds, operands, detail)
 
 
+@_shared_results()
 def check_lescomp(
     pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
 ) -> LawReport:
@@ -589,6 +596,7 @@ def check_lescomp(
     return report
 
 
+@_shared_results()
 def check_comm(
     proj_pairs: Sequence[tuple[PartialProjection, PartialProjection]],
     total_pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
@@ -722,6 +730,7 @@ def find_counterexample(
     return None
 
 
+@_shared_results()
 def check_catalog(law: str, dim: int, field: Field) -> LawReport:
     """Search for a violation of one ``FAILING_LAWS`` entry in dimension
     ``max(dim, 2)`` and report it as an expected failure."""

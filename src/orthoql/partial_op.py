@@ -6,8 +6,12 @@ the images of the domain's canonical (RREF) basis rows, which fix it
 and nothing else, so equality of operators is literal equality of
 (domain, images) pairs.  Building, comparing and composing operators
 needs no orthogonal projector onto a domain: y lies in the domain
-exactly when ``y == y[pivots] @ basis``.  Every partial projection is
-validated in full when it is built.
+exactly when ``y == y[pivots] @ basis``.  Values are read off the images
+the same way, with no ambient matrix built: the rows of ``rows`` go to
+``rows[:, pivots] @ images``, which is ``rows @ matrix^T`` exactly, for
+any rows, in the domain or not.  So the partial linear structure and
+composition act on images alone.  Every partial projection is validated
+in full when it is built.
 
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces; the maps
@@ -113,7 +117,7 @@ class PartialOperator:
     def __call__(self, x: Vector) -> Vector:
         if not self.dom.contains(x):
             raise NotInDomain(f"{x!r} is outside the domain")
-        return self.matrix @ x
+        return _apply(self, Matrix(self.field, 1, x.dim, x.entries)).row(0)
 
     def __eq__(self, other):
         if not isinstance(other, PartialOperator):
@@ -155,6 +159,21 @@ def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
     over ``sub.basis`` of each row, when the row lies in ``sub``."""
     entries = [rows.entry(i, c) for i in range(rows.nrows) for c in sub.pivots]
     return Matrix(rows.field, rows.nrows, sub.rank, entries)
+
+
+def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
+    """``rows @ t.matrix.transpose()``, read off the images: ``t.matrix``
+    holds image i in the column of pivot i and zeros elsewhere, so each
+    row's value is its pivot entries times the images."""
+    return _at_pivots(rows, t.dom) @ t.images
+
+
+def _operator(dom: Subspace, images: Matrix) -> PartialOperator:
+    """The plain operator on ``dom`` whose basis rows go to ``images``,
+    which must be a rank x ambient matrix over the domain's field."""
+    t = object.__new__(PartialOperator)
+    t.dom, t.images = dom, images
+    return t
 
 
 # --- constructors ------------------------------------------------------
@@ -212,13 +231,14 @@ def op_eq(t: PartialOperator, u: PartialOperator) -> bool:
     return t.dom == u.dom and t.images == u.images
 
 
-def _first_difference(a: Matrix, b: Matrix, basis: Matrix) -> Optional[Vector]:
-    """The first basis row that ``a`` and ``b`` map to different
+def _first_difference(
+    t: PartialOperator, u: PartialOperator, basis: Matrix
+) -> Optional[Vector]:
+    """The first basis row that ``t`` and ``u`` map to different
     vectors, or None when they agree on the span of ``basis``."""
-    gaps = (a - b) @ basis.transpose()
-    r = basis.nrows
-    for j in range(r):
-        if any(gaps.entries[j::r]):
+    tv, uv, n = _apply(t, basis).entries, _apply(u, basis).entries, basis.ncols
+    for j in range(basis.nrows):
+        if tv[j * n : (j + 1) * n] != uv[j * n : (j + 1) * n]:
             return basis.row(j)
     return None
 
@@ -234,7 +254,7 @@ def op_eq_witness(t: PartialOperator, u: PartialOperator):
         for b in u.dom.basis.rows():
             if not t.dom.contains(b):
                 return ("domain", b)
-    b = _first_difference(t.matrix, u.matrix, t.dom.basis)
+    b = _first_difference(t, u, t.dom.basis)
     return None if b is None else ("value", b)
 
 
@@ -253,7 +273,7 @@ def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vecto
     right = u.dom.meet(t.dom.perp())
     if right.is_strict:
         return True, right.basis.row(0)
-    b = _first_difference(t.matrix, u.matrix, t.dom.meet(u.dom).basis)
+    b = _first_difference(t, u, t.dom.meet(u.dom).basis)
     return b is not None, b
 
 
@@ -275,7 +295,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
     ker = null_space(residual.transpose())
     dom = Subspace(p.field, p.ambient_dim, (ker.transpose() @ p.dom.basis).rows())
-    return PartialOperator(dom, q.matrix @ p.matrix)
+    return _operator(dom, _apply(q, _apply(p, dom.basis)))
 
 
 # --- logical operations on projections ------------------------------------
@@ -323,17 +343,19 @@ def proj_orthogonal(p: PartialProjection, q: PartialProjection) -> bool:
 def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
     """Pointwise sum on the meet of the domains."""
     t.dom._check_ambient(u.dom)
-    dom = t.dom if t.dom == u.dom else t.dom.meet(u.dom)
-    return PartialOperator(dom, t.matrix + u.matrix)
+    if t.dom == u.dom:
+        return _operator(t.dom, t.images + u.images)
+    dom = t.dom.meet(u.dom)
+    return _operator(dom, _apply(t, dom.basis) + _apply(u, dom.basis))
 
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    return PartialOperator(t.dom, t.matrix.scaled(k))
+    return _operator(t.dom, t.images.scaled(k))
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:
-    return PartialOperator(t.dom, -t.matrix)
+    return _operator(t.dom, -t.images)
 
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:
@@ -361,7 +383,7 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
     one = subspaces_of(p).one
     if one.is_strict:
         l = one.basis.row(0)
-        attained = (p.matrix @ l == l) and not l.is_zero
+        attained = (p(l) == l) and not l.is_zero
     else:
         attained = False
     basis, images = p.dom.basis, p.images
@@ -379,15 +401,13 @@ COMM_CLAUSES = ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")
 COR7_CLAUSES = ("cor7_i", "cor7_ii", "cor7_iii")
 
 
-def _spanning_samples(sub: Subspace) -> list[Vector]:
-    # Basis vectors plus pairwise sums: enough to exercise the
-    # inequalities off the coordinate axes of the basis.
+def _spanning_samples(sub: Subspace) -> Matrix:
+    # Basis vectors plus pairwise sums, one per row: enough to exercise
+    # the inequalities off the coordinate axes of the basis.
     basis = sub.basis.rows()
-    samples = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            samples.append(basis[i] + basis[j])
-    return samples
+    r = len(basis)
+    samples = basis + [basis[i] + basis[j] for i in range(r) for j in range(i + 1, r)]
+    return Matrix(sub.field, len(samples), sub.ambient_dim, [e for x in samples for e in x])
 
 
 def _real_or_none(v: Scalar) -> Optional[Fraction]:
@@ -431,8 +451,8 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     c0 = compose(p_m0, p_l0)
     doms_ok = c1.dom == meet and c0.dom == meet
     values_ok = (
-        _first_difference(c1.matrix, p_l1.matrix, meet.basis) is None
-        and _first_difference(c0.matrix, p_m0.matrix, meet.basis) is None
+        _first_difference(c1, p_l1, meet.basis) is None
+        and _first_difference(c0, p_m0, meet.basis) is None
     )
     clauses["lescomp1_iia"] = (
         True,
@@ -448,12 +468,13 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     clauses["lescomp1_meet"] = (True, split_ok, "")
 
     samples = _spanning_samples(meet)
-    m_l1, m_m1, m_m0, m_l0 = (t.matrix for t in (p_l1, p_m1, p_m0, p_l0))
+    # Per sample x: (p_l1(x), p_m1(x), p_m0(x), p_l0(x)).
+    values = list(zip(*(_apply(t, samples).rows() for t in (p_l1, p_m1, p_m0, p_l0))))
     norm_ok = True
     norm_detail = ""
-    for x in samples:
-        up = norm_sq(m_l1 @ x) <= norm_sq(m_m1 @ x)
-        down = norm_sq(m_m0 @ x) <= norm_sq(m_l0 @ x)
+    for x, (l1, m1, m0, l0) in zip(samples.rows(), values):
+        up = norm_sq(l1) <= norm_sq(m1)
+        down = norm_sq(m0) <= norm_sq(l0)
         if not (up and down):
             norm_ok = False
             norm_detail = f"sample {x!r}"
@@ -462,13 +483,8 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
 
     inner_ok = True
     inner_detail = ""
-    for x in samples:
-        vals = [
-            _real_or_none(inner(m_l1 @ x, x)),
-            _real_or_none(inner(m_m1 @ x, x)),
-            _real_or_none(inner(m_m0 @ x, x)),
-            _real_or_none(inner(m_l0 @ x, x)),
-        ]
+    for x, images in zip(samples.rows(), values):
+        vals = [_real_or_none(inner(y, x)) for y in images]
         if any(v is None for v in vals) or not (vals[0] <= vals[1] and vals[2] <= vals[3]):
             inner_ok = False
             inner_detail = f"sample {x!r}"
@@ -521,7 +537,7 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
         join_proj = proj_join(p, q)
         rhs = pls_sub(pls_add(p, q), qp)
         common = join_proj.dom.meet(rhs.dom)
-        pointwise = _first_difference(join_proj.matrix, rhs.matrix, common.basis) is None
+        pointwise = _first_difference(join_proj, rhs, common.basis) is None
         ones_raw = _raw_sum_covers(jp.one, jq.one)
         clauses["comm1_iv"] = (
             True,

@@ -6,10 +6,21 @@ equality is bit-equality.  Meet is computed from the definition (pairs
 of coefficient vectors producing a common element), join as the span
 of stacked bases, and the orthocomplement as a kernel; every operation
 is exact.
+
+Because the canonical basis is an exact structural key, a law run can
+share lattice results between equal operands: inside a
+``_shared_results()`` block, ``meet``, ``join``, ``leq``, ``perp`` and
+``projector`` first look their result up in one table keyed by the
+operation and its operands (whose equality includes the field), and
+store it there when they compute it.  Equal operands have equal results,
+so the table changes no answer.  It lives exactly as long as the
+outermost block; a nested block reuses it, and outside any block there
+is no table and every operation computes its result afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -29,11 +40,43 @@ from orthoql.scalars import Field, Scalar
 
 __all__ = ["Subspace", "perp_rel", "coperp_rel"]
 
+# The results of the open law run, keyed by (operation, *operands); None
+# when no ``_shared_results`` block is open.
+_results: Optional[dict] = None
+
+
+@contextmanager
+def _shared_results():
+    """Share lattice results among equal operands until the outermost
+    block closes, which drops the table."""
+    global _results
+    if _results is not None:
+        yield
+        return
+    _results = {}
+    try:
+        yield
+    finally:
+        _results = None
+
+
+def _shared(op: str, compute, *operands):
+    """``compute(*operands)``, taken from or stored in the open table."""
+    table = _results
+    if table is None:
+        return compute(*operands)
+    key = (op, *operands)
+    try:
+        return table[key]
+    except KeyError:
+        result = table[key] = compute(*operands)
+        return result
+
 
 class Subspace:
     """A subspace of the ambient space, canonically presented."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Iterable = ()):
         if ambient_dim < 0:
@@ -56,6 +99,7 @@ class Subspace:
             self.basis = Matrix(field, 0, ambient_dim, [])
         self._perp = None
         self._projector = None
+        self._hash = None
 
     # --- constructors ------------------------------------------------
 
@@ -96,7 +140,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.field, self.ambient_dim, self.basis))
+        return self._hash
 
     def __repr__(self):
         rows = "; ".join(repr(list(map(scalars.scalar_text, r))) for r in self.basis.rows())
@@ -143,6 +189,9 @@ class Subspace:
         sweep out exactly the intersection.
         """
         self._check_ambient(other)
+        return _shared("meet", Subspace._meet, self, other)
+
+    def _meet(self, other: "Subspace") -> "Subspace":
         if self.rank == 0 or other.rank == 0:
             return Subspace.zero(self.field, self.ambient_dim)
         stacked = Matrix.from_cols(
@@ -160,22 +209,30 @@ class Subspace:
     def join(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both (sums are closed here)."""
         self._check_ambient(other)
+        return _shared("join", Subspace._join, self, other)
+
+    def _join(self, other: "Subspace") -> "Subspace":
         rows = [list(r) for r in self.basis.rows()] + [list(r) for r in other.basis.rows()]
         return Subspace(self.field, self.ambient_dim, rows)
 
     def perp(self) -> "Subspace":
         """Orthocomplement {x : <x, b> = 0 for every basis vector b}."""
         if self._perp is None:
-            if self.rank == 0:
-                self._perp = Subspace.full(self.field, self.ambient_dim)
-            else:
-                ker = null_space(self.basis.conj())
-                cols = [list(ker.col(j)) for j in range(ker.ncols)]
-                self._perp = Subspace(self.field, self.ambient_dim, cols)
+            self._perp = _shared("perp", Subspace._orthocomplement, self)
         return self._perp
+
+    def _orthocomplement(self) -> "Subspace":
+        if self.rank == 0:
+            return Subspace.full(self.field, self.ambient_dim)
+        ker = null_space(self.basis.conj())
+        cols = [list(ker.col(j)) for j in range(ker.ncols)]
+        return Subspace(self.field, self.ambient_dim, cols)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
+        return _shared("leq", Subspace._leq, self, other)
+
+    def _leq(self, other: "Subspace") -> bool:
         if self.rank > other.rank:
             return False
         return all(other.contains(b) for b in self.basis.rows())
@@ -198,11 +255,13 @@ class Subspace:
     def projector(self) -> Matrix:
         """Ambient matrix of the orthogonal projection onto this space."""
         if self._projector is None:
-            if self.rank == 0:
-                self._projector = Matrix.zero(self.field, self.ambient_dim, self.ambient_dim)
-            else:
-                self._projector = gram_projection(self.basis.transpose())
+            self._projector = _shared("projector", Subspace._gram_projector, self)
         return self._projector
+
+    def _gram_projector(self) -> Matrix:
+        if self.rank == 0:
+            return Matrix.zero(self.field, self.ambient_dim, self.ambient_dim)
+        return gram_projection(self.basis.transpose())
 
     def project(self, x: Vector) -> Vector:
         if x.dim != self.ambient_dim:

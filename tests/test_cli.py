@@ -12,6 +12,7 @@ import pytest
 
 from orthoql import cli, laws
 from orthoql.cli import main
+from orthoql.scalars import Field
 
 GOOD = {
     "field": "Q",
@@ -192,11 +193,17 @@ def test_check_stdout_is_deterministic(capsys):
     assert out1 == out2
 
 
-# sha256 of the exact stdout bytes of the order and comm suites: a change
-# to the clause calculi or to the law reports must not move them.  The
-# file's pairs include unordered and non-commuting ones, so they reach
-# the hypothesis-not-met paths as well.
+# sha256 of the exact stdout bytes of the law suites: a change to the
+# lattice operations, the operator algebra, the clause calculi or the law
+# reports must not move them.  The file's pairs include unordered and
+# non-commuting ones, so they reach the hypothesis-not-met paths as well.
 PINNED_STDOUT = {
+    ("random", "clql", "text"): "2c74eb7d90a230b5185bfa2691c70696c4048bfaebdafcf989c05d0dcd31e824",
+    ("random", "clql", "json"): "5946ef8cb93126f59c3b5dc2db574b84ee491c97024947f1c74e6559b059db26",
+    ("random", "complql", "text"): "d3acfbcee8f88db524ea30b83d80bf30a981bf4fda28a5b83569062166994290",
+    ("random", "complql", "json"): "ae9e893bc5631c2feee73a27fecdb1090e45315f00dbe01e4d7b02066e996a63",
+    ("random", "pls", "text"): "8514dc6f0d9cbb3dcf7a7c548eeb26f70002f0571758e5dfadbbd54de8ec3e9d",
+    ("random", "pls", "json"): "08a4f7adc390bc06098f28b7934362a0c9b955f21b03738cc8137f4b874b57bc",
     ("random", "order", "text"): "deb76e74ba1554f9b78ff86bea2b48862011034bc4b5a52ef4769b2acd313ce4",
     ("random", "order", "json"): "7b886b8623e366d91c2b0018d6fca76fab790dd1d167074a3b9c4484fb15013a",
     ("random", "comm", "text"): "ab365acd6ae0d3619a3c58754dd3ad53866c56fe9f06829cd53c8e3379caa1b7",
@@ -205,6 +212,25 @@ PINNED_STDOUT = {
     ("file", "order", "json"): "1fcdffbf67fc194214e7f39e36ca41b10d16d1b1886df93b519bd395c42ba5fd",
     ("file", "comm", "text"): "a9d417b70a4dd88c5dcb55b1e4a6e9bd93d937faf84b2167b62c45abe1f4e41e",
     ("file", "comm", "json"): "b4e439498c7e7b0d6f3aca6cfb8ea572485f950c9958ec184d5b1b1cb32d6418",
+    ("file", "clql", "text"): "1ee082a98188ff31f721b54ae17834d09b420566f0222a910ce441d65c12bad6",
+    ("file", "clql", "json"): "12c01c27918b8db7340e8498e35ec2e12d4ef0e57332f04f41dc875617d6f57f",
+    ("file", "complql", "text"): "f0440f8f4d01670e6b38841b8eb560364456c3d62cc6611e96de3138dfe10176",
+    ("file", "complql", "json"): "1643f82c872e6a613a81036856e53d26a4c8f54f5cf68a7f60d6ee2762d968fe",
+    ("file", "pls", "text"): "1d928a44170b49fedeb405a0d504a7e94ff0f8d2611ff966a5bd9e097eb35e8b",
+    ("file", "pls", "json"): "5b91aa8e53d49d71da2ed307e804c42b9efcef520906ca99cbb176f06f1eb464",
+}
+
+# The same guard over Q(i)^3, which the command line reaches only through
+# ``cmd_check``'s field argument; "all" adds the order and comm suites.
+PINNED_QI_STDOUT = {
+    ("clql", "text"): "b8e6eca65f1dc5e9ec7200236d055d257e4b35f089fe8f42cc01c54a8d0158e2",
+    ("clql", "json"): "59a069057bfa21fad6aa17db215aa9b86511a1d904e9707bcefa2847bf2d8772",
+    ("complql", "text"): "22db51b7608967d0d57a9521fdccdd1b7f7addaa1cb6ab17f98479dc8f95b05c",
+    ("complql", "json"): "1ab11af4edf3290a942540783c3de9c38f41c3a44fed9553f6edcc8059e47b8c",
+    ("pls", "text"): "beb1fcda6404620450ceba4fdfc6232d939bb71e250a5ad90e3c84b4dbdee67b",
+    ("pls", "json"): "317c5d885ff88854efeb2d597d231cd64a834e138ea9be2253f08637770fbffe",
+    ("all", "text"): "5643da2242f449984476e3d3f53a096b0677da99296ff598019bb7615194bee3",
+    ("all", "json"): "4c8b86785e8209e47331efab3f000efcbc15a9cbadcf350c7d8be0efef45ab36",
 }
 
 
@@ -214,6 +240,14 @@ def test_check_stdout_bytes_are_pinned(good_file, capsys, source, laws, fmt):
     code, out = run(capsys, "check", *where, "--laws", laws, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[source, laws, fmt]
+
+
+@pytest.mark.parametrize("suite, fmt", sorted(PINNED_QI_STDOUT))
+def test_check_stdout_bytes_over_qi_are_pinned(capsys, suite, fmt):
+    code = cli.cmd_check(None, (3, 6, 5), suite, fmt, Field.Qi)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QI_STDOUT[suite, fmt]
 
 
 def test_a_failing_clause_detail_is_the_json_witness(good_file, capsys, monkeypatch):

@@ -65,7 +65,9 @@ from orthoql.partial_op import (
     total_identity,
     total_zero,
     zero_on,
+    _apply,
     _first_difference,
+    _operator,
 )
 from orthoql.scalars import Field, GaussianRational as G, scalar_text
 from orthoql.subspace import Subspace
@@ -277,12 +279,13 @@ def random_matrix(rng, field):
 
 
 def assert_same_operator(built, general):
-    """Same class, same domain, and the same exact entries, text included."""
+    """Same class, same domain, and the same exact images and matrix
+    entries, text included."""
     assert type(built) is type(general)
     assert built.dom == general.dom
-    assert built.matrix == general.matrix
-    texts = [scalar_text(e) for e in built.matrix.entries]
-    assert texts == [scalar_text(e) for e in general.matrix.entries]
+    for got, want in ((built.images, general.images), (built.matrix, general.matrix)):
+        assert got == want
+        assert [scalar_text(e) for e in got.entries] == [scalar_text(e) for e in want.entries]
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -369,6 +372,38 @@ def test_linear_structure_constructors_match_the_general_path(field):
                 )
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_values_read_off_images_match_the_matrix(field):
+    # Rows in the domain, rows off it, and no rows at all.
+    rng = rng_from(83)
+    for dom in domains(field):
+        ops = [PartialOperator(dom, random_matrix(rng, field))]
+        ops += [projection_of(pair) for pair in pairs_on(dom)]
+        for t in ops:
+            for rows in (dom.basis, random_matrix(rng, field), Matrix(field, 0, 3, [])):
+                assert _apply(t, rows) == rows @ t.matrix.transpose()
+            for x in dom.basis.rows():
+                assert t(x) == t.matrix @ x
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_the_operator_algebra_never_yields_a_projection(field):
+    # Each result below is a projection as a map, yet stays a plain
+    # operator: only PartialProjection's own constructor validates one.
+    for dom in domains(field):
+        for pair in pairs_on(dom):
+            p = projection_of(pair)
+            built = [
+                _operator(p.dom, p.images),
+                pls_add(p, zero_on(dom)),
+                pls_scale(1, p),
+                pls_negate(pls_negate(p)),
+                compose(p, p),
+            ]
+            for t in built:
+                assert type(t) is PartialOperator and op_eq(t, p)
+
+
 # --- equality and apartness ----------------------------------------------
 
 def test_apartness_finds_a_domain_witness():
@@ -426,8 +461,11 @@ def first_difference_by_vector(a, b, basis):
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_first_difference_matches_a_per_vector_loop(field):
     # b differs from a only off the span of the first k basis rows, so
-    # the first differing row is row k, for every k including none.
+    # the first differing row is row k, for every k including none.  As
+    # total operators, a and b are the matrices themselves, so the loop
+    # over matrix-vector products stays the reference.
     rng = rng_from(89)
+    full = Subspace.full(field, 3)
     positions = set()
     for dom in domains(field):
         for k in range(dom.rank + 1):
@@ -435,7 +473,8 @@ def test_first_difference_matches_a_per_vector_loop(field):
             kept = Subspace(field, 3, dom.basis.rows()[:k])
             b = a + random_matrix(rng, field) @ (Matrix.identity(field, 3) - kept.projector)
             want = first_difference_by_vector(a, b, dom.basis)
-            assert _first_difference(a, b, dom.basis) == want
+            t, u = PartialOperator(full, a), PartialOperator(full, b)
+            assert _first_difference(t, u, dom.basis) == want
             positions.add(None if want is None else dom.basis.rows().index(want))
     assert positions == {None, 0, 1, 2}
 
@@ -476,7 +515,10 @@ def test_composition_domain_matches_the_per_column_construction(field):
     ops += [projection_of(random_ortho(rng, field, 3)) for _ in range(4)]
     for q in ops:
         for p in ops:
-            assert compose(q, p).dom == per_column_domain(q, p)
+            qp = compose(q, p)
+            assert qp.dom == per_column_domain(q, p)
+            # The images are those of the general path, bit for bit.
+            assert_same_operator(qp, PartialOperator(qp.dom, q.matrix @ p.matrix))
 
 
 def test_composition_restricts_the_domain():

@@ -177,7 +177,7 @@ def load_instances(path: str) -> InstanceFile:
         if len(rows) != dim:
             raise ParseError(f"operator {name!r}: matrix must have {dim} rows")
         try:
-            inst.operators[name] = PartialOperator(
+            inst.operators[name] = PartialOperator.from_matrix(
                 inst.subspaces[ref], Matrix.from_rows(fld, rows)
             )
         except OrthoQLError as exc:

@@ -162,6 +162,9 @@ def ordered_ortho_pairs(
 def non_ordered_ortho_pairs(
     rng: random.Random, field: Field, dim: int, count: int
 ) -> list[tuple[OrthoSubspace, OrthoSubspace]]:
+    """Pairs (l, m) with l not below m: none in dimension 0, whose only pair (0, 0) is ordered."""
+    if dim == 0:
+        return []
     out = []
     while len(out) < count:
         l = random_ortho(rng, field, dim)
@@ -179,7 +182,7 @@ def random_partial_operator(
 ) -> PartialOperator:
     dom = Subspace.full(field, dim) if total else random_subspace(rng, field, dim)
     entries = [random_scalar(rng, field) for _ in range(dim * dim)]
-    return PartialOperator(dom, Matrix(field, dim, dim, entries))
+    return PartialOperator.from_matrix(dom, Matrix(field, dim, dim, entries))
 
 
 def random_partial_projection(
@@ -219,10 +222,8 @@ def cayley_unitary(rng: random.Random, field: Field, dim: int) -> Matrix:
 
 def conjugated(p: PartialProjection, u: Matrix) -> PartialProjection:
     """The projection seen through the unitary change of coordinates u."""
-    dom = Subspace(
-        p.field, p.ambient_dim, [list(u @ b) for b in p.dom.basis.rows()]
-    )
-    return PartialProjection(dom, u @ p.matrix @ u.conj_transpose())
+    dom = Subspace(p.field, p.ambient_dim, [list(u @ b) for b in p.dom.basis.rows()])
+    return PartialProjection.from_matrix(dom, u @ p.matrix @ u.conj_transpose())
 
 
 def _coordinate_projection(

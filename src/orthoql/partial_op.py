@@ -1,17 +1,16 @@
 """Partial linear operators and partial projections.
 
 An operator acts only on the vectors of its domain subspace; values
-elsewhere are deliberately meaningless.  It is stored as its domain and
-the images of the domain's canonical (RREF) basis rows, which fix it
-and nothing else, so equality of operators is literal equality of
-(domain, images) pairs.  Building, comparing and composing operators
-needs no orthogonal projector onto a domain: y lies in the domain
-exactly when ``y == y[pivots] @ basis``.  Values are read off the images
-the same way, with no ambient matrix built: the rows of ``rows`` go to
-``rows[:, pivots] @ images``, which is ``rows @ matrix^T`` exactly, for
-any rows, in the domain or not.  So the partial linear structure and
-composition act on images alone.  Every partial projection is validated
-in full when it is built.
+elsewhere are deliberately meaningless.  It is built from, and stored
+as, its domain and the images of the domain's canonical (RREF) basis
+rows: ``PartialOperator(dom, images)``, images a rank x n matrix.  An
+ambient n x n matrix M enters only through ``from_matrix``, as
+``basis @ M^T``.  Equality is literal equality of (domain, images), and
+no projector onto a domain is needed: y lies in the domain exactly when
+``y == y[pivots] @ basis``, and rows go to ``rows[:, pivots] @ images``,
+which is ``rows @ matrix^T`` exactly, for any rows, in the domain or
+not.  So the partial linear structure and composition act on images
+alone.  Every partial projection is validated in full when it is built.
 
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces; the maps
@@ -80,16 +79,26 @@ class PartialOperator:
 
     __slots__ = ("dom", "images")
 
-    def __init__(self, dom: Subspace, matrix: Matrix):
+    def __init__(self, dom: Subspace, images: Matrix):
+        if (images.nrows, images.ncols, images.field) != (dom.rank, dom.ambient_dim, dom.field):
+            raise AmbientMismatch(
+                f"{images.nrows}x{images.ncols} {images.field.value} images on a rank"
+                f" {dom.rank} {dom.field.value} domain in ambient dimension {dom.ambient_dim}"
+            )
+        self.dom = dom
+        # Row i is the image of the domain's i-th basis row.
+        self.images = images
+
+    @classmethod
+    def from_matrix(cls, dom: Subspace, matrix: Matrix):
+        """The operator on ``dom`` that agrees there with ``matrix``."""
         if matrix.nrows != dom.ambient_dim or matrix.ncols != dom.ambient_dim:
             raise AmbientMismatch(
                 f"{matrix.nrows}x{matrix.ncols} matrix on ambient dimension {dom.ambient_dim}"
             )
         if matrix.field is not dom.field:
             raise AmbientMismatch(f"{matrix.field.value} matrix over {dom.field.value} domain")
-        self.dom = dom
-        # Row i is the image of the domain's i-th basis row.
-        self.images = dom.basis @ matrix.transpose()
+        return cls(dom, dom.basis @ matrix.transpose())
 
     @property
     def matrix(self) -> Matrix:
@@ -136,9 +145,8 @@ class PartialProjection(PartialOperator):
     """A partial operator that is idempotent and self-adjoint on its
     domain and maps the domain into itself."""
 
-    def __init__(self, dom: Subspace, matrix: Matrix):
-        super().__init__(dom, matrix)
-        images = self.images
+    def __init__(self, dom: Subspace, images: Matrix):
+        super().__init__(dom, images)
         # With C = images[:, pivots], C @ basis is what each image would
         # be if it lay in the domain, and then C @ images is its image.
         coords = _at_pivots(images, dom)
@@ -168,25 +176,16 @@ def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
     return _at_pivots(rows, t.dom) @ t.images
 
 
-def _operator(dom: Subspace, images: Matrix) -> PartialOperator:
-    """The plain operator on ``dom`` whose basis rows go to ``images``,
-    which must be a rank x ambient matrix over the domain's field."""
-    t = object.__new__(PartialOperator)
-    t.dom, t.images = dom, images
-    return t
-
-
 # --- constructors ------------------------------------------------------
 
 def identity_on(dom: Subspace) -> PartialProjection:
     """The identity as a partial map on ``dom``."""
-    return PartialProjection(dom, Matrix.identity(dom.field, dom.ambient_dim))
+    return PartialProjection(dom, dom.basis)
 
 
 def zero_on(dom: Subspace) -> PartialProjection:
     """The zero map on ``dom`` (distinct from zero maps on other domains)."""
-    n = dom.ambient_dim
-    return PartialProjection(dom, Matrix.zero(dom.field, n, n))
+    return PartialProjection(dom, Matrix.zero(dom.field, dom.rank, dom.ambient_dim))
 
 
 def total_identity(field: Field, ambient_dim: int) -> PartialProjection:
@@ -211,7 +210,7 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
     and killing the zero-part."""
-    return PartialProjection(pair.dom, pair.one.projector)
+    return PartialProjection.from_matrix(pair.dom, pair.one.projector)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
@@ -295,7 +294,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
     ker = null_space(residual.transpose())
     dom = Subspace(p.field, p.ambient_dim, (ker.transpose() @ p.dom.basis).rows())
-    return _operator(dom, _apply(q, _apply(p, dom.basis)))
+    return PartialOperator(dom, _apply(q, _apply(p, dom.basis)))
 
 
 # --- logical operations on projections ------------------------------------
@@ -303,7 +302,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
 def proj_compl(p: PartialProjection) -> PartialProjection:
     """1 - p with 1 meaning the identity of dom(p): same domain,
     x mapped to x - p(x)."""
-    return PartialProjection(p.dom, Matrix.identity(p.field, p.ambient_dim) - p.matrix)
+    return PartialProjection(p.dom, p.dom.basis - p.images)
 
 
 def proj_meet(p: PartialProjection, q: PartialProjection) -> PartialProjection:
@@ -344,18 +343,18 @@ def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
     """Pointwise sum on the meet of the domains."""
     t.dom._check_ambient(u.dom)
     if t.dom == u.dom:
-        return _operator(t.dom, t.images + u.images)
+        return PartialOperator(t.dom, t.images + u.images)
     dom = t.dom.meet(u.dom)
-    return _operator(dom, _apply(t, dom.basis) + _apply(u, dom.basis))
+    return PartialOperator(dom, _apply(t, dom.basis) + _apply(u, dom.basis))
 
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    return _operator(t.dom, t.images.scaled(k))
+    return PartialOperator(t.dom, t.images.scaled(k))
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:
-    return _operator(t.dom, -t.images)
+    return PartialOperator(t.dom, -t.images)
 
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:

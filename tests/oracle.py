@@ -406,6 +406,31 @@ def op_eq(t_dom: Mat, t_values: Mat, u_dom: Mat, u_values: Mat, ncols: int) -> b
     )
 
 
+def op_apart(t_dom: Mat, t_values: Mat, u_dom: Mat, u_values: Mat, ncols: int) -> bool:
+    """Apartness: a nonzero vector in one domain orthogonal to the other,
+    or a vector of both domains with different values."""
+    for a, b in ((t_dom, u_dom), (u_dom, t_dom)):
+        if s_meet(a, s_perp(b, ncols), ncols):
+            return True
+    return any(
+        op_apply(t_dom, t_values, x, ncols) != op_apply(u_dom, u_values, x, ncols)
+        for x in s_meet(t_dom, u_dom, ncols)
+    )
+
+
+def apart_at(t_dom: Mat, t_values: Mat, u_dom: Mat, u_values: Mat, x: Vec, ncols: int) -> bool:
+    """Whether x witnesses apartness: x is nonzero and lies in one domain
+    orthogonal to the other, or in both with different values."""
+    if is_zero_vec(x):
+        return False
+    in_t, in_u = member(t_dom, x, ncols), member(u_dom, x, ncols)
+    if (in_t and orthogonal((x,), u_dom)) or (in_u and orthogonal((x,), t_dom)):
+        return True
+    if not (in_t and in_u):
+        return False
+    return op_apply(t_dom, t_values, x, ncols) != op_apply(u_dom, u_values, x, ncols)
+
+
 # ---------------------------------------------------------------------------
 # Definition-unfolded law evaluation on subspace triples
 # ---------------------------------------------------------------------------

@@ -519,16 +519,30 @@ def test_missing_source(capsys):
 
 # --- module entry point --------------------------------------------------------------
 
-def test_module_invocation():
+def run_module(*args, timeout=None):
     # The subprocess imports the package from this checkout's src/.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "orthoql", "check", "--random", "2", "5", "1", "--laws", "clql"],
+    return subprocess.run(
+        [sys.executable, "-m", "orthoql", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_module_invocation():
+    proc = run_module("check", "--random", "2", "5", "1", "--laws", "clql")
     assert proc.returncode == 0
     assert "result: ok" in proc.stdout
     assert "elapsed:" in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["order", "all"])
+def test_random_check_at_dimension_zero_ends(suite):
+    # Q^0 has one orthogonal pair, and it is ordered, so the order suite
+    # gets no unordered pairs instead of sampling for them forever.
+    proc = run_module("check", "--random", "0", "3", "1", "--laws", suite, timeout=60)
+    assert proc.returncode == 0
+    assert "result: ok" in proc.stdout

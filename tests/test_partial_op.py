@@ -67,7 +67,6 @@ from orthoql.partial_op import (
     zero_on,
     _apply,
     _first_difference,
-    _operator,
 )
 from orthoql.scalars import Field, GaussianRational as G, scalar_text
 from orthoql.subspace import Subspace
@@ -92,8 +91,9 @@ HALF = OrthoSubspace(qs([1, 0, 0]), qs([0, 1, 0]))
 
 def test_matrix_is_stored_up_to_domain():
     dom = qs([1, 0, 0])
-    a = PartialOperator(dom, Matrix.identity(Field.Q, 3))
-    b = PartialOperator(dom, Matrix.from_rows(Field.Q, [[1, 5, -2], [0, 7, 0], [0, 0, 3]]))
+    a = PartialOperator.from_matrix(dom, Matrix.identity(Field.Q, 3))
+    m = Matrix.from_rows(Field.Q, [[1, 5, -2], [0, 7, 0], [0, 0, 3]])
+    b = PartialOperator.from_matrix(dom, m)
     # Both act as the identity on the domain, so they are the same map.
     assert op_eq(a, b)
     assert a.matrix == b.matrix
@@ -104,8 +104,8 @@ def test_equal_operators_built_from_different_matrices_hash_alike(field):
     rng = rng_from(97)
     for dom in domains(field):
         off = random_matrix(rng, field) @ (Matrix.identity(field, 3) - dom.projector)
-        a = PartialOperator(dom, random_matrix(rng, field))
-        b = PartialOperator(Subspace(field, 3, dom.basis.rows()), a.matrix + off)
+        a = PartialOperator.from_matrix(dom, random_matrix(rng, field))
+        b = PartialOperator.from_matrix(Subspace(field, 3, dom.basis.rows()), a.matrix + off)
         assert a == b and hash(a) == hash(b)
 
 
@@ -123,15 +123,69 @@ def test_building_operators_computes_no_projector_of_a_domain():
     built = {
         "identity_on": [identity_on(plane())],
         "zero_on": [zero_on(plane())],
-        "PartialOperator": [PartialOperator(plane(), m)],
-        "PartialProjection": [PartialProjection(plane(), Matrix.identity(Field.Q, 3))],
+        "PartialOperator": [PartialOperator.from_matrix(plane(), m)],
+        "PartialProjection": [PartialProjection.from_matrix(plane(), Matrix.identity(Field.Q, 3))],
     }
     for name, combine in (("compose", compose), ("pls_add", pls_add)):
-        t, u = PartialOperator(plane(), m), PartialOperator(other(), m)
+        t, u = PartialOperator.from_matrix(plane(), m), PartialOperator.from_matrix(other(), m)
         assert t.dom != u.dom
         built[name] = [t, u, combine(t, u)]
     for name, ops in built.items():
         assert [t.dom._projector for t in ops] == [None] * len(ops), name
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_images_of_another_shape_or_field_are_rejected(field):
+    other = Field.Qi if field is Field.Q else Field.Q
+    for dom in domains(field):
+        r, n = dom.rank, dom.ambient_dim
+        wrong = [
+            Matrix.zero(field, r + 1, n),
+            Matrix.zero(field, r, n + 1),
+            Matrix.zero(field, r, n - 1),
+            Matrix.zero(other, r, n),
+        ]
+        if r < n:
+            # An ambient matrix is images only on the full space.
+            wrong.append(Matrix.identity(field, n))
+        for images in wrong:
+            for cls in (PartialOperator, PartialProjection):
+                with pytest.raises(AmbientMismatch, match="images"):
+                    cls(dom, images)
+        for cls in (PartialOperator, PartialProjection):
+            general = cls.from_matrix(dom, Matrix.zero(field, n, n))
+            assert_same_operator(cls(dom, Matrix.zero(field, r, n)), general)
+    with pytest.raises(
+        AmbientMismatch, match=r"^3x3 Q images on a rank 1 Q domain in ambient dimension 3$"
+    ):
+        PartialOperator(qs([1, 0, 0]), Matrix.identity(Field.Q, 3))
+
+
+def test_from_matrix_keeps_its_messages_and_its_class():
+    dom = qs([1, 0, 0])
+    for cls in (PartialOperator, PartialProjection):
+        with pytest.raises(AmbientMismatch, match=r"^2x3 matrix on ambient dimension 3$"):
+            cls.from_matrix(dom, Matrix.zero(Field.Q, 2, 3))
+        with pytest.raises(AmbientMismatch, match=r"^3x2 matrix on ambient dimension 3$"):
+            cls.from_matrix(dom, Matrix.zero(Field.Q, 3, 2))
+        with pytest.raises(AmbientMismatch, match=r"^Qi matrix over Q domain$"):
+            cls.from_matrix(dom, Matrix.zero(Field.Qi, 3, 3))
+        assert type(cls.from_matrix(dom, Matrix.identity(Field.Q, 3))) is cls
+
+
+def test_projection_constructors_run_the_projection_checks(monkeypatch):
+    validated = []
+    init = PartialProjection.__init__
+
+    def counting_init(self, dom, images):
+        init(self, dom, images)
+        validated.append(type(self))
+
+    monkeypatch.setattr(PartialProjection, "__init__", counting_init)
+    dom = qs([1, 2, 0], [0, 1, 1])
+    built = [identity_on(dom), zero_on(dom), proj_compl(projection_of(OrthoSubspace(dom, qs())))]
+    assert validated == [PartialProjection] * 4
+    assert [type(p) for p in built] == [PartialProjection] * 3
 
 
 def test_application_respects_the_domain():
@@ -211,9 +265,10 @@ def test_projection_validation():
     for field, rows, message in REJECTED:
         dom = Subspace(field, 3, [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError, match=message):
-            PartialProjection(dom, Matrix.from_rows(field, rows))
+            PartialProjection.from_matrix(dom, Matrix.from_rows(field, rows))
     # The identity on a line passes all three checks.
-    accepted = PartialProjection(Subspace(Field.Q, 3, [[1, 0, 0]]), Matrix.identity(Field.Q, 3))
+    line = Subspace(Field.Q, 3, [[1, 0, 0]])
+    accepted = PartialProjection.from_matrix(line, Matrix.identity(Field.Q, 3))
     assert accepted.matrix == Matrix.from_rows(Field.Q, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
@@ -223,7 +278,7 @@ def test_projection_validation_checks_every_basis_vector():
     dom = Subspace(Field.Q, 3, [[1, 1, 0], [0, 0, 1]])
     m = Matrix.from_rows(Field.Q, [[F(1, 2), F(1, 2), 1], [F(1, 2), F(1, 2), 0], [0, 0, 0]])
     with pytest.raises(ValueError, match=CLOSURE):
-        PartialProjection(dom, m)
+        PartialProjection.from_matrix(dom, m)
     # Over Q(i): (1, i, 0) is fixed, e3 is sent to e1, outside the domain.
     dom = Subspace(Field.Qi, 3, [[1, I, 0], [0, 0, 1]])
     half = F(1, 2)
@@ -231,12 +286,12 @@ def test_projection_validation_checks_every_basis_vector():
         Field.Qi, [[half, -half * I, 1], [half * I, half, 0], [0, 0, 0]]
     )
     with pytest.raises(ValueError, match=CLOSURE):
-        PartialProjection(dom, m)
+        PartialProjection.from_matrix(dom, m)
     # Over Q^4: e1 and e2 are fixed, the third basis vector e3 goes to e4.
     dom = Subspace(Field.Q, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     with pytest.raises(ValueError, match=CLOSURE):
-        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+        PartialProjection.from_matrix(dom, Matrix.from_rows(Field.Q, rows))
 
 
 def test_validation_reports_the_first_failing_basis_vector():
@@ -245,10 +300,23 @@ def test_validation_reports_the_first_failing_basis_vector():
     dom = qs([1, 0, 0], [0, 1, 0])
     rows = [[2, 0, 0], [0, 0, 0], [0, 1, 0]]
     with pytest.raises(ValueError, match=IDEMPOTENT):
-        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+        PartialProjection.from_matrix(dom, Matrix.from_rows(Field.Q, rows))
     rows = [[0, 0, 0], [0, 2, 0], [1, 0, 0]]
     with pytest.raises(ValueError, match=CLOSURE):
-        PartialProjection(dom, Matrix.from_rows(Field.Q, rows))
+        PartialProjection.from_matrix(dom, Matrix.from_rows(Field.Q, rows))
+
+
+def test_projections_from_images_run_the_same_checks():
+    # Each rejected map, handed over as images, fails with the same
+    # message; so does 1 - M, which proj_compl builds from images and
+    # which fails the same check as M for every map in the table.
+    for field, rows, message in REJECTED:
+        dom = Subspace(field, 3, [[1, 0, 0], [0, 1, 0]])
+        images = dom.basis @ Matrix.from_rows(field, rows).transpose()
+        with pytest.raises(ValueError, match=message):
+            PartialProjection(dom, images)
+        with pytest.raises(ValueError, match=message):
+            proj_compl(PartialOperator(dom, images))
 
 
 # --- special constructors against the general one --------------------------
@@ -291,15 +359,14 @@ def assert_same_operator(built, general):
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_projection_constructors_match_the_general_path(field):
     for dom in domains(field):
-        assert_same_operator(identity_on(dom), PartialProjection(dom, Matrix.identity(field, 3)))
-        assert_same_operator(zero_on(dom), PartialProjection(dom, Matrix.zero(field, 3, 3)))
+        general = PartialProjection.from_matrix
+        assert_same_operator(identity_on(dom), general(dom, Matrix.identity(field, 3)))
+        assert_same_operator(zero_on(dom), general(dom, Matrix.zero(field, 3, 3)))
         for pair in pairs_on(dom):
             assert pair.dom == dom
             p = projection_of(pair)
-            assert_same_operator(p, PartialProjection(pair.dom, pair.one.projector))
-            assert_same_operator(
-                proj_compl(p), PartialProjection(p.dom, p.dom.projector - p.matrix)
-            )
+            assert_same_operator(p, general(pair.dom, pair.one.projector))
+            assert_same_operator(proj_compl(p), general(p.dom, p.dom.projector - p.matrix))
 
 
 def kernel_pair(p):
@@ -315,16 +382,16 @@ def kernel_pair(p):
 
 
 def general_projections(field):
-    """Projections built by ``PartialProjection(dom, M)`` on a zero, a
-    line, a plane and the full domain: from the one-part's projector
-    plus a term that vanishes on the domain, and the same pushed through
-    a unitary."""
+    """Projections built by ``PartialProjection.from_matrix(dom, M)`` on
+    a zero, a line, a plane and the full domain: from the one-part's
+    projector plus a term that vanishes on the domain, and the same
+    pushed through a unitary."""
     rng = rng_from(67)
     out = []
     for dom in domains(field):
         off = Matrix.identity(field, 3) - dom.projector
         for pair in pairs_on(dom):
-            p = PartialProjection(dom, pair.one.projector + off)
+            p = PartialProjection.from_matrix(dom, pair.one.projector + off)
             out += [p, conjugated(p, cayley_unitary(rng, field, 3))]
     return out
 
@@ -350,26 +417,25 @@ def test_linear_structure_constructors_match_the_general_path(field):
     rng = rng_from(61)
     doms = domains(field)
     for dom in doms:
-        t = PartialOperator(dom, random_matrix(rng, field))
+        general = PartialOperator.from_matrix
+        t = general(dom, random_matrix(rng, field))
         for k in (random_scalar(rng, field), field.zero):
-            assert_same_operator(pls_scale(k, t), PartialOperator(t.dom, t.matrix.scaled(k)))
-        assert_same_operator(pls_negate(t), PartialOperator(t.dom, -t.matrix))
+            assert_same_operator(pls_scale(k, t), general(t.dom, t.matrix.scaled(k)))
+        assert_same_operator(pls_negate(t), general(t.dom, -t.matrix))
         # Equal domains held by a distinct object, then by the same object:
         # the sum keeps the first operand's domain.
         twin = Subspace(field, 3, dom.basis.rows())
         assert twin == dom and twin is not dom
         for other in (twin, dom):
-            u = PartialOperator(other, random_matrix(rng, field))
+            u = general(other, random_matrix(rng, field))
             s = pls_add(t, u)
-            assert_same_operator(s, PartialOperator(dom.meet(other), t.matrix + u.matrix))
+            assert_same_operator(s, general(dom.meet(other), t.matrix + u.matrix))
             assert s.dom is t.dom
         # Unequal domains meet.
         for other in doms:
             if other != dom:
-                u = PartialOperator(other, random_matrix(rng, field))
-                assert_same_operator(
-                    pls_add(t, u), PartialOperator(dom.meet(other), t.matrix + u.matrix)
-                )
+                u = general(other, random_matrix(rng, field))
+                assert_same_operator(pls_add(t, u), general(dom.meet(other), t.matrix + u.matrix))
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -377,7 +443,7 @@ def test_values_read_off_images_match_the_matrix(field):
     # Rows in the domain, rows off it, and no rows at all.
     rng = rng_from(83)
     for dom in domains(field):
-        ops = [PartialOperator(dom, random_matrix(rng, field))]
+        ops = [PartialOperator.from_matrix(dom, random_matrix(rng, field))]
         ops += [projection_of(pair) for pair in pairs_on(dom)]
         for t in ops:
             for rows in (dom.basis, random_matrix(rng, field), Matrix(field, 0, 3, [])):
@@ -394,7 +460,7 @@ def test_the_operator_algebra_never_yields_a_projection(field):
         for pair in pairs_on(dom):
             p = projection_of(pair)
             built = [
-                _operator(p.dom, p.images),
+                PartialOperator(p.dom, p.images),
                 pls_add(p, zero_on(dom)),
                 pls_scale(1, p),
                 pls_negate(pls_negate(p)),
@@ -436,7 +502,7 @@ def test_apartness_is_extensional():
         t = random_partial_operator(rng, Field.Q, 3)
         u = random_partial_operator(rng, Field.Q, 3)
         noise = Matrix.identity(Field.Q, 3) - u.dom.projector
-        v = PartialOperator(u.dom, u.matrix + noise)
+        v = PartialOperator.from_matrix(u.dom, u.matrix + noise)
         assert op_eq(u, v)
         if op_neq(t, u)[0]:
             assert op_neq(t, v)[0]
@@ -473,7 +539,7 @@ def test_first_difference_matches_a_per_vector_loop(field):
             kept = Subspace(field, 3, dom.basis.rows()[:k])
             b = a + random_matrix(rng, field) @ (Matrix.identity(field, 3) - kept.projector)
             want = first_difference_by_vector(a, b, dom.basis)
-            t, u = PartialOperator(full, a), PartialOperator(full, b)
+            t, u = PartialOperator.from_matrix(full, a), PartialOperator.from_matrix(full, b)
             assert _first_difference(t, u, dom.basis) == want
             positions.add(None if want is None else dom.basis.rows().index(want))
     assert positions == {None, 0, 1, 2}
@@ -511,14 +577,14 @@ def per_column_domain(q, p):
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_composition_domain_matches_the_per_column_construction(field):
     rng = rng_from(73)
-    ops = [PartialOperator(dom, random_matrix(rng, field)) for dom in domains(field)]
+    ops = [PartialOperator.from_matrix(dom, random_matrix(rng, field)) for dom in domains(field)]
     ops += [projection_of(random_ortho(rng, field, 3)) for _ in range(4)]
     for q in ops:
         for p in ops:
             qp = compose(q, p)
             assert qp.dom == per_column_domain(q, p)
             # The images are those of the general path, bit for bit.
-            assert_same_operator(qp, PartialOperator(qp.dom, q.matrix @ p.matrix))
+            assert_same_operator(qp, PartialOperator.from_matrix(qp.dom, q.matrix @ p.matrix))
 
 
 def test_composition_restricts_the_domain():
@@ -810,14 +876,15 @@ def operator_cases(draw):
     ops, twins, projs = [], [], []
     for _ in range(2):
         dom = draw(spans(field, n))
-        t = PartialOperator(dom, draw(matrices(field, n)))
+        t = PartialOperator.from_matrix(dom, draw(matrices(field, n)))
         ops.append(t)
-        twins.append(PartialOperator(dom, t.matrix + draw(matrices(field, n)) @ (eye - dom.projector)))
+        off = draw(matrices(field, n)) @ (eye - dom.projector)
+        twins.append(PartialOperator.from_matrix(dom, t.matrix + off))
         one = draw(spans(field, n))
         zero = draw(spans(field, n)).meet(one.perp())
         pair = OrthoSubspace(one, zero)
         off = draw(matrices(field, n)) @ (eye - pair.dom.projector)
-        projs.append(PartialProjection(pair.dom, one.projector + off))
+        projs.append(PartialProjection.from_matrix(pair.dom, one.projector + off))
     return n, ops, twins, projs
 
 
@@ -829,6 +896,34 @@ def as_oracle(t):
 
 def pair_to_oracle(pair):
     return sub_to_oracle(pair.one), sub_to_oracle(pair.zero)
+
+
+@st.composite
+def apartness_cases(draw):
+    """Two partial operators on field^n.  The second one's domain is the
+    first's, a drawn one, or their meet or join, and its matrix is the
+    first's or a drawn one, so every kind of witness turns up."""
+    field = draw(st.sampled_from([Field.Q, Field.Qi]))
+    n = draw(st.sampled_from([3, 2, 4, 1]))
+    t_dom, drawn = draw(spans(field, n)), draw(spans(field, n))
+    u_dom = draw(st.sampled_from([t_dom, drawn, t_dom.meet(drawn), t_dom.join(drawn)]))
+    a = draw(matrices(field, n))
+    b = a if draw(st.booleans()) else draw(matrices(field, n))
+    return n, PartialOperator.from_matrix(t_dom, a), PartialOperator.from_matrix(u_dom, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(apartness_cases())
+def test_apartness_agrees_with_the_oracle(case):
+    n, t, u = case
+    views = (*as_oracle(t), *as_oracle(u))
+    apart, witness = op_neq(t, u)
+    assert apart == oracle.op_apart(*views, n)
+    if apart:
+        assert not witness.is_zero
+        assert oracle.apart_at(*views, to_vec(witness), n)
+    else:
+        assert witness is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

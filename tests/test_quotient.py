@@ -5,8 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
+from conftest import sub_to_oracle, to_num, to_vec
 from orthoql.errors import NotInDomain
-from orthoql.generators import quotient_samples, rng_from
+from orthoql.generators import (
+    quotient_samples,
+    random_member,
+    random_ortho,
+    random_vector,
+    rng_from,
+)
 from orthoql.linalg import Vector, inner, norm_sq
 from orthoql.ortho import OrthoSubspace
 from orthoql.quotient import QuotientSpace
@@ -99,3 +107,31 @@ def test_total_pairs_recover_distance():
     for q, x, y in cases:
         d = x - y
         assert q.q_norm_sq(d) == q.base.one.distance_sq(d)
+
+
+@pytest.mark.parametrize("field, dim", [(Field.Q, 4), (Field.Qi, 3)])
+def test_classes_agree_with_the_oracle_split(field, dim):
+    # The class of x is the zero part of the oracle's split of x along
+    # the base pair; a vector the split does not reach has no class.
+    rng = rng_from(31)
+    seen = {"same class": 0, "other class": 0, "outside": 0}
+    for _ in range(30):
+        base = random_ortho(rng, field, dim)
+        q = QuotientSpace(base)
+        x = random_member(rng, base.dom)
+        xs = [x, x + random_member(rng, base.one), random_member(rng, base.dom)]
+        xs.append(random_vector(rng, field, dim))
+        one, zero = sub_to_oracle(base.one), sub_to_oracle(base.zero)
+        splits = [oracle.decompose(one, zero, to_vec(v), dim) for v in xs]
+        for x, sx in zip(xs, splits):
+            for y, sy in zip(xs, splits):
+                if sx is None or sy is None:
+                    for relation in (q.q_eq, q.q_inner):
+                        with pytest.raises(NotInDomain):
+                            relation(x, y)
+                    seen["outside"] += 1
+                    continue
+                assert q.q_eq(x, y) == (sx[1] == sy[1])
+                assert to_num(q.q_inner(x, y)) == oracle.inner(sx[1], sy[1])
+                seen["same class" if x != y and sx[1] == sy[1] else "other class"] += 1
+    assert all(seen.values()), seen

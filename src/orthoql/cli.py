@@ -146,7 +146,9 @@ def load_instances(path: str) -> InstanceFile:
 
     inst = InstanceFile(fld, dim)
     for name, body in _section(raw, "subspaces", path):
-        rows = _parse_rows(fld, dim, body.get("basis", []), f"subspace {name!r}")
+        if "basis" not in body:
+            raise ParseError(f"subspace {name!r}: missing key 'basis'")
+        rows = _parse_rows(fld, dim, body["basis"], f"subspace {name!r}")
         inst.subspaces[name] = Subspace(fld, dim, rows)
 
     for name, body in _section(raw, "ortho", path):
@@ -173,7 +175,9 @@ def load_instances(path: str) -> InstanceFile:
             raise ParseError(
                 f"operator {name!r}: dom references unknown subspace {ref!r}"
             )
-        rows = _parse_rows(fld, dim, body.get("matrix", []), f"operator {name!r}")
+        if "matrix" not in body:
+            raise ParseError(f"operator {name!r}: missing key 'matrix'")
+        rows = _parse_rows(fld, dim, body["matrix"], f"operator {name!r}")
         if len(rows) != dim:
             raise ParseError(f"operator {name!r}: matrix must have {dim} rows")
         try:

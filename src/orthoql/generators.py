@@ -69,7 +69,7 @@ def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
 
 def random_member(rng: random.Random, sub: Subspace) -> Vector:
     coeffs = [random_scalar(rng, sub.field) for _ in range(sub.rank)]
-    return sub.member_from_coefficients(coeffs)
+    return (Matrix(sub.field, 1, sub.rank, coeffs) @ sub.basis).row(0)
 
 
 def random_subspace_within(rng: random.Random, sub: Subspace) -> Subspace:

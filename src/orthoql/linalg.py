@@ -9,7 +9,9 @@ eliminated integer row by its pivot in integer arithmetic (Gaussian
 integers over Q(i)), building one exact fraction per output part.  A
 given row space always produces the same bits.  ``rref`` is the only
 elimination: null spaces, solutions, inverses and projectors are all
-read off one reduced form each.
+read off one reduced form each, and ``_solve_block`` is the one
+reduction of an augmented ``[a | b]`` behind ``solve``,
+``matrix_inverse`` and ``gram_projection``.
 """
 
 from __future__ import annotations
@@ -399,21 +401,35 @@ def null_space(m: Matrix) -> Matrix:
     return Matrix.from_cols(m.field, cols) if cols else Matrix(m.field, m.ncols, 0, [])
 
 
+def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
+    """One reduction of ``[a | b]``.  Returns the canonical X with
+    ``a @ X == b`` (free variables 0), or None when a column of ``b``
+    lies outside the column space of ``a``, together with the rank of
+    ``a``: the pivots left of the block."""
+    if a.nrows != b.nrows:
+        raise DimensionMismatch(f"matrix has {a.nrows} rows, right-hand side has {b.nrows}")
+    n, p = a.ncols, b.ncols
+    w = n + p
+    aug = []
+    for i in range(a.nrows):
+        aug += a.entries[i * n : (i + 1) * n]
+        aug += b.entries[i * p : (i + 1) * p]
+    reduced, _, pivots = rref(Matrix(a.field, a.nrows, w, aug))
+    rank = sum(1 for c in pivots if c < n)
+    if rank < len(pivots):
+        return None, rank
+    x = [a.field.zero] * (n * p)
+    for i, c in enumerate(pivots):
+        x[c * p : (c + 1) * p] = reduced.entries[i * w + n : (i + 1) * w]
+    return Matrix(a.field, n, p, x), rank
+
+
 def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     """Canonical solution of m @ x = b (free variables 0), or None."""
     if m.nrows != b.dim:
         raise DimensionMismatch(f"matrix has {m.nrows} rows, vector has dim {b.dim}")
-    aug_rows = []
-    for i in range(m.nrows):
-        aug_rows.append([m.entry(i, j) for j in range(m.ncols)] + [b[i]])
-    aug = Matrix.from_rows(m.field, aug_rows) if aug_rows else Matrix(m.field, 0, m.ncols + 1, [])
-    reduced, rank, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [m.field.zero] * m.ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced.entry(i, m.ncols)
-    return Vector(m.field, x)
+    x, _ = _solve_block(m, Matrix(m.field, b.dim, 1, b.entries))
+    return None if x is None else Vector(m.field, x.entries)
 
 
 # --- inverses and projections -----------------------------------------
@@ -423,18 +439,10 @@ def matrix_inverse(g: Matrix) -> Matrix:
     n = g.nrows
     if n != g.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    aug_rows = []
-    for i in range(n):
-        row = [g.entry(i, j) for j in range(n)]
-        row.extend(g.field.one if i == j else g.field.zero for j in range(n))
-        aug_rows.append(row)
-    aug = Matrix.from_rows(g.field, aug_rows) if n else Matrix(g.field, 0, 0, [])
-    reduced, rank, pivots = rref(aug)
-    if rank < n or any(p >= n for p in pivots):
+    x, rank = _solve_block(g, Matrix.identity(g.field, n))
+    if rank < n:
         raise SingularGram("matrix is singular")
-    return Matrix(
-        g.field, n, n, (reduced.entry(i, n + j) for i in range(n) for j in range(n))
-    )
+    return x
 
 
 def gram_projection(basis: Matrix) -> Matrix:
@@ -448,16 +456,9 @@ def gram_projection(basis: Matrix) -> Matrix:
     if r == 0:
         return Matrix.zero(basis.field, n, n)
     bh = basis.conj_transpose()
-    gram = bh @ basis
-    # One reduction of [G | B^H] leaves [I | X] with X = G^-1 B^H.  A
-    # dependency among the rows of G = B^H B is one among the rows of
-    # B^H, so the rank falls below r exactly when G is singular.
-    rows = [
-        list(gram.entries[i * r : (i + 1) * r]) + list(bh.entries[i * n : (i + 1) * n])
-        for i in range(r)
-    ]
-    reduced, rank, _ = rref(Matrix.from_rows(basis.field, rows))
+    # X = G^-1 B^H from one reduction of [G | B^H]; G = B^H B is
+    # singular exactly when the columns are dependent.
+    x, rank = _solve_block(bh @ basis, bh)
     if rank < r:
         raise SingularGram("basis columns are dependent")
-    x = Matrix(basis.field, r, n, (reduced.entry(i, r + j) for i in range(r) for j in range(n)))
     return basis @ x

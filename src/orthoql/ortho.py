@@ -129,24 +129,6 @@ class OrthoSubspace:
     def leq(self, other: "OrthoSubspace") -> bool:
         return self.one.leq(other.one) and other.zero.leq(self.zero)
 
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __or__(self, other):
-        return self.join(other)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __sub__(self, other):
-        return self.minus(other)
-
-    def __le__(self, other):
-        return self.leq(other)
-
-    def __ge__(self, other):
-        return other.leq(self)
-
 
 def o_meet(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
     return a.meet(b)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, inner, norm_sq, null_space, solve
+from orthoql.linalg import Matrix, Vector, _solve_block, inner, norm_sq, null_space
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
 from orthoql.subspace import Subspace, perp_rel
@@ -359,7 +359,7 @@ def pls_negate(t: PartialOperator) -> PartialOperator:
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:
     """The zero map carried by the domain of t."""
-    return zero_on(t.dom)
+    return PartialOperator(t.dom, Matrix.zero(t.field, t.dom.rank, t.ambient_dim))
 
 
 def pls_sub(t: PartialOperator, u: PartialOperator) -> PartialOperator:
@@ -498,8 +498,8 @@ def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
     cols = [list(r) for r in a.basis.rows()] + [list(r) for r in b.basis.rows()]
     if not cols:
         return joined.is_zero
-    stacked = Matrix.from_cols(a.field, cols)
-    return all(solve(stacked, v) is not None for v in joined.basis.rows())
+    x, _ = _solve_block(Matrix.from_cols(a.field, cols), joined.basis.transpose())
+    return x is not None
 
 
 def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:

@@ -4,8 +4,8 @@ A subspace is stored as the reduced row-echelon basis of its spanning
 set, which is the unique canonical representative of the space, so
 equality is bit-equality.  Meet is computed from the definition (pairs
 of coefficient vectors producing a common element), join as the span
-of stacked bases, and the orthocomplement as a kernel; every operation
-is exact.
+of stacked bases, and the orthocomplement read off the canonical basis;
+every operation is exact.
 
 Because the canonical basis is an exact structural key, a law run can
 share lattice results between equal operands: inside a
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from orthoql import scalars
 from orthoql.errors import AmbientMismatch, DimensionMismatch
@@ -36,7 +36,7 @@ from orthoql.linalg import (
     rref,
     solve,
 )
-from orthoql.scalars import Field, Scalar
+from orthoql.scalars import Field
 
 __all__ = ["Subspace", "perp_rel", "coperp_rel"]
 
@@ -157,27 +157,14 @@ class Subspace:
 
     # --- membership ----------------------------------------------------
 
-    def coefficients_of(self, x: Vector) -> Optional[Vector]:
-        """Coefficients of x over the canonical basis, or None."""
+    def contains(self, x: Vector) -> bool:
         if x.dim != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of dim {x.dim} in ambient dimension {self.ambient_dim}"
             )
         if self.rank == 0:
-            return Vector(self.field, []) if x.is_zero else None
-        return solve(self.basis.transpose(), x)
-
-    def contains(self, x: Vector) -> bool:
-        return self.coefficients_of(x) is not None
-
-    def member_from_coefficients(self, coeffs: Sequence[Scalar]) -> Vector:
-        coeffs = list(coeffs)
-        if len(coeffs) != self.rank:
-            raise DimensionMismatch("one coefficient per basis vector")
-        acc = Vector(self.field, [self.field.zero] * self.ambient_dim)
-        for k, row in zip(coeffs, self.basis.rows()):
-            acc = acc + row.scaled(k)
-        return acc
+            return x.is_zero
+        return solve(self.basis.transpose(), x) is not None
 
     # --- lattice operations --------------------------------------------
 
@@ -185,8 +172,8 @@ class Subspace:
         """Intersection, from the definition: common values u@A = v@B.
 
         The pairs (u, v) of coefficient vectors with u@A - v@B = 0 form
-        the kernel of the stacked transposed bases; the u-halves then
-        sweep out exactly the intersection.
+        the kernel of the stacked transposed bases; with the u-halves as
+        the rows of U, the rows of U @ A span exactly the intersection.
         """
         self._check_ambient(other)
         return _shared("meet", Subspace._meet, self, other)
@@ -200,11 +187,9 @@ class Subspace:
             + [list((-rv) for rv in r) for r in other.basis.rows()],
         )
         ker = null_space(stacked)
-        vectors = []
-        for t in range(ker.ncols):
-            coeffs = [ker.entry(k, t) for k in range(self.rank)]
-            vectors.append(list(self.member_from_coefficients(coeffs)))
-        return Subspace(self.field, self.ambient_dim, vectors)
+        r, k = self.rank, ker.ncols
+        u = Matrix(self.field, k, r, (ker.entry(i, t) for t in range(k) for i in range(r)))
+        return Subspace(self.field, self.ambient_dim, (u @ self.basis).rows())
 
     def join(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both (sums are closed here)."""
@@ -222,11 +207,21 @@ class Subspace:
         return self._perp
 
     def _orthocomplement(self) -> "Subspace":
-        if self.rank == 0:
-            return Subspace.full(self.field, self.ambient_dim)
-        ker = null_space(self.basis.conj())
-        cols = [list(ker.col(j)) for j in range(ker.ncols)]
-        return Subspace(self.field, self.ambient_dim, cols)
+        # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and the
+        # conjugate of the RREF basis is reduced with the same pivots, so
+        # its kernel is read off the free columns: one row per free
+        # column f, e_f - sum_i conj(basis[i][f]) e_(pivot i).
+        n, basis, zero = self.ambient_dim, self.basis, self.field.zero
+        rows = []
+        for f in range(n):
+            if f in self.pivots:
+                continue
+            row = [zero] * n
+            row[f] = self.field.one
+            for i, c in enumerate(self.pivots):
+                row[c] = -scalars.conj(basis.entry(i, f))
+            rows.append(row)
+        return Subspace(self.field, n, rows)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)

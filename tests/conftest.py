@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from orthoql import linalg, subspace
 from orthoql.linalg import Matrix, Vector
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
@@ -43,6 +46,22 @@ def from_num(field, pair):
 
 def from_vec(field, x):
     return Vector(field, [from_num(field, e) for e in x])
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The matrices handed to ``rref`` from now on, counted at both of
+    its binding sites."""
+    calls = []
+    real = linalg.rref
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (linalg, subspace):
+        monkeypatch.setattr(module, "rref", counted)
+    return calls
 
 
 def sub_to_oracle(sub: Subspace):

@@ -28,7 +28,7 @@ from orthoql.laws import (
     find_counterexample,
 )
 from orthoql.linalg import Vector, inner, norm_sq
-from orthoql.ortho import OrthoSubspace, o_eq, o_leq
+from orthoql.ortho import OrthoSubspace, o_eq, o_leq, o_neg
 from orthoql.partial_op import (
     check_order,
     commuting_calculus,
@@ -205,7 +205,7 @@ def test_criterion_6_order_characterization():
         ok &= not o_leq(l, m)
         ok &= clauses["lescomp1_i"][:2] == (True, True)
         p_l1, p_m1 = projection_of(l), projection_of(m)
-        p_l0, p_m0 = projection_of(-l), projection_of(-m)
+        p_l0, p_m0 = projection_of(o_neg(l)), projection_of(o_neg(m))
         w1 = op_eq_witness(compose(p_m1, p_l1), p_l1)
         w0 = op_eq_witness(compose(p_l0, p_m0), p_m0)
         witnesses += (w1 is not None) or (w0 is not None)

@@ -418,6 +418,8 @@ def test_overlong_result_is_refused(good_file, capsys):
             {"T": {"matrix": GOOD["operators"]["T"]["matrix"]}},
             "operator 'T': missing key 'dom'",
         ),
+        ("subspaces", {"A": {"bassis": [["1", "0", "0"]]}}, "subspace 'A': missing key 'basis'"),
+        ("operators", {"T": {"dom": "Plane"}}, "operator 'T': missing key 'matrix'"),
     ],
 )
 def test_a_missing_key_is_named(tmp_path, capsys, section, body, message):
@@ -426,6 +428,22 @@ def test_a_missing_key_is_named(tmp_path, capsys, section, body, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_missing_key_is_named_at_dimension_zero(tmp_path, capsys):
+    # An empty basis is the zero subspace; an absent one is an error, and
+    # so is an absent matrix, even where every matrix has no rows.
+    payload = {"field": "Q", "ambient_dim": 0, "subspaces": {"Z": {"basis": []}}}
+    code = main(["op", "neg", "Z", "--file", write_instances(tmp_path, payload)])
+    assert code == 0 and capsys.readouterr().out == "op neg Z\nbasis:\n  (empty)\n"
+    for section, body, message in (
+        ("subspaces", {"Z": {}}, "subspace 'Z': missing key 'basis'"),
+        ("operators", {"T": {"dom": "Z"}}, "operator 'T': missing key 'matrix'"),
+    ):
+        code = main(["check", "--file", write_instances(tmp_path, dict(payload, **{section: body}))])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_unexpected_exception_exits_with_the_internal_error_code(good_file, capsys, monkeypatch):

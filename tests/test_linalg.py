@@ -11,6 +11,7 @@ from orthoql.errors import DimensionMismatch, SingularGram
 from orthoql.linalg import (
     Matrix,
     Vector,
+    _solve_block,
     gram_projection,
     inner,
     matrix_inverse,
@@ -148,18 +149,55 @@ def test_rref_and_nullspace_match_oracle():
 
 
 def test_solve_matches_oracle():
-    rng = random.Random(43)
-    for _ in range(60):
+    for field in (Field.Q, Field.Qi):
+        rng = random.Random(43)
+        for _ in range(60):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 4)
+            m = rand_matrix(rng, field, nrows, ncols)
+            b = rand_matrix(rng, field, 1, nrows).row(0)
+            got = solve(m, b)
+            want = oracle.solve_naive(to_mat(m), to_vec(b))
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and to_vec(got) == want
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_solve_block_matches_oracle_column_by_column(field):
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(80):
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 4)
-        m = rand_matrix(rng, Field.Q, nrows, ncols)
-        b = rand_matrix(rng, Field.Q, 1, nrows).row(0)
-        got = solve(m, b)
-        want = oracle.solve_naive(to_mat(m), to_vec(b))
-        if want is None:
-            assert got is None
+        a = rand_matrix(rng, field, nrows, ncols)
+        if ncols > 1 and rng.randint(0, 1):
+            # Repeat the first column last, so that a has a free column.
+            a = Matrix.from_cols(field, [list(a.col(j)) for j in range(ncols - 1)] + [list(a.col(0))])
+        # Columns in the column space of a, and random ones that mostly are not.
+        cols = [
+            list(a @ rand_matrix(rng, field, 1, ncols).row(0))
+            if rng.randint(0, 1)
+            else list(rand_matrix(rng, field, 1, nrows).row(0))
+            for _ in range(rng.randint(1, 3))
+        ]
+        b = Matrix.from_cols(field, cols)
+        x, rank = _solve_block(a, b)
+        assert rank == oracle.rank(to_mat(a))
+        wants = [oracle.solve_naive(to_mat(a), to_vec(b.col(j))) for j in range(b.ncols)]
+        if None in wants:
+            assert x is None
         else:
-            assert got is not None and to_vec(got) == want
+            assert x is not None and a @ x == b
+            assert [to_vec(x.col(j)) for j in range(b.ncols)] == wants
+        seen.add((rank < ncols, x is None))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    # No rows: every right-hand side is solved by zero, and the rank is 0.
+    x, rank = _solve_block(Matrix(field, 0, 3, []), Matrix(field, 0, 2, []))
+    assert rank == 0 and x == Matrix.zero(field, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        _solve_block(Matrix.identity(field, 2), Matrix.identity(field, 3))
 
 
 def test_det_and_inverse():

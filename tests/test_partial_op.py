@@ -17,6 +17,7 @@ from orthoql.generators import (
     orthogonal_total_pair,
     random_ortho,
     random_partial_operator,
+    random_member,
     random_partial_projection,
     random_scalar,
     rng_from,
@@ -67,9 +68,10 @@ from orthoql.partial_op import (
     zero_on,
     _apply,
     _first_difference,
+    _raw_sum_covers,
 )
 from orthoql.scalars import Field, GaussianRational as G, scalar_text
-from orthoql.subspace import Subspace
+from orthoql.subspace import Subspace, _shared_results
 
 
 def qs(*rows):
@@ -211,8 +213,7 @@ def test_split_matches_oracle():
     rng = rng_from(3)
     for _ in range(40):
         pair = random_ortho(rng, Field.Q, 3)
-        coeffs = [random_scalar(rng, Field.Q) for _ in range(pair.dom.rank)]
-        x = pair.dom.member_from_coefficients(coeffs)
+        x = random_member(rng, pair.dom)
         l1, l0 = decompose(pair, x)
         assert l1 + l0 == x
         assert pair.one.contains(l1) and pair.zero.contains(l0)
@@ -460,14 +461,15 @@ def test_the_operator_algebra_never_yields_a_projection(field):
         for pair in pairs_on(dom):
             p = projection_of(pair)
             built = [
-                PartialOperator(p.dom, p.images),
-                pls_add(p, zero_on(dom)),
-                pls_scale(1, p),
-                pls_negate(pls_negate(p)),
-                compose(p, p),
+                (PartialOperator(p.dom, p.images), p),
+                (pls_add(p, zero_on(dom)), p),
+                (pls_scale(1, p), p),
+                (pls_negate(pls_negate(p)), p),
+                (compose(p, p), p),
+                (pls_zero_of(p), zero_on(dom)),
             ]
-            for t in built:
-                assert type(t) is PartialOperator and op_eq(t, p)
+            for t, want in built:
+                assert type(t) is PartialOperator and op_eq(t, want)
 
 
 # --- equality and apartness ----------------------------------------------
@@ -674,6 +676,17 @@ def test_non_commuting_pair_meets_no_hypothesis_and_names_a_witness():
     assert witness is not None
     for _, _, detail in clauses.values():
         assert detail == f"the composites differ: witness={witness}"
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_raw_sum_check_is_one_elimination(field, rref_calls):
+    a = Subspace(field, 4, [[1, 0, I if field is Field.Qi else 2, 0], [0, 1, 0, 0]])
+    for b in (Subspace(field, 4, [[0, 0, 1, 1], [1, 1, 1, 1]]), a, Subspace.zero(field, 4)):
+        with _shared_results():
+            assert a.join(b).rank >= 2
+            del rref_calls[:]
+            assert _raw_sum_covers(a, b)
+            assert len(rref_calls) == 1
 
 
 def test_commutation_suite_on_generated_pairs():

@@ -42,15 +42,35 @@ def test_perp_over_gaussians():
     assert s.perp().perp() == s
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_perp_is_one_elimination(field, rref_calls):
+    rng = rng_from(23)
+    w = G(0, 1) if field is Field.Qi else F(1, 2)
+    subs = [
+        Subspace(field, 4),
+        Subspace(field, 4, [[1, w, 0, 2]]),
+        Subspace(field, 4, [[0, 1, w, 0], [0, 0, 3, -1]]),
+        Subspace(field, 4, [[w, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, w]]),
+        Subspace.full(field, 4),
+    ] + [random_subspace(rng, field, 4) for _ in range(12)]
+    assert {s.rank for s in subs} == {0, 1, 2, 3, 4}
+    for s in subs:
+        del rref_calls[:]
+        comp = s.perp()
+        # The full space has no free column, so nothing is left to reduce.
+        assert len(rref_calls) == (0 if s.is_full else 1)
+        assert sub_to_oracle(comp) == oracle.s_perp(sub_to_oracle(s), 4)
+
+
 def test_membership_and_coefficients():
     a = q3([1, 2, 0], [0, 0, 1])
     x = Vector(Field.Q, [F(3), F(6), F(-1)])
     assert a.contains(x)
-    coeffs = a.coefficients_of(x)
-    assert coeffs is not None
-    assert a.member_from_coefficients(list(coeffs)) == x
+    # x is 3 times the first basis row minus the second.
+    assert a.basis.row(0).scaled(3) - a.basis.row(1) == x
     assert not a.contains(Vector(Field.Q, [F(0), F(1), F(0)]))
-    assert a.coefficients_of(Vector(Field.Q, [F(0), F(1), F(0)])) is None
+    assert q3().contains(Vector(Field.Q, [F(0)] * 3))
+    assert not q3().contains(x)
 
 
 def test_distance_known():

@@ -131,6 +131,10 @@ def load_instances(path: str) -> InstanceFile:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer past CPython's digit limit,
+        # or nesting past its recursion limit.
+        raise ParseError(f"{path} cannot be read as JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
 
@@ -237,8 +241,14 @@ def _law_payload(report: laws.LawReport) -> dict:
 
 # --- subcommands --------------------------------------------------------
 
-_BINARY_OPS = ("meet", "join", "minus", "implies")
-_UNARY_OPS = ("neg",)
+# Each operation as (on subspaces, on orthogonal pairs).
+_OPS = {
+    "meet": (lambda a, b: a.meet(b), o_meet),
+    "join": (lambda a, b: a.join(b), o_join),
+    "minus": (lambda a, b: a.meet(b.perp()), o_minus),
+    "implies": (lambda a, b: a.perp().join(b), o_implies),
+    "neg": (lambda a: a.perp(), o_neg),
+}
 
 
 def cmd_op(inst: InstanceFile, tokens: Sequence[str], fmt: str) -> int:
@@ -248,60 +258,35 @@ def cmd_op(inst: InstanceFile, tokens: Sequence[str], fmt: str) -> int:
         if "(" in tok or ")" in tok:
             raise ParseError("expressions do not nest; name the intermediate result")
     op = tokens[0].lower()
-    plain = op[1:] if op.startswith("o") and op[1:] in _BINARY_OPS + _UNARY_OPS else op
-    if plain not in _BINARY_OPS + _UNARY_OPS:
+    plain = op[1:] if op.startswith("o") and op[1:] in _OPS else op
+    if plain not in _OPS:
         raise ParseError(f"unknown operation {tokens[0]!r}")
     names = tokens[1:]
-    want = 1 if plain in _UNARY_OPS else 2
+    want = 1 if plain == "neg" else 2
     if len(names) != want:
         raise ParseError(f"{plain} takes {want} operand name(s), got {len(names)}")
 
-    kinds = []
-    args = []
-    for name in names:
-        if name in inst.subspaces:
-            kinds.append("subspace")
-            args.append(inst.subspaces[name])
-        elif name in inst.ortho:
-            kinds.append("ortho")
-            args.append(inst.ortho[name])
-        else:
+    args = [inst.subspaces.get(name, inst.ortho.get(name)) for name in names]
+    for name, arg in zip(names, args):
+        if arg is None:
             raise ParseError(f"unknown instance {name!r}")
-    if len(set(kinds)) > 1:
+    if len({type(arg) for arg in args}) > 1:
         raise ParseError("cannot mix subspaces and orthogonal pairs in one expression")
 
-    if kinds[0] == "subspace":
-        table = {
-            "meet": lambda a, b: a.meet(b),
-            "join": lambda a, b: a.join(b),
-            "minus": lambda a, b: a.meet(b.perp()),
-            "implies": lambda a, b: a.perp().join(b),
-            "neg": lambda a: a.perp(),
-        }
-        result = table[plain](*args)
-        payload = {"command": ["op", *tokens], "result": {"basis": _basis_payload(result)}}
-        lines = [f"op {' '.join(tokens)}", "basis:"]
-        lines += [f"  {_vector_text(r)}" for r in result.basis.rows()] or ["  (empty)"]
+    on_subspaces, on_pairs = _OPS[plain]
+    if isinstance(args[0], Subspace):
+        parts = {"basis": on_subspaces(*args)}
     else:
-        table = {
-            "meet": o_meet,
-            "join": o_join,
-            "minus": o_minus,
-            "implies": o_implies,
-            "neg": o_neg,
-        }
-        result = table[plain](*args)
-        payload = {
-            "command": ["op", *tokens],
-            "result": {
-                "one": _basis_payload(result.one),
-                "zero": _basis_payload(result.zero),
-            },
-        }
-        lines = [f"op {' '.join(tokens)}", "one:"]
-        lines += [f"  {_vector_text(r)}" for r in result.one.basis.rows()] or ["  (empty)"]
-        lines.append("zero:")
-        lines += [f"  {_vector_text(r)}" for r in result.zero.basis.rows()] or ["  (empty)"]
+        result = on_pairs(*args)
+        parts = {"one": result.one, "zero": result.zero}
+    payload = {
+        "command": ["op", *tokens],
+        "result": {key: _basis_payload(sub) for key, sub in parts.items()},
+    }
+    lines = [f"op {' '.join(tokens)}"]
+    for key, sub in parts.items():
+        lines.append(f"{key}:")
+        lines += [f"  {_vector_text(r)}" for r in sub.basis.rows()] or ["  (empty)"]
     _emit(payload, lines, fmt)
     return 0
 
@@ -419,7 +404,7 @@ def cmd_check(
         "ok": report.ok,
         "unexpected_violations": report.unexpected_violations,
     }
-    lines = [report.results[law].line() for law in sorted(report.results)]
+    lines = report.summary().splitlines()
     lines.append(
         f"result: {'ok' if report.ok else 'VIOLATIONS'} "
         f"(unexpected violations: {report.unexpected_violations})"
@@ -561,8 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_if_needed(args, random_ok: bool) -> Optional[InstanceFile]:
-    has_random = random_ok and args.random is not None
+def _load_if_needed(args) -> Optional[InstanceFile]:
+    # Only the subcommands that accept --random have the attribute.
+    has_random = getattr(args, "random", None) is not None
     if args.file and has_random:
         raise ParseError("choose one of --file or --random, not both")
     if args.file:
@@ -585,24 +571,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        inst = _load_if_needed(args)
+        fld = inst.field if inst is not None else Field.Q
+        spec = None if inst is not None else tuple(args.random)
         if args.command == "op":
-            inst = _load_if_needed(args, random_ok=False)
             code = cmd_op(inst, args.expr, args.fmt)
         elif args.command == "check":
-            inst = _load_if_needed(args, random_ok=True)
-            fld = inst.field if inst is not None else Field.Q
-            spec = None if inst is not None else tuple(args.random)
             code = cmd_check(inst, spec, args.laws, args.fmt, fld)
         elif args.command == "project":
-            inst = _load_if_needed(args, random_ok=False)
             code = cmd_project(inst, args.ortho, args.vector, args.fmt)
         elif args.command == "roundtrip":
-            inst = _load_if_needed(args, random_ok=True)
-            fld = inst.field if inst is not None else Field.Q
-            spec = None if inst is not None else tuple(args.random)
             code = cmd_roundtrip(inst, spec, args.fmt, fld)
         else:
-            inst = _load_if_needed(args, random_ok=False)
             code = cmd_quotient(inst, args.ortho, args.x, args.y, args.fmt)
     except OrthoQLError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -387,17 +387,27 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return reduced, len(pivots), tuple(pivots)
 
 
-def null_space(m: Matrix) -> Matrix:
-    """Basis of {x : m @ x = 0}, one basis vector per column."""
-    reduced, rank, pivots = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    cols = []
-    for f in free:
-        v = [m.field.zero] * m.ncols
-        v[f] = m.field.one
+def _kernel_rows(reduced: Matrix, pivots: Sequence[int]) -> list[list[Scalar]]:
+    """Basis of {x : reduced @ x = 0} for a matrix in RREF with these
+    pivots, read off the free columns: one vector per free column f,
+    e_f - sum_i reduced[i][f] e_(pivot i)."""
+    n, field = reduced.ncols, reduced.field
+    rows = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [field.zero] * n
+        v[f] = field.one
         for i, c in enumerate(pivots):
             v[c] = -reduced.entry(i, f)
-        cols.append(v)
+        rows.append(v)
+    return rows
+
+
+def null_space(m: Matrix) -> Matrix:
+    """Basis of {x : m @ x = 0}, one basis vector per column."""
+    reduced, _, pivots = rref(m)
+    cols = _kernel_rows(reduced, pivots)
     return Matrix.from_cols(m.field, cols) if cols else Matrix(m.field, m.ncols, 0, [])
 
 

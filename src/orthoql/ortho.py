@@ -8,6 +8,10 @@ ambient space are called total.  The complement simply swaps the two
 components, which makes it an involution by construction; the
 interesting content is how it interacts with meet and join, and that
 is what the law battery in :mod:`orthoql.laws` exercises.
+
+``OrthoSubspace`` holds a pair, its domain and its order; each
+connective is one module function (``o_meet``, ``o_join``, ``o_neg``
+and those built from them), componentwise on the subspace lattice.
 """
 
 from __future__ import annotations
@@ -109,54 +113,37 @@ class OrthoSubspace:
     def __repr__(self):
         return f"OrthoSubspace(one={self.one!r}, zero={self.zero!r})"
 
-    # --- operations ------------------------------------------------------
-
-    def meet(self, other: "OrthoSubspace") -> "OrthoSubspace":
-        return OrthoSubspace(self.one & other.one, self.zero | other.zero)
-
-    def join(self, other: "OrthoSubspace") -> "OrthoSubspace":
-        return OrthoSubspace(self.one | other.one, self.zero & other.zero)
-
-    def neg(self) -> "OrthoSubspace":
-        return OrthoSubspace(self.zero, self.one)
-
-    def minus(self, other: "OrthoSubspace") -> "OrthoSubspace":
-        return self.meet(other.neg())
-
-    def implies(self, other: "OrthoSubspace") -> "OrthoSubspace":
-        return self.neg().join(other)
-
     def leq(self, other: "OrthoSubspace") -> bool:
         return self.one.leq(other.one) and other.zero.leq(self.zero)
 
 
 def o_meet(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return a.meet(b)
+    return OrthoSubspace(a.one & b.one, a.zero | b.zero)
 
 
 def o_join(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return a.join(b)
+    return OrthoSubspace(a.one | b.one, a.zero & b.zero)
 
 
 def o_neg(a: OrthoSubspace) -> OrthoSubspace:
-    return a.neg()
+    return OrthoSubspace(a.zero, a.one)
 
 
 def o_minus(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return a.minus(b)
+    return o_meet(a, o_neg(b))
 
 
 def o_implies(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return a.implies(b)
+    return o_join(o_neg(a), b)
 
 
 def o_iff(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return o_implies(a, b).meet(o_implies(b, a))
+    return o_meet(o_implies(a, b), o_implies(b, a))
 
 
 def o_not(a: OrthoSubspace) -> OrthoSubspace:
     """Implication into the bottom pair (not the same as neg in general)."""
-    return a.implies(OrthoSubspace.bottom(a.field, a.ambient_dim))
+    return o_implies(a, OrthoSubspace.bottom(a.field, a.ambient_dim))
 
 
 def o_leq(a: OrthoSubspace, b: OrthoSubspace) -> bool:
@@ -169,4 +156,4 @@ def o_eq(a: OrthoSubspace, b: OrthoSubspace) -> bool:
 
 def o_perp(a: OrthoSubspace, b: OrthoSubspace) -> bool:
     """Orthogonality of pairs: a sits below the complement of b."""
-    return a.leq(b.neg())
+    return a.leq(o_neg(b))

@@ -20,7 +20,9 @@ routed through it.  ``subspaces_of`` reads the pair off images, with
 no kernel computed: a validated projection maps its domain onto its
 fixed part, and ``1 - p`` maps it onto the killed part, so the images
 of the basis rows span the one and what they leave out, basis row minus
-image, spans the other.  The calculus of composites for ordered
+image, spans the other.  Negation swaps the parts, so the projection
+of a negated pair is ``proj_compl``, 1 - p read off the same images, as
+is the norm certificate.  The calculus of composites for ordered
 pairs and for commuting projections is checked clause by clause: each
 calculus returns a plain map {clause: (applicable, holds, detail)}, in
 which a clause whose hypothesis is not met has applicable False, and
@@ -372,24 +374,17 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
     """Whether the operator norm of p is exactly one.
 
     True precisely when the fixed space is nonzero; certified from both
-    sides: a nonzero fixed vector attains the norm, and no vector
-    exceeds it.  For the latter, with the domain basis rows B, their
-    images I = B M^T and what the images leave out C = B - I, the
-    matrix B B^H - I I^H of the quadratic form |x|^2 - |p(x)|^2 over
-    domain coefficients must equal the Gram matrix C C^H, which is
-    positive semidefinite.
+    sides: the images span the fixed space, so a nonzero image attains
+    the norm, and no vector exceeds it.  For the latter, with the domain
+    basis rows B, their images I = B M^T and what the images leave out
+    C = B - I, the matrix B B^H - I I^H of the quadratic form
+    |x|^2 - |p(x)|^2 over domain coefficients must equal the Gram
+    matrix C C^H, which is positive semidefinite.
     """
-    one = subspaces_of(p).one
-    if one.is_strict:
-        l = one.basis.row(0)
-        attained = (p(l) == l) and not l.is_zero
-    else:
-        attained = False
     basis, images = p.dom.basis, p.images
     missed = basis - images
     form = basis @ basis.conj_transpose() - images @ images.conj_transpose()
-    bounded = form == missed @ missed.conj_transpose()
-    return one.is_strict and attained and bounded
+    return not images.is_zero and form == missed @ missed.conj_transpose()
 
 
 # --- clause calculi ---------------------------------------------------
@@ -426,9 +421,9 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     """
     l.one._check_ambient(m.one)
     p_l1 = projection_of(l)
-    p_l0 = projection_of(o_neg(l))
+    p_l0 = proj_compl(p_l1)
     p_m1 = projection_of(m)
-    p_m0 = projection_of(o_neg(m))
+    p_m0 = proj_compl(p_m1)
     ordered = o_leq(l, m)
 
     composites = op_eq(compose(p_m1, p_l1), p_l1) and op_eq(compose(p_l0, p_m0), p_m0)

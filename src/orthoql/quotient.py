@@ -32,23 +32,20 @@ class QuotientSpace:
     def carrier(self) -> Subspace:
         return self.base.dom
 
-    def _checked(self, x: Vector) -> Vector:
+    def q_iso(self, x: Vector) -> Vector:
+        """Canonical representative: the zero-component of x."""
         if not self.carrier.contains(x):
             raise NotInDomain(f"{x!r} does not represent a class of this quotient")
         return self.base.zero.project(x)
 
-    def q_iso(self, x: Vector) -> Vector:
-        """Canonical representative: the zero-component of x."""
-        return self._checked(x)
-
     def q_eq(self, x: Vector, y: Vector) -> bool:
-        return self._checked(x) == self._checked(y)
+        return self.q_iso(x) == self.q_iso(y)
 
     def q_inner(self, x: Vector, y: Vector) -> Scalar:
-        return inner(self._checked(x), self._checked(y))
+        return inner(self.q_iso(x), self.q_iso(y))
 
     def q_norm_sq(self, x: Vector) -> Fraction:
-        return norm_sq(self._checked(x))
+        return norm_sq(self.q_iso(x))
 
     def __repr__(self):
         return f"QuotientSpace(base={self.base!r})"

@@ -29,8 +29,8 @@ from orthoql.errors import AmbientMismatch, DimensionMismatch
 from orthoql.linalg import (
     Matrix,
     Vector,
+    _kernel_rows,
     gram_projection,
-    inner,
     norm_sq,
     null_space,
     rref,
@@ -209,19 +209,9 @@ class Subspace:
     def _orthocomplement(self) -> "Subspace":
         # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and the
         # conjugate of the RREF basis is reduced with the same pivots, so
-        # its kernel is read off the free columns: one row per free
-        # column f, e_f - sum_i conj(basis[i][f]) e_(pivot i).
-        n, basis, zero = self.ambient_dim, self.basis, self.field.zero
-        rows = []
-        for f in range(n):
-            if f in self.pivots:
-                continue
-            row = [zero] * n
-            row[f] = self.field.one
-            for i, c in enumerate(self.pivots):
-                row[c] = -scalars.conj(basis.entry(i, f))
-            rows.append(row)
-        return Subspace(self.field, n, rows)
+        # its kernel is read off the free columns.
+        rows = _kernel_rows(self.basis.conj(), self.pivots)
+        return Subspace(self.field, self.ambient_dim, rows)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -281,21 +271,20 @@ def perp_rel(a: Subspace, b: Subspace) -> bool:
 
     Checking basis pairs suffices, by (bi)linearity of the inner product.
     """
-    a._check_ambient(b)
-    return all(
-        scalars.is_zero(inner(x, y)) for x in a.basis.rows() for y in b.basis.rows()
-    )
+    return not coperp_rel(a, b)[0]
 
 
 def coperp_rel(a: Subspace, b: Subspace):
     """Witnessed non-orthogonality.
 
-    Returns ``(True, (x, y))`` for some basis pair with <x, y> != 0,
-    or ``(False, None)`` when the spaces are orthogonal.
+    Returns ``(True, (x, y))`` for the first basis pair, in row-major
+    order, with <x, y> != 0, or ``(False, None)`` when the spaces are
+    orthogonal.  Entry (i, j) of ``a.basis @ b.basis^H`` is <a_i, b_j>.
     """
     a._check_ambient(b)
-    for x in a.basis.rows():
-        for y in b.basis.rows():
-            if not scalars.is_zero(inner(x, y)):
-                return True, (x, y)
+    products = a.basis @ b.basis.conj_transpose()
+    for k, value in enumerate(products.entries):
+        if not scalars.is_zero(value):
+            i, j = divmod(k, b.rank)
+            return True, (a.basis.row(i), b.basis.row(j))
     return False, None

@@ -13,6 +13,7 @@ matrices are tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 Num = tuple[Fraction, Fraction]
@@ -397,6 +398,39 @@ def projection_pair(dom: Mat, values: Mat, ncols: int):
         _where_combination_vanishes(dom, moved, ncols),
         _where_combination_vanishes(dom, values, ncols),
     )
+
+
+def det(m: Mat) -> Num:
+    """Determinant by cofactor expansion along the first row."""
+    acc = ONE if not m else ZERO
+    for j, a in enumerate(m[0] if m else ()):
+        term = cmul(a, det(tuple(row[:j] + row[j + 1 :] for row in m[1:])))
+        acc = cadd(acc, term) if j % 2 == 0 else csub(acc, term)
+    return acc
+
+
+def norm_is_one(dom: Mat, values: Mat) -> bool:
+    """||p|| = 1 for a projection with these values on the domain rows.
+
+    Some value is nonzero, so a fixed vector attains 1; and nothing
+    exceeds 1: |x|^2 - |p(x)|^2 >= 0 for x = sum c_i b_i, which is the
+    Hermitian form F[i][j] = <b_i, b_j> - <p(b_i), p(b_j)> being positive
+    semidefinite, that is, having no negative principal minor.
+    """
+    if all(is_zero_vec(v) for v in values):
+        return False
+    r = len(dom)
+    form = [
+        [csub(inner(dom[i], dom[j]), inner(values[i], values[j])) for j in range(r)]
+        for i in range(r)
+    ]
+    for size in range(1, r + 1):
+        for idx in combinations(range(r), size):
+            minor = det(tuple(tuple(form[i][j] for j in idx) for i in idx))
+            assert minor[1] == 0
+            if minor[0] < 0:
+                return False
+    return True
 
 
 def op_eq(t_dom: Mat, t_values: Mat, u_dom: Mat, u_values: Mat, ncols: int) -> bool:

@@ -250,6 +250,56 @@ def test_check_stdout_bytes_over_qi_are_pinned(capsys, suite, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QI_STDOUT[suite, fmt]
 
 
+# A file over Q(i)^3 for the op digests below: A and B are orthogonal
+# complex lines, D a plane with a complex row.
+QI_OPS = {
+    "field": "Qi",
+    "ambient_dim": 3,
+    "subspaces": {
+        "A": {"basis": [["1", "1i", "0"]]},
+        "B": {"basis": [["1", "-1i", "0"]]},
+        "C": {"basis": [["0", "0", "1"]]},
+        "D": {"basis": [["1", "0", "1i"], ["0", "1", "0"]]},
+    },
+    "ortho": {"P": {"one": "A", "zero": "B"}, "R": {"one": "C", "zero": "A"}},
+}
+
+# Each operation of ``op`` on subspaces and on orthogonal pairs of GOOD
+# and of QI_OPS; every stdout of one (source, kind, format) is hashed
+# together, so one digest guards five commands.
+OP_EXPRESSIONS = {
+    ("good", "subspace"): [
+        "meet Plane B", "join A Axis", "minus Plane A", "implies A B", "neg Plane",
+    ],
+    ("good", "ortho"): ["meet L M", "join L Bottom", "minus M L", "implies Bottom L", "neg M"],
+    ("qi", "subspace"): ["meet A D", "join A C", "minus D A", "implies A D", "neg D"],
+    ("qi", "ortho"): ["meet P R", "join P R", "minus P R", "implies R P", "neg P"],
+}
+
+PINNED_OP_STDOUT = {
+    ("good", "ortho", "json"): "26c452aab9ac0d5102e8311c4e8449e65ae4963cd2547459ded02419572b5a4b",
+    ("good", "ortho", "text"): "aa0c4b32aa21ccdd3fd9faee79b81453c72144b511cb7d564560ae0cb57f5c02",
+    ("good", "subspace", "json"): "bb891c72059e9d30178bdc8117d937e7140832e9646626bc051682f072aa0adc",
+    ("good", "subspace", "text"): "c9f0a9ce9123541863adeabc1fbfd526dd4a7805ee1bd7a747d9142a3749b145",
+    ("qi", "ortho", "json"): "73289ce59dbbd6eb27f2740bb6427cd7268af7256a67d0e0905b1fb97afb8db7",
+    ("qi", "ortho", "text"): "0bd8820f1fe5f2f588ba3b7ff39d2775d9fecf3a3d9b73e1fdd88f18b1851160",
+    ("qi", "subspace", "json"): "58c45108dbb0464220a41adc4995781f4f9c83e5472abc11dfb10bb9e9bacf6f",
+    ("qi", "subspace", "text"): "3a2562412d10a3ef176f22bcc2cc67e886cf5156f353213656805f373539ee2b",
+}
+
+
+@pytest.mark.parametrize("source, kind, fmt", sorted(PINNED_OP_STDOUT))
+def test_op_stdout_bytes_are_pinned(tmp_path, capsys, source, kind, fmt):
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(GOOD if source == "good" else QI_OPS))
+    digest = hashlib.sha256()
+    for expr in OP_EXPRESSIONS[source, kind]:
+        code, out = run(capsys, "op", *expr.split(), "--file", str(path), "--format", fmt)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_OP_STDOUT[source, kind, fmt]
+
+
 def test_a_failing_clause_detail_is_the_json_witness(good_file, capsys, monkeypatch):
     def broken_order(l, m):
         return {"lescomp1_i": (True, False, "made-up detail"), "lescomp1_iia": (False, True, "unused")}
@@ -345,6 +395,7 @@ def assert_rejected(capsys, *argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 def write_instances(tmp_path, payload):
@@ -406,6 +457,24 @@ def test_overlong_result_is_refused(good_file, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"{sys.get_int_max_str_digits()} digits" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"field": "Q", "ambient_dim": ' + b"9" * 5000 + b"}",
+        b'{"field": "Q", "ambient_dim": 1, "subspaces": {"A": {"basis": [[' + b"9" * 5000 + b"]]}}}",
+        b'{"field": "Q", "ambient_dim": 1, "subspaces": {"A": {"basis": [["\xff"]]}}}',
+    ],
+    ids=["deep-nesting", "overlong-ambient-dim", "overlong-bare-number", "not-utf8"],
+)
+def test_files_json_cannot_hold_are_rejected(tmp_path, capsys, content):
+    # Nesting past the recursion limit, integers past the digit limit and
+    # bytes that are not UTF-8 each name the file in one error line.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert str(path) in assert_rejected(capsys, "op", "neg", "A", "--file", str(path))
 
 
 @pytest.mark.parametrize(

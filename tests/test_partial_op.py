@@ -858,6 +858,29 @@ def test_norm_is_one_exactly_when_something_is_fixed():
         assert norm_sq_is_one(projection_of(pair)) == pair.one.is_strict
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_norm_certificate_matches_the_oracle(field):
+    # ||p|| = 1 in the oracle's arithmetic, for the projection of each
+    # drawn pair in dimensions 0-4, its complement, and the zero and the
+    # identity map on its domain; and the complement of a pair's
+    # projection is the projection of the pair's negation.
+    rng = rng_from(89)
+    seen = set()
+    for n in range(5):
+        for _ in range(12):
+            pair = random_ortho(rng, field, n)
+            p = projection_of(pair)
+            assert proj_compl(p) == projection_of(o_neg(pair))
+            for q in (p, proj_compl(p), zero_on(pair.dom), identity_on(pair.dom)):
+                dom = to_mat(q.dom.basis)
+                values = tuple(oracle.mat_vec(to_mat(q.matrix), b) for b in dom)
+                expected = oracle.norm_is_one(dom, values)
+                assert norm_sq_is_one(q) == expected
+                kills = q.images != q.dom.basis
+                seen.add((expected, kills, q.dom.rank > 0))
+    assert seen == {(True, True, True), (True, False, True), (False, True, True), (False, False, False)}
+
+
 # --- against the oracle's model of partial operators ---------------------------
 
 SMALL = st.sampled_from([1, -1, 2, 0, -2])

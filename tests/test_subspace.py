@@ -162,6 +162,74 @@ def test_orthogonality_relations():
     assert not no and nothing is None
 
 
+def _space_of_rank(rng, field, n, r, within=None):
+    """A subspace of field^n of rank r, spanned by drawn rows, or by
+    drawn combinations of ``within``'s basis rows; over Q(i) every drawn
+    scalar has a nonzero imaginary part."""
+
+    def scalar():
+        re = rng.choice([-2, -1, 1, 2])
+        return G(re, rng.choice([-2, -1, 1, 2])) if field is Field.Qi else F(re)
+
+    rows, space = [], Subspace(field, n)
+    while space.rank < r:
+        if within is None:
+            rows.append([scalar() for _ in range(n)])
+        else:
+            combo = Vector(field, [0] * n)
+            for b in within.basis.rows():
+                combo = combo + b.scaled(scalar())
+            rows.append(list(combo))
+        space = Subspace(field, n, rows)
+    return space
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_orthogonality_matches_the_oracle(field):
+    # Every pair of ranks in dimensions 0-4, with b drawn freely, inside
+    # a's orthocomplement, or as a mix of both, plus pairs whose first
+    # basis rows are orthogonal.  The witness must be the first basis
+    # pair, row-major, with a nonzero inner product.
+    rng = rng_from(131)
+    w = G(0, 1) if field is Field.Qi else F(1, 2)
+    cases = [
+        (Subspace(field, 3, [[1, 0, 0], [0, 1, 0]]), Subspace(field, 3, [[0, 1, w]])),
+        (Subspace(field, 3, [[1, 0, w]]), Subspace(field, 3, [[0, 1, 0], [0, 0, 1]])),
+    ]
+    for n in range(5):
+        for ra in range(n + 1):
+            a = _space_of_rank(rng, field, n, ra)
+            comp = a.perp()
+            for rb in range(n + 1):
+                mixed = _space_of_rank(rng, field, n, min(rb, 1, comp.rank), comp).join(
+                    _space_of_rank(rng, field, n, max(rb - 1, 0))
+                )
+                cases += [
+                    (a, _space_of_rank(rng, field, n, rb)),
+                    (a, _space_of_rank(rng, field, n, min(rb, comp.rank), comp)),
+                    (a, mixed),
+                ]
+    seen = set()
+    for a, b in cases:
+        oa, ob = sub_to_oracle(a), sub_to_oracle(b)
+        pairs = [(i, j) for i in range(len(oa)) for j in range(len(ob))]
+        hits = [(i, j) for i, j in pairs if not oracle.ciszero(oracle.inner(oa[i], ob[j]))]
+        assert perp_rel(a, b) == oracle.orthogonal(oa, ob) == (not hits)
+        apart, witness = coperp_rel(a, b)
+        assert apart == bool(hits)
+        if not hits:
+            assert witness is None
+            seen.add("orthogonal" if a.rank and b.rank else "trivial")
+            continue
+        i, j = hits[0]
+        assert (to_vec(witness[0]), to_vec(witness[1])) == (oa[i], ob[j])
+        seen.add("first is not last" if hits[0] != hits[-1] else "one witness")
+        seen.add("first is not (0, 0)" if hits[0] != (0, 0) else "at (0, 0)")
+    assert seen == {
+        "orthogonal", "trivial", "first is not last", "one witness", "first is not (0, 0)", "at (0, 0)"
+    }
+
+
 def test_operator_sugar():
     a = q3([1, 0, 0])
     b = q3([0, 1, 0])

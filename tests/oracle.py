@@ -402,8 +402,10 @@ def projection_pair(dom: Mat, values: Mat, ncols: int):
 
 def det(m: Mat) -> Num:
     """Determinant by cofactor expansion along the first row."""
-    acc = ONE if not m else ZERO
-    for j, a in enumerate(m[0] if m else ()):
+    if not m:
+        return ONE
+    acc = ZERO
+    for j, a in enumerate(m[0]):
         term = cmul(a, det(tuple(row[:j] + row[j + 1 :] for row in m[1:])))
         acc = cadd(acc, term) if j % 2 == 0 else csub(acc, term)
     return acc

@@ -52,10 +52,10 @@ from orthoql.ortho import (
 )
 from orthoql.partial_op import (
     PartialOperator,
+    PartialProjection,
     decompose,
     op_eq,
     projection_of,
-    subspaces_of,
 )
 from orthoql.quotient import QuotientSpace
 from orthoql.scalars import Field, scalar_text
@@ -156,6 +156,8 @@ def load_instances(path: str) -> InstanceFile:
         inst.subspaces[name] = Subspace(fld, dim, rows)
 
     for name, body in _section(raw, "ortho", path):
+        if name in inst.subspaces:
+            raise ParseError(f"ortho pair {name!r}: the name is already a subspace's")
         parts = []
         for key in ("one", "zero"):
             if key not in body:
@@ -452,9 +454,9 @@ def cmd_roundtrip(
     bad = 0
     for name, pair in pairs:
         p = projection_of(pair)
-        back = subspaces_of(p)
-        again = projection_of(back)
-        good = o_eq(back, pair) and op_eq(again, p)
+        # Re-validate the images and read the pair back off them.
+        again = PartialProjection.from_matrix(p.dom, p.matrix)
+        good = o_eq(again.pair, pair) and op_eq(again, p)
         verdicts[name] = "equal" if good else "MISMATCH"
         bad += 0 if good else 1
     payload = {"command": ["roundtrip"], "verdicts": verdicts, "mismatches": bad}

@@ -10,23 +10,27 @@ no projector onto a domain is needed: y lies in the domain exactly when
 ``y == y[pivots] @ basis``, and rows go to ``rows[:, pivots] @ images``,
 which is ``rows @ matrix^T`` exactly, for any rows, in the domain or
 not.  So the partial linear structure and composition act on images
-alone.  Every partial projection is validated in full when it is built.
+alone.
 
 Projections defined on a domain that splits as (fixed part) + (killed
-part) correspond exactly to orthogonal pairs of subspaces; the maps
-``projection_of`` and ``subspaces_of`` realize the two directions of
-that correspondence, and the logical operations on projections are
-routed through it.  ``subspaces_of`` reads the pair off images, with
-no kernel computed: a validated projection maps its domain onto its
-fixed part, and ``1 - p`` maps it onto the killed part, so the images
-of the basis rows span the one and what they leave out, basis row minus
-image, spans the other.  Negation swaps the parts, so the projection
-of a negated pair is ``proj_compl``, 1 - p read off the same images, as
-is the norm certificate.  The calculus of composites for ordered
-pairs and for commuting projections is checked clause by clause: each
-calculus returns a plain map {clause: (applicable, holds, detail)}, in
-which a clause whose hypothesis is not met has applicable False, and
-``laws`` tallies those maps into law reports.
+part) correspond exactly to orthogonal pairs of subspaces, and a
+``PartialProjection`` is built from its pair and keeps it:
+``PartialProjection(pair)`` takes the images of the pair's domain
+basis under the one-part's orthogonal projector, so ``projection_of``
+is that constructor and ``subspaces_of`` reads the stored pair.  The
+logical operations act on pairs: negation swaps the parts, so
+``proj_compl`` is the projection of the negated pair, and meet, join
+and order are those of the pairs.  ``PartialProjection.from_matrix``
+is the one place where a matrix claims to be a projection: its images
+must map the domain into itself, be idempotent and be self-adjoint,
+and the pair is then read off them with no kernel computed, as the
+span of the images and of what they leave out, basis row minus image.
+
+The calculus of composites for ordered pairs and for commuting
+projections is checked clause by clause: each calculus returns a plain
+map {clause: (applicable, holds, detail)}, in which a clause whose
+hypothesis is not met has applicable False, and ``laws`` tallies those
+maps into law reports.
 """
 
 from __future__ import annotations
@@ -145,10 +149,27 @@ class PartialOperator:
 
 class PartialProjection(PartialOperator):
     """A partial operator that is idempotent and self-adjoint on its
-    domain and maps the domain into itself."""
+    domain and maps the domain into itself.
 
-    def __init__(self, dom: Subspace, images: Matrix):
-        super().__init__(dom, images)
+    It is built from its orthogonal pair, and keeps it: the domain is
+    the pair's domain, and each basis row b goes to its orthogonal
+    projection onto the one-part, so the zero-part is killed.  The pair
+    was checked when it was built, so nothing is re-checked here;
+    ``from_matrix`` is where a matrix claims to be a projection."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: OrthoSubspace):
+        dom = pair.dom
+        super().__init__(dom, dom.basis @ pair.one.projector.transpose())
+        self.pair = pair
+
+    @classmethod
+    def from_matrix(cls, dom: Subspace, matrix: Matrix):
+        """The projection on ``dom`` that agrees there with ``matrix``,
+        once the images pass the three projection checks; its pair is
+        then read off the images."""
+        images = PartialOperator.from_matrix(dom, matrix).images
         # With C = images[:, pivots], C @ basis is what each image would
         # be if it lay in the domain, and then C @ images is its image.
         coords = _at_pivots(images, dom)
@@ -162,6 +183,11 @@ class PartialProjection(PartialOperator):
         s = images @ dom.basis.conj_transpose()
         if s != s.conj_transpose():
             raise ValueError("projection must be self-adjoint on its domain")
+        # The projection maps its domain onto the fixed part, and 1 - p
+        # maps it onto the killed part.
+        fixed = Subspace(dom.field, dom.ambient_dim, images.rows())
+        killed = Subspace(dom.field, dom.ambient_dim, (dom.basis - images).rows())
+        return cls(OrthoSubspace(fixed, killed))
 
 
 def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
@@ -182,12 +208,12 @@ def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
 
 def identity_on(dom: Subspace) -> PartialProjection:
     """The identity as a partial map on ``dom``."""
-    return PartialProjection(dom, dom.basis)
+    return PartialProjection(OrthoSubspace(dom, Subspace.zero(dom.field, dom.ambient_dim)))
 
 
 def zero_on(dom: Subspace) -> PartialProjection:
     """The zero map on ``dom`` (distinct from zero maps on other domains)."""
-    return PartialProjection(dom, Matrix.zero(dom.field, dom.rank, dom.ambient_dim))
+    return PartialProjection(OrthoSubspace(Subspace.zero(dom.field, dom.ambient_dim), dom))
 
 
 def total_identity(field: Field, ambient_dim: int) -> PartialProjection:
@@ -212,15 +238,13 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
     and killing the zero-part."""
-    return PartialProjection.from_matrix(pair.dom, pair.one.projector)
+    return PartialProjection(pair)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
-    """Recover the orthogonal pair of a partial projection: the fixed
-    vectors and the kernel inside the domain, spanned by the images
-    ``p(b)`` of the domain's basis rows and by ``b - p(b)``."""
-    n, fixed, killed = p.ambient_dim, p.images, p.dom.basis - p.images
-    return OrthoSubspace(Subspace(p.field, n, fixed.rows()), Subspace(p.field, n, killed.rows()))
+    """The orthogonal pair of a partial projection: its fixed vectors
+    and its kernel inside the domain."""
+    return p.pair
 
 
 # --- equality and apartness ---------------------------------------------
@@ -304,15 +328,15 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
 def proj_compl(p: PartialProjection) -> PartialProjection:
     """1 - p with 1 meaning the identity of dom(p): same domain,
     x mapped to x - p(x)."""
-    return PartialProjection(p.dom, p.dom.basis - p.images)
+    return PartialProjection(o_neg(p.pair))
 
 
 def proj_meet(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return projection_of(o_meet(subspaces_of(p), subspaces_of(q)))
+    return PartialProjection(o_meet(p.pair, q.pair))
 
 
 def proj_join(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return projection_of(o_join(subspaces_of(p), subspaces_of(q)))
+    return PartialProjection(o_join(p.pair, q.pair))
 
 
 def proj_minus(p: PartialProjection, q: PartialProjection) -> PartialProjection:
@@ -332,7 +356,7 @@ def proj_not(p: PartialProjection) -> PartialProjection:
 
 
 def proj_leq(p: PartialProjection, q: PartialProjection) -> bool:
-    return o_leq(subspaces_of(p), subspaces_of(q))
+    return o_leq(p.pair, q.pair)
 
 
 def proj_orthogonal(p: PartialProjection, q: PartialProjection) -> bool:
@@ -511,8 +535,7 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
     if not op_eq(qp, pq):
         detail = f"the composites differ: witness={op_eq_witness(pq, qp)}"
         return {c: (False, True, detail) for c in COMM_CLAUSES}
-    jp = subspaces_of(p)
-    jq = subspaces_of(q)
+    jp, jq = p.pair, q.pair
 
     meet_part = jp.one.meet(jq.one)
     join_part = jp.zero.join(jq.zero)

@@ -30,6 +30,7 @@ from orthoql.laws import (
 from orthoql.linalg import Vector, inner, norm_sq
 from orthoql.ortho import OrthoSubspace, o_eq, o_leq, o_neg
 from orthoql.partial_op import (
+    PartialProjection,
     check_order,
     commuting_calculus,
     compose,
@@ -152,8 +153,10 @@ def test_criterion_4_pair_projection_bijection():
         field = Field.Qi if k % 3 == 0 else Field.Q
         pair = random_ortho(rng, field, 3)
         p = projection_of(pair)
-        ok &= o_eq(subspaces_of(p), pair)
-        ok &= op_eq(projection_of(subspaces_of(p)), p)
+        # Read the pair back off the validated images, not off p.
+        back = subspaces_of(PartialProjection.from_matrix(p.dom, p.matrix))
+        ok &= o_eq(back, pair)
+        ok &= op_eq(projection_of(back), p)
         ok &= pair.is_total == p.is_total
         ok &= pair.is_strict == norm_sq_is_one(p)
         totals += pair.is_total

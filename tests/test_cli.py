@@ -12,6 +12,7 @@ import pytest
 
 from orthoql import cli, laws
 from orthoql.cli import main
+from orthoql.partial_op import PartialProjection, proj_compl
 from orthoql.scalars import Field
 
 GOOD = {
@@ -367,6 +368,18 @@ def test_roundtrip_random(capsys):
     assert "result: ok (12 instances)" in out
 
 
+def test_roundtrip_reads_each_pair_back_off_the_images(good_file, capsys, monkeypatch):
+    # roundtrip re-validates each projection's matrix and reads its pair
+    # back; a read-back that returns the complement is a mismatch.
+    read_back = PartialProjection.from_matrix
+    monkeypatch.setattr(
+        PartialProjection, "from_matrix", lambda dom, m: proj_compl(read_back(dom, m))
+    )
+    code, out = run(capsys, "roundtrip", "--file", good_file)
+    assert code == 1
+    assert out == "Bottom: MISMATCH\nL: MISMATCH\nM: MISMATCH\nresult: MISMATCHES (3 instances)\n"
+
+
 # --- input validation -----------------------------------------------------------
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -513,6 +526,18 @@ def test_a_missing_key_is_named_at_dimension_zero(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_a_pair_may_not_take_a_subspace_name(tmp_path, capsys):
+    # Otherwise op would read the name as the subspace and project as
+    # the pair.
+    payload = dict(GOOD, ortho={"A": {"one": "A", "zero": "B"}})
+    path = write_instances(tmp_path, payload)
+    for argv in (["op", "neg", "A"], ["project", "A", "(1,0,0)"]):
+        code = main([*argv, "--file", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: ortho pair 'A': the name is already a subspace's\n"
 
 
 def test_unexpected_exception_exits_with_the_internal_error_code(good_file, capsys, monkeypatch):

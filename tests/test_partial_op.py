@@ -151,12 +151,10 @@ def test_images_of_another_shape_or_field_are_rejected(field):
             # An ambient matrix is images only on the full space.
             wrong.append(Matrix.identity(field, n))
         for images in wrong:
-            for cls in (PartialOperator, PartialProjection):
-                with pytest.raises(AmbientMismatch, match="images"):
-                    cls(dom, images)
-        for cls in (PartialOperator, PartialProjection):
-            general = cls.from_matrix(dom, Matrix.zero(field, n, n))
-            assert_same_operator(cls(dom, Matrix.zero(field, r, n)), general)
+            with pytest.raises(AmbientMismatch, match="images"):
+                PartialOperator(dom, images)
+        general = PartialOperator.from_matrix(dom, Matrix.zero(field, n, n))
+        assert_same_operator(PartialOperator(dom, Matrix.zero(field, r, n)), general)
     with pytest.raises(
         AmbientMismatch, match=r"^3x3 Q images on a rank 1 Q domain in ambient dimension 3$"
     ):
@@ -175,19 +173,40 @@ def test_from_matrix_keeps_its_messages_and_its_class():
         assert type(cls.from_matrix(dom, Matrix.identity(Field.Q, 3))) is cls
 
 
-def test_projection_constructors_run_the_projection_checks(monkeypatch):
-    validated = []
-    init = PartialProjection.__init__
+def built_projections(field, n):
+    """Projections from every constructor that builds one from a pair:
+    on every split of field^n along its axes, and on drawn pairs."""
+    rng = rng_from(83 + n)
+    axes = [list(r) for r in Matrix.identity(field, n).rows()]
+    pairs = [
+        OrthoSubspace(Subspace(field, n, axes[:a]), Subspace(field, n, axes[a:b]))
+        for a in range(n + 1)
+        for b in range(a, n + 1)
+    ]
+    pairs += [random_ortho(rng, field, n) for _ in range(8)]
+    out = []
+    for pair, other in zip(pairs, pairs[1:] + pairs[:1]):
+        p, q = projection_of(pair), projection_of(other)
+        out += [p, proj_compl(p), identity_on(p.dom), zero_on(p.dom)]
+        out += [proj_meet(p, q), proj_join(p, q), proj_meet(q, proj_compl(p))]
+    return out
 
-    def counting_init(self, dom, images):
-        init(self, dom, images)
-        validated.append(type(self))
 
-    monkeypatch.setattr(PartialProjection, "__init__", counting_init)
-    dom = qs([1, 2, 0], [0, 1, 1])
-    built = [identity_on(dom), zero_on(dom), proj_compl(projection_of(OrthoSubspace(dom, qs())))]
-    assert validated == [PartialProjection] * 4
-    assert [type(p) for p in built] == [PartialProjection] * 3
+def test_projection_constructors_run_the_projection_checks():
+    # The projection checks run only in from_matrix; every projection a
+    # constructor builds from its pair must pass them, and the pair read
+    # back off its images must be the stored one.
+    ranks = set()
+    for field in (Field.Q, Field.Qi):
+        for n in range(5):
+            for q in built_projections(field, n):
+                again = PartialProjection.from_matrix(q.dom, q.matrix)
+                assert o_eq(again.pair, q.pair)
+                assert_same_operator(again, q)
+                ranks.add((field, n, q.pair.one.rank, q.pair.zero.rank))
+    # Every split of every dimension turns up, over both fields.
+    splits = {(n, a, b) for n in range(5) for a in range(n + 1) for b in range(n + 1 - a)}
+    assert ranks == {(f, *split) for f in (Field.Q, Field.Qi) for split in splits}
 
 
 def test_application_respects_the_domain():
@@ -232,8 +251,10 @@ def test_roundtrips_both_ways():
         for _ in range(25):
             pair = random_ortho(rng, field, 3)
             p = projection_of(pair)
-            assert o_eq(subspaces_of(p), pair)
-            assert op_eq(projection_of(subspaces_of(p)), p)
+            # Read the pair back off the validated images, not off p.
+            back = subspaces_of(PartialProjection.from_matrix(p.dom, p.matrix))
+            assert o_eq(back, pair)
+            assert op_eq(projection_of(back), p)
             assert pair.is_total == p.is_total
 
 
@@ -307,17 +328,12 @@ def test_validation_reports_the_first_failing_basis_vector():
         PartialProjection.from_matrix(dom, Matrix.from_rows(Field.Q, rows))
 
 
-def test_projections_from_images_run_the_same_checks():
-    # Each rejected map, handed over as images, fails with the same
-    # message; so does 1 - M, which proj_compl builds from images and
-    # which fails the same check as M for every map in the table.
-    for field, rows, message in REJECTED:
-        dom = Subspace(field, 3, [[1, 0, 0], [0, 1, 0]])
-        images = dom.basis @ Matrix.from_rows(field, rows).transpose()
-        with pytest.raises(ValueError, match=message):
-            PartialProjection(dom, images)
-        with pytest.raises(ValueError, match=message):
-            proj_compl(PartialOperator(dom, images))
+def test_proj_compl_refuses_a_plain_operator():
+    # A plain operator has no pair, even when its images are those of a
+    # projection, so it has no complement projection.
+    dom = Subspace(Field.Q, 3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(AttributeError):
+        proj_compl(PartialOperator(dom, dom.basis))
 
 
 # --- special constructors against the general one --------------------------
@@ -456,7 +472,8 @@ def test_values_read_off_images_match_the_matrix(field):
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_the_operator_algebra_never_yields_a_projection(field):
     # Each result below is a projection as a map, yet stays a plain
-    # operator: only PartialProjection's own constructor validates one.
+    # operator: a PartialProjection is built only from its pair, or by
+    # from_matrix.
     for dom in domains(field):
         for pair in pairs_on(dom):
             p = projection_of(pair)
@@ -480,6 +497,22 @@ def test_apartness_finds_a_domain_witness():
     apart, witness = op_neq(t, u)
     assert apart and witness == qv(0, 1, 0)
     assert not op_eq(t, u)
+
+
+def test_the_first_witness_is_the_first_basis_row():
+    # Two basis rows witness in each case; the answer is the first in
+    # the canonical (RREF) order of the basis that is scanned.
+    full, line = qs([1, 0, 0], [0, 1, 0], [0, 0, 1]), qs([1, 0, 0])
+    plane = qs([1, 0, 1], [0, 1, 1])
+    # Both basis rows of the plane lie outside the line and outside the
+    # zero space, and both rows of the line's orthocomplement are
+    # orthogonal to the line.
+    assert op_eq_witness(zero_on(plane), zero_on(line)) == ("domain", qv(1, 0, 1))
+    assert op_eq_witness(zero_on(qs()), zero_on(plane)) == ("domain", qv(1, 0, 1))
+    assert op_eq_witness(identity_on(plane), zero_on(plane)) == ("value", qv(1, 0, 1))
+    assert op_neq(zero_on(full), zero_on(line)) == (True, qv(0, 1, 0))
+    assert op_neq(zero_on(line), zero_on(full)) == (True, qv(0, 1, 0))
+    assert op_neq(identity_on(plane), zero_on(plane)) == (True, qv(1, 0, 1))
 
 
 def test_apartness_finds_a_value_witness():

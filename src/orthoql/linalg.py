@@ -6,8 +6,12 @@ right column and accumulate every dot product in Python ints.  Row
 reduction hands the integer elimination loop to ``kernel.rref_gauss``
 and finishes the canonical form (leading ones) by dividing each
 eliminated integer row by its pivot in integer arithmetic (Gaussian
-integers over Q(i)), building one exact fraction per output part.  A
-given row space always produces the same bits.  ``rref`` is the only
+integers over Q(i)).  Over Q each output entry is one exact fraction;
+over Q(i) the integer triple (real part, imaginary part, denominator)
+of each product or reduced entry goes straight to the scalar's reducing
+routine, and denominators are cleared from the stored triples, so no
+fraction is built on that path.  A given row space always produces the
+same bits.  ``rref`` is the only
 elimination: null spaces, solutions, inverses and projectors are all
 read off one reduced form each, and ``_solve_block`` is the one
 reduction of an augmented ``[a | b]`` behind ``solve``,
@@ -24,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 from orthoql import scalars
 from orthoql.errors import DimensionMismatch, SingularGram
 from orthoql.kernel import rref_gauss
-from orthoql.scalars import Field, GaussianRational, Scalar
+from orthoql.scalars import Field, GaussianRational, Scalar, _gaussian
 
 __all__ = [
     "Vector",
@@ -269,16 +273,19 @@ def _cleared(entries: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [e.numerator * (den // e.denominator) for e in entries]
 
 
-def _cleared_parts(entries: Sequence[Scalar]) -> tuple[int, list[int], list[int]]:
+def _cleared_parts(entries: Sequence[Scalar], field: Field) -> tuple[int, list[int], list[int]]:
     """One common denominator for the real and imaginary parts of
-    ``entries``, and both parts' numerators over it."""
-    parts = [_scalar_parts(e) for e in entries]
-    den = lcm(*(p.denominator for pair in parts for p in pair))
-    return (
-        den,
-        [re.numerator * (den // re.denominator) for re, _ in parts],
-        [im.numerator * (den // im.denominator) for _, im in parts],
-    )
+    ``entries``, scalars of ``field``, and both parts' numerators over it."""
+    if field is Field.Q:
+        parts = [_scalar_parts(e) for e in entries]
+        den = lcm(*(p.denominator for pair in parts for p in pair))
+        return (
+            den,
+            [re.numerator * (den // re.denominator) for re, _ in parts],
+            [im.numerator * (den // im.denominator) for _, im in parts],
+        )
+    den = lcm(*(e._d for e in entries))
+    return den, [e._a * (den // e._d) for e in entries], [e._b * (den // e._d) for e in entries]
 
 
 def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[Scalar]:
@@ -297,19 +304,17 @@ def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[
         return [
             Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in left for dy, y in right
         ]
-    left = [_cleared_parts(r) for r in rows]
-    right = [_cleared_parts(c) for c in cols]
-    out: list[Scalar] = []
-    for dx, xr, xi in left:
-        for dy, yr, yi in right:
-            d = dx * dy
-            out.append(
-                GaussianRational(
-                    Fraction(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)), d),
-                    Fraction(sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), d),
-                )
-            )
-    return out
+    left = [_cleared_parts(r, a.field) for r in rows]
+    right = [_cleared_parts(c, field) for c in cols]
+    return [
+        _gaussian(
+            sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+            dx * dy,
+        )
+        for dx, xr, xi in left
+        for dy, yr, yi in right
+    ]
 
 
 # --- inner product ----------------------------------------------------
@@ -341,7 +346,7 @@ def _integral_rows(m: Matrix) -> list[list[int]]:
     and the canonical form is unique per row space, so scaling is safe."""
     data = []
     for i in range(m.nrows):
-        _, re, im = _cleared_parts(m.entries[i * m.ncols : (i + 1) * m.ncols])
+        _, re, im = _cleared_parts(m.entries[i * m.ncols : (i + 1) * m.ncols], m.field)
         flat = [0] * (2 * m.ncols)
         flat[0::2], flat[1::2] = re, im
         data.append(flat)
@@ -361,8 +366,7 @@ def _leading_one_row(field: Field, row: list[int], c: int) -> list[Scalar]:
     pr, pi = row[2 * c], row[2 * c + 1]
     d = pr * pr + pi * pi
     return [
-        GaussianRational(Fraction(er * pr + ei * pi, d), Fraction(ei * pr - er * pi, d))
-        for er, ei in zip(row[0::2], row[1::2])
+        _gaussian(er * pr + ei * pi, ei * pr - er * pi, d) for er, ei in zip(row[0::2], row[1::2])
     ]
 
 

@@ -153,15 +153,23 @@ class PartialProjection(PartialOperator):
 
     It is built from its orthogonal pair, and keeps it: the domain is
     the pair's domain, and each basis row b goes to its orthogonal
-    projection onto the one-part, so the zero-part is killed.  The pair
-    was checked when it was built, so nothing is re-checked here;
-    ``from_matrix`` is where a matrix claims to be a projection."""
+    projection onto the one-part, so the zero-part is killed.  When one
+    part is zero the images are read off the ranks: the basis itself, or
+    zero.  The pair was checked when it was built, so nothing is
+    re-checked here; ``from_matrix`` is where a matrix claims to be a
+    projection."""
 
     __slots__ = ("pair",)
 
     def __init__(self, pair: OrthoSubspace):
         dom = pair.dom
-        super().__init__(dom, dom.basis @ pair.one.projector.transpose())
+        if pair.zero.rank == 0:
+            images = dom.basis
+        elif pair.one.rank == 0:
+            images = Matrix.zero(dom.field, dom.rank, dom.ambient_dim)
+        else:
+            images = dom.basis @ pair.one.projector.transpose()
+        super().__init__(dom, images)
         self.pair = pair
 
     @classmethod

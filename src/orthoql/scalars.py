@@ -1,9 +1,12 @@
 """Exact scalar arithmetic for the two coefficient fields.
 
-Rational scalars are plain :class:`fractions.Fraction` values, complex
-scalars are :class:`GaussianRational` pairs of fractions.  Both are
-immutable, always reduced, and compared bit for bit: there is no
-tolerance anywhere in this package.
+Rational scalars are plain :class:`fractions.Fraction` values.  Complex
+scalars are :class:`GaussianRational` values: a Gaussian integer over
+one positive denominator, held as three ints and reduced by one routine,
+``_gaussian``, which every arithmetic result and ``linalg``'s products
+and reductions go through.  Their parts are read as fractions through
+``re`` and ``im``.  Both kinds are immutable, always reduced, and
+compared bit for bit: there is no tolerance anywhere in this package.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import enum
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from orthoql.errors import OrthoQLError, ParseError
@@ -47,14 +51,30 @@ def _frac_text(q: Fraction) -> str:
 
 
 class GaussianRational:
-    """A complex number a + b*i with exact rational parts."""
+    """A complex number a + b*i with exact rational parts.
 
-    __slots__ = ("re", "im")
+    Stored as three ints ``(a, b, d)`` meaning ``(a + b i) / d``, with
+    ``d > 0`` and ``gcd(a, b, d) = 1``, so equal values have equal
+    triples.  ``re`` and ``im`` read the parts as fractions.
+    """
 
-    def __init__(self, re=0, im=0):
-        # Parts that are already exact fractions are kept as they are.
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re=0, im=0):
+        # Both parts over their least common denominator.
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = lcm(p, q)
+        return _gaussian(re.numerator * (d // p), im.numerator * (d // q), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _lift(other):
@@ -65,16 +85,18 @@ class GaussianRational:
         return None
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self._a, -self._b, self._d)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gaussian(
+            self._a * o._d + o._a * self._d, self._b * o._d + o._b * self._d, self._d * o._d
+        )
 
     __radd__ = __add__
 
@@ -82,7 +104,9 @@ class GaussianRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gaussian(
+            self._a * o._d - o._a * self._d, self._b * o._d - o._b * self._d, self._d * o._d
+        )
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -94,9 +118,8 @@ class GaussianRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
+        return _gaussian(
+            self._a * o._a - self._b * o._b, self._a * o._b + self._b * o._a, self._d * o._d
         )
 
     __rmul__ = __mul__
@@ -105,11 +128,12 @@ class GaussianRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        d = o.abs_sq()
-        if d == 0:
+        m = o.abs_sq()
+        if m == 0:
             raise ZeroDivisionError("division by zero scalar")
+        # x / y = x conj(y) / |y|^2, and |y|^2 is a positive fraction.
         n = self * o.conjugate()
-        return GaussianRational(n.re / d, n.im / d)
+        return _gaussian(n._a * m.denominator, n._b * m.denominator, n._d * m.numerator)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -118,7 +142,7 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -127,23 +151,37 @@ class GaussianRational:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         # Matches hash(Fraction) when purely real, so mixed-type keys work.
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b >= 0 else "-"
         return f"{_frac_text(self.re)}{sign}{_frac_text(abs(self.im))}i"
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b i) / d`` for ints with ``d != 0``, reduced to its
+    canonical triple.  Every ``GaussianRational`` is made here."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    z = object.__new__(GaussianRational)
+    if g == 1:
+        z._a, z._b, z._d = a, b, d
+    else:
+        z._a, z._b, z._d = a // g, b // g, d // g
+    return z
 
 
 def conj(a: Scalar) -> Scalar:

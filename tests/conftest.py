@@ -1,6 +1,7 @@
 """Shared test plumbing: oracle bridging and acceptance-line reporting."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,12 @@ def to_num(scalar):
     return (Fraction(scalar), Fraction(0))
 
 
+def is_canonical(z):
+    """A Q(i) scalar stored as its canonical triple (a, b, d): d > 0 and
+    gcd(a, b, d) = 1."""
+    return type(z) is GaussianRational and z._d > 0 and gcd(z._a, z._b, z._d) == 1
+
+
 def to_vec(v):
     return tuple(to_num(e) for e in v)
 
@@ -48,20 +55,32 @@ def from_vec(field, x):
     return Vector(field, [from_num(field, e) for e in x])
 
 
-@pytest.fixture
-def rref_calls(monkeypatch):
-    """The matrices handed to ``rref`` from now on, counted at both of
-    its binding sites."""
+def _record_calls(monkeypatch, name):
+    """The arguments handed to ``linalg.<name>`` from now on, recorded at
+    both of its binding sites, ``linalg`` and ``subspace``."""
     calls = []
-    real = linalg.rref
+    real = getattr(linalg, name)
 
     def counted(m):
         calls.append(m)
         return real(m)
 
     for module in (linalg, subspace):
-        monkeypatch.setattr(module, "rref", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The matrices handed to ``rref`` from now on."""
+    return _record_calls(monkeypatch, "rref")
+
+
+@pytest.fixture
+def gram_projection_calls(monkeypatch):
+    """The bases handed to ``gram_projection`` from now on: one per
+    orthogonal projector computed."""
+    return _record_calls(monkeypatch, "gram_projection")
 
 
 def sub_to_oracle(sub: Subspace):

@@ -63,6 +63,13 @@ def ciszero(a: Num) -> bool:
     return a[0] == 0 and a[1] == 0
 
 
+def ctext(a: Num) -> str:
+    """The text form "p/q+r/si" (or "p/q-r/si"), every part in lowest terms."""
+    re, im = a
+    sign = "-" if im < 0 else "+"
+    return f"{re.numerator}/{re.denominator}{sign}{abs(im).numerator}/{abs(im).denominator}i"
+
+
 def vec(*entries) -> Vec:
     out = []
     for e in entries:

@@ -443,6 +443,15 @@ def test_zero_denominator_in_a_gaussian_vector(tmp_path, capsys):
     assert_rejected(capsys, "project", "P", "(1/0+1i,0)", "--file", path)
 
 
+@pytest.mark.parametrize("scalar", ["1+2i", "0-1/3i", "2i"])
+def test_a_complex_scalar_cannot_enter_a_q_file(tmp_path, good_file, capsys, scalar):
+    for section, name, key in (("subspaces", "A", "basis"), ("operators", "T", "matrix")):
+        payload = json.loads(json.dumps(GOOD))
+        payload[section][name][key][0][1] = scalar
+        assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+    assert_rejected(capsys, "project", "L", f"(1,{scalar},0)", "--file", good_file)
+
+
 @pytest.mark.parametrize("scalar", ["9" * 5000, "1/" + "7" * 5000 + "i"])
 def test_overlong_scalar_in_a_file(tmp_path, capsys, scalar):
     # Past CPython's integer-string digit limit int() raises ValueError.

@@ -111,9 +111,12 @@ def test_equal_operators_built_from_different_matrices_hash_alike(field):
         assert a == b and hash(a) == hash(b)
 
 
-def test_building_operators_computes_no_projector_of_a_domain():
-    # An operator is its domain plus images, so nothing here needs the
-    # orthogonal projector onto any domain, operand or result.
+def test_building_operators_computes_no_projector_of_a_domain(gram_projection_calls):
+    # An operator is its domain plus images, and a projection whose pair
+    # has a zero part has the basis or zero as its images, so nothing
+    # here needs the orthogonal projector onto any domain, operand or
+    # result.  Each builder makes fresh operands, so no projector cached
+    # by an earlier one is read.
     m = Matrix.from_rows(Field.Q, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
 
     def plane():
@@ -122,17 +125,25 @@ def test_building_operators_computes_no_projector_of_a_domain():
     def other():
         return qs([1, 0, 0], [0, 0, 1])
 
-    built = {
-        "identity_on": [identity_on(plane())],
-        "zero_on": [zero_on(plane())],
-        "PartialOperator": [PartialOperator.from_matrix(plane(), m)],
-        "PartialProjection": [PartialProjection.from_matrix(plane(), Matrix.identity(Field.Q, 3))],
-    }
-    for name, combine in (("compose", compose), ("pls_add", pls_add)):
+    def combined(combine):
         t, u = PartialOperator.from_matrix(plane(), m), PartialOperator.from_matrix(other(), m)
         assert t.dom != u.dom
-        built[name] = [t, u, combine(t, u)]
-    for name, ops in built.items():
+        return [t, u, combine(t, u)]
+
+    builders = {
+        "identity_on": lambda: [identity_on(plane())],
+        "zero_on": lambda: [zero_on(plane())],
+        "PartialOperator": lambda: [PartialOperator.from_matrix(plane(), m)],
+        "PartialProjection": lambda: [
+            PartialProjection.from_matrix(plane(), Matrix.identity(Field.Q, 3))
+        ],
+        "compose": lambda: combined(compose),
+        "pls_add": lambda: combined(pls_add),
+    }
+    for name, build in builders.items():
+        del gram_projection_calls[:]
+        ops = build()
+        assert gram_projection_calls == [], name
         assert [t.dom._projector for t in ops] == [None] * len(ops), name
 
 

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
-from conftest import to_mat, to_vec
-from orthoql.linalg import Matrix, Vector, rref
+from conftest import is_canonical, to_mat, to_vec
+from orthoql.linalg import Matrix, Vector, gram_projection, rref
 from orthoql.scalars import Field, GaussianRational as G
 
 SHAPES = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 4, 2), (4, 4, 4), (2, 5, 3)]
@@ -86,3 +87,28 @@ def test_qi_rref_with_fractional_entries_matches_oracle():
             assert to_mat(reduced) == tuple(tuple(r) for r in want_rows)
             if nrows >= 3:
                 assert rank < nrows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_qi_results_hold_canonical_triples_and_agree_with_the_oracle(data):
+    parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def qi(nrows, ncols):
+        cells = st.lists(st.builds(G, parts, parts), min_size=nrows * ncols, max_size=nrows * ncols)
+        return Matrix(Field.Qi, nrows, ncols, data.draw(cells))
+
+    a, b = qi(r, k), qi(k, c)
+    prod = a @ b
+    gram = a @ a.conj_transpose()
+    reduced, rank, _ = rref(a)
+    rows = [list(reduced.row(i)) for i in range(rank)]
+    proj = gram_projection(Matrix.from_cols(Field.Qi, rows) if rows else Matrix(Field.Qi, k, 0, []))
+    for m in (prod, gram, reduced, proj):
+        assert all(is_canonical(e) for e in m.entries)
+    assert to_mat(prod) == oracle.mat_mul(to_mat(a), to_mat(b))
+    assert all(gram.entry(i, i).im == 0 for i in range(r))
+    want_rows, _ = oracle.naive_rref(to_mat(a))
+    assert to_mat(reduced) == tuple(tuple(row) for row in want_rows)
+    assert to_mat(proj) == oracle.gram_projection_matrix(tuple(to_vec(row) for row in rows), k)

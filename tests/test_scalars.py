@@ -3,17 +3,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracle
+from conftest import is_canonical, to_num
 from orthoql.errors import ParseError
+from orthoql.linalg import Matrix, Vector
 from orthoql.scalars import (
     Field,
     GaussianRational,
+    _gaussian,
     abs_sq,
     conj,
     is_zero,
     scalar_text,
 )
+from orthoql.subspace import Subspace
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -102,3 +107,102 @@ def test_field_constants():
     assert Field.Qi.one == GaussianRational(1)
     assert scalar_text(Field.Q.coerce(7)) == "7/1"
     assert scalar_text(Field.Qi.coerce(7)) == "7/1+0/1i"
+
+
+# --- Q(i) scalars against the oracle ---------------------------------------
+
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Few small parts, so that equal values and zero divisors turn up often.
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_gaussians = st.builds(GaussianRational, small, small)
+plain_numbers = st.one_of(st.integers(-3, 3), small)
+
+
+def assert_agrees(z, want):
+    assert is_canonical(z)
+    assert to_num(z) == want
+    assert scalar_text(z) == oracle.ctext(want)
+
+
+@ORACLE
+@given(small_gaussians, small_gaussians)
+def test_gaussian_arithmetic_agrees_with_the_oracle(x, y):
+    a, b = to_num(x), to_num(y)
+    assert_agrees(x, a)
+    assert_agrees(x + y, oracle.cadd(a, b))
+    assert_agrees(x - y, oracle.csub(a, b))
+    assert_agrees(x * y, oracle.cmul(a, b))
+    assert_agrees(-x, oracle.cneg(a))
+    assert_agrees(x.conjugate(), oracle.cconj(a))
+    assert abs_sq(x) == oracle.norm_sq((a,))
+    if oracle.ciszero(b):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert_agrees(x / y, oracle.cdiv(a, b))
+        # The same value reached along another route is the same triple.
+        assert (x / y) * y == x
+    assert (x == y) == (a == b)
+    assert (x + y) - y == x
+
+
+@ORACLE
+@given(small_gaussians, plain_numbers)
+def test_mixed_arithmetic_agrees_with_the_oracle(x, q):
+    a, b = to_num(x), oracle.num(q)
+    assert_agrees(x + q, oracle.cadd(a, b))
+    assert_agrees(q + x, oracle.cadd(b, a))
+    assert_agrees(x - q, oracle.csub(a, b))
+    assert_agrees(q - x, oracle.csub(b, a))
+    assert_agrees(q * x, oracle.cmul(b, a))
+    if not oracle.ciszero(a):
+        assert_agrees(q / x, oracle.cdiv(b, a))
+    if q:
+        assert_agrees(x / q, oracle.cdiv(a, b))
+    assert (x == q) == (a == b)
+
+
+@ORACLE
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60).filter(bool))
+def test_the_normalising_routine_stores_the_canonical_triple(a, b, d):
+    z = _gaussian(a, b, d)
+    assert is_canonical(z)
+    assert to_num(z) == (Fraction(a, d), Fraction(b, d))
+
+
+@ORACLE
+@given(small, small_gaussians)
+def test_a_real_value_hashes_like_its_fraction(q, x):
+    for z in (GaussianRational(q), x * x.conjugate() + q, (x + q) - x):
+        r = z.re
+        assert z.im == 0 and z == r
+        assert hash(z) == hash(r)
+        assert {r: "found"}[z] == "found"
+
+
+# --- the Q invariant: no imaginary part enters a Q object --------------------
+
+def test_a_complex_scalar_cannot_enter_a_q_object():
+    i = GaussianRational(0, 1)
+    attempts = [
+        lambda: Vector(Field.Q, [1, i]),
+        lambda: Vector(Field.Q, [1, 0]).scaled(i),
+        lambda: Matrix(Field.Q, 1, 2, [i, 0]),
+        lambda: Matrix.from_rows(Field.Q, [[1, 0], [0, i]]),
+        lambda: Matrix.from_cols(Field.Q, [[1, 0], [i, 0]]),
+        lambda: Matrix.identity(Field.Q, 2).scaled(i),
+        lambda: Matrix.identity(Field.Q, 2) @ Vector(Field.Qi, [i, 0]),
+        lambda: Subspace(Field.Q, 2, [[1, i]]),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match="is not rational"):
+            attempt()
+
+
+def test_a_real_gaussian_enters_a_q_object_as_a_fraction():
+    three = GaussianRational(3, 0)
+    v = Vector(Field.Q, [three, 1])
+    m = Matrix.from_rows(Field.Q, [[three, 0], [0, 1]])
+    s = Subspace(Field.Q, 2, [[1, three]])
+    for e in (v[0], m.entry(0, 0), s.basis.entry(0, 1)):
+        assert type(e) is Fraction and e == 3

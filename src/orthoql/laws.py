@@ -459,6 +459,8 @@ def check_pls(
         report.result(law)
     if not ops:
         return report
+    if not ks:
+        raise ValueError("check_pls needs a nonempty scalar list ks, got []")
     field, dim = ops[0].field, ops[0].ambient_dim
     zero_elem = total_zero(field, dim)
     one = field.one

@@ -11,11 +11,15 @@ over Q(i) the integer triple (real part, imaginary part, denominator)
 of each product or reduced entry goes straight to the scalar's reducing
 routine, and denominators are cleared from the stored triples, so no
 fraction is built on that path.  A given row space always produces the
-same bits.  ``rref`` is the only
-elimination: null spaces, solutions, inverses and projectors are all
-read off one reduced form each, and ``_solve_block`` is the one
-reduction of an augmented ``[a | b]`` behind ``solve``,
-``matrix_inverse`` and ``gram_projection``.
+same bits.
+
+Every basis is a row matrix, one basis vector per row: ``rref`` returns
+the canonical basis of a row space (its nonzero reduced rows, one per
+pivot, with no zero rows), and ``null_space`` returns one kernel vector
+per row.  ``rref`` is the only elimination: null spaces, solutions,
+inverses and projectors are all read off one reduced form each, and
+``_solve_block`` is the one reduction of an augmented ``[a | b]``
+behind ``solve``, ``matrix_inverse`` and ``gram_projection``.
 """
 
 from __future__ import annotations
@@ -370,32 +374,27 @@ def _leading_one_row(field: Field, row: list[int], c: int) -> list[Scalar]:
     ]
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row-echelon form of ``m`` plus rank and pivot columns.
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """The canonical basis of the row space of ``m`` and its pivot columns.
 
-    The output is the unique canonical representative of the row space:
-    leading entries are one, pivot columns are clear elsewhere, zero
-    rows sit at the bottom.
+    The basis is the unique canonical representative of the row space:
+    its nonzero reduced rows, one per pivot, with leading entries one and
+    pivot columns clear elsewhere.  Its row count is the rank of ``m``.
     """
     if m.nrows == 0:
-        return m, 0, ()
-    data = _integral_rows(m)
-    rows, pivots = rref_gauss(data, m.ncols)
+        return m, ()
+    rows, pivots = rref_gauss(_integral_rows(m), m.ncols)
     out: list[Scalar] = []
-    for idx, row in enumerate(rows):
-        if idx < len(pivots):
-            out.extend(_leading_one_row(m.field, row, pivots[idx]))
-        else:
-            out.extend([m.field.zero] * m.ncols)
-    reduced = Matrix(m.field, m.nrows, m.ncols, out)
-    return reduced, len(pivots), tuple(pivots)
+    for row, c in zip(rows, pivots):
+        out.extend(_leading_one_row(m.field, row, c))
+    return Matrix(m.field, len(pivots), m.ncols, out), tuple(pivots)
 
 
-def _kernel_rows(reduced: Matrix, pivots: Sequence[int]) -> list[list[Scalar]]:
-    """Basis of {x : reduced @ x = 0} for a matrix in RREF with these
+def _kernel_rows(basis: Matrix, pivots: Sequence[int]) -> list[list[Scalar]]:
+    """Basis of {x : basis @ x = 0} for a canonical basis with these
     pivots, read off the free columns: one vector per free column f,
-    e_f - sum_i reduced[i][f] e_(pivot i)."""
-    n, field = reduced.ncols, reduced.field
+    e_f - sum_i basis[i][f] e_(pivot i)."""
+    n, field = basis.ncols, basis.field
     rows = []
     for f in range(n):
         if f in pivots:
@@ -403,16 +402,15 @@ def _kernel_rows(reduced: Matrix, pivots: Sequence[int]) -> list[list[Scalar]]:
         v = [field.zero] * n
         v[f] = field.one
         for i, c in enumerate(pivots):
-            v[c] = -reduced.entry(i, f)
+            v[c] = -basis.entry(i, f)
         rows.append(v)
     return rows
 
 
 def null_space(m: Matrix) -> Matrix:
-    """Basis of {x : m @ x = 0}, one basis vector per column."""
-    reduced, _, pivots = rref(m)
-    cols = _kernel_rows(reduced, pivots)
-    return Matrix.from_cols(m.field, cols) if cols else Matrix(m.field, m.ncols, 0, [])
+    """Basis of {x : m @ x = 0}, one basis vector per row."""
+    rows = _kernel_rows(*rref(m))
+    return Matrix(m.field, len(rows), m.ncols, [e for r in rows for e in r])
 
 
 def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
@@ -428,13 +426,13 @@ def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
     for i in range(a.nrows):
         aug += a.entries[i * n : (i + 1) * n]
         aug += b.entries[i * p : (i + 1) * p]
-    reduced, _, pivots = rref(Matrix(a.field, a.nrows, w, aug))
+    basis, pivots = rref(Matrix(a.field, a.nrows, w, aug))
     rank = sum(1 for c in pivots if c < n)
     if rank < len(pivots):
         return None, rank
     x = [a.field.zero] * (n * p)
     for i, c in enumerate(pivots):
-        x[c * p : (c + 1) * p] = reduced.entries[i * w + n : (i + 1) * w]
+        x[c * p : (c + 1) * p] = basis.entries[i * w + n : (i + 1) * w]
     return Matrix(a.field, n, p, x), rank
 
 

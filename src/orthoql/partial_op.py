@@ -135,9 +135,11 @@ class PartialOperator:
         return _apply(self, Matrix(self.field, 1, x.dim, x.entries)).row(0)
 
     def __eq__(self, other):
+        # Like ``__hash__``, and unlike ``op_eq``, operators on different
+        # ambient spaces compare unequal instead of raising.
         if not isinstance(other, PartialOperator):
             return NotImplemented
-        return op_eq(self, other)
+        return self.dom == other.dom and self.images == other.images
 
     def __hash__(self):
         return hash((self.dom, self.images))
@@ -327,7 +329,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     q.dom._check_ambient(p.dom)
     residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
     ker = null_space(residual.transpose())
-    dom = Subspace(p.field, p.ambient_dim, (ker.transpose() @ p.dom.basis).rows())
+    dom = Subspace(p.field, p.ambient_dim, (ker @ p.dom.basis).rows())
     return PartialOperator(dom, _apply(q, _apply(p, dom.basis)))
 
 
@@ -522,10 +524,10 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
 def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
     """Whether {x + y : x in a, y in b} already fills the join of a and b."""
     joined = a.join(b)
-    cols = [list(r) for r in a.basis.rows()] + [list(r) for r in b.basis.rows()]
-    if not cols:
+    if a.is_zero and b.is_zero:
         return joined.is_zero
-    x, _ = _solve_block(Matrix.from_cols(a.field, cols), joined.basis.transpose())
+    stacked = Matrix(a.field, a.rank + b.rank, a.ambient_dim, a.basis.entries + b.basis.entries)
+    x, _ = _solve_block(stacked.transpose(), joined.basis.transpose())
     return x is not None
 
 

@@ -89,14 +89,10 @@ class Subspace:
                 raise DimensionMismatch(
                     f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        self.pivots: tuple[int, ...] = ()
         if vectors:
-            reduced, rank, self.pivots = rref(Matrix.from_rows(field, vectors))
-            self.basis = Matrix.from_rows(field, [list(reduced.row(i)) for i in range(rank)])
-            if rank == 0:
-                self.basis = Matrix(field, 0, ambient_dim, [])
+            self.basis, self.pivots = rref(Matrix.from_rows(field, vectors))
         else:
-            self.basis = Matrix(field, 0, ambient_dim, [])
+            self.basis, self.pivots = Matrix(field, 0, ambient_dim, []), ()
         self._perp = None
         self._projector = None
         self._hash = None
@@ -169,11 +165,12 @@ class Subspace:
     # --- lattice operations --------------------------------------------
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, from the definition: common values u@A = v@B.
+        """Intersection, from the definition: common values u@A = -w@B.
 
-        The pairs (u, v) of coefficient vectors with u@A - v@B = 0 form
-        the kernel of the stacked transposed bases; with the u-halves as
-        the rows of U, the rows of U @ A span exactly the intersection.
+        The pairs (u, w) of coefficient vectors with u@A + w@B = 0 are
+        the kernel rows of the transposed stack of the two bases; with
+        the u-halves as the rows of U, the rows of U @ A span exactly the
+        intersection.
         """
         self._check_ambient(other)
         return _shared("meet", Subspace._meet, self, other)
@@ -181,14 +178,11 @@ class Subspace:
     def _meet(self, other: "Subspace") -> "Subspace":
         if self.rank == 0 or other.rank == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        stacked = Matrix.from_cols(
-            self.field,
-            [list(r) for r in self.basis.rows()]
-            + [list((-rv) for rv in r) for r in other.basis.rows()],
-        )
-        ker = null_space(stacked)
-        r, k = self.rank, ker.ncols
-        u = Matrix(self.field, k, r, (ker.entry(i, t) for t in range(k) for i in range(r)))
+        r, k = self.rank, self.rank + other.rank
+        stacked = Matrix(self.field, k, self.ambient_dim, self.basis.entries + other.basis.entries)
+        ker = null_space(stacked.transpose())
+        halves = [e for i in range(ker.nrows) for e in ker.entries[i * k : i * k + r]]
+        u = Matrix(self.field, ker.nrows, r, halves)
         return Subspace(self.field, self.ambient_dim, (u @ self.basis).rows())
 
     def join(self, other: "Subspace") -> "Subspace":

@@ -36,17 +36,26 @@ def rand_matrix(rng, field, nrows, ncols):
 
 def test_rref_known():
     m = Matrix(Field.Q, 2, 2, [F(2), F(4), F(1), F(2)])
-    reduced, rank, pivots = rref(m)
-    assert rank == 1 and pivots == (0,)
-    assert list(reduced.row(0)) == [F(1), F(2)]
-    assert list(reduced.row(1)) == [F(0), F(0)]
+    basis, pivots = rref(m)
+    # One row per pivot: the zero row of the reduced form is not returned.
+    assert pivots == (0,)
+    assert basis == Matrix(Field.Q, 1, 2, [F(1), F(2)])
+    want_rows, want_pivots = oracle.naive_rref(to_mat(m))
+    assert to_mat(basis) == tuple(tuple(r) for r in want_rows[: len(want_pivots)])
+    # A matrix with no rows, or only zero rows, has an empty basis.
+    for m in (Matrix(Field.Q, 0, 2, []), Matrix.zero(Field.Qi, 2, 3)):
+        assert rref(m) == (Matrix(m.field, 0, m.ncols, []), ())
 
 
 def test_null_space_known():
     m = Matrix(Field.Q, 1, 2, [F(1), F(1)])
     ns = null_space(m)
-    assert ns.ncols == 1
-    assert list(ns.col(0)) == [F(-1), F(1)]
+    assert ns.nrows == 1 and ns.ncols == 2
+    assert list(ns.row(0)) == [F(-1), F(1)]
+    # One row per free column: none for an invertible matrix, every unit
+    # vector for a matrix with no rows.
+    assert null_space(Matrix.identity(Field.Q, 3)) == Matrix(Field.Q, 0, 3, [])
+    assert null_space(Matrix(Field.Qi, 0, 2, [])) == Matrix.identity(Field.Qi, 2)
 
 
 def test_solve_known():
@@ -77,22 +86,13 @@ def test_projection_matrix_properties():
             dim = rng.randint(1, 4)
             k = rng.randint(0, dim)
             cols = rand_matrix(rng, field, dim, k)
-            span_rows = [list(cols.col(j)) for j in range(k)]
-            reduced, rank, _ = rref(Matrix.from_rows(field, span_rows)) if k else (None, 0, None)
-            basis_cols = (
-                Matrix.from_cols(field, [list(reduced.row(i)) for i in range(rank)])
-                if rank
-                else Matrix(field, dim, 0, [])
-            )
-            p = gram_projection(basis_cols)
+            basis, _ = rref(cols.transpose())
+            p = gram_projection(basis.transpose())
             assert p @ p == p
             assert p.conj_transpose() == p
-            for i in range(rank):
-                b = reduced.row(i)
+            for b in basis.rows():
                 assert p @ b == b
-            want = oracle.gram_projection_matrix(
-                tuple(to_vec(reduced.row(i)) for i in range(rank)), dim
-            )
+            want = oracle.gram_projection_matrix(to_mat(basis), dim)
             assert to_mat(p) == want
 
 
@@ -131,20 +131,19 @@ def test_rref_and_nullspace_match_oracle():
             nrows = rng.randint(0, 4)
             ncols = rng.randint(1, 4)
             m = rand_matrix(rng, field, nrows, ncols)
-            reduced, rank, _ = rref(m)
+            basis, pivots = rref(m)
             want_rows, want_pivots = oracle.naive_rref(to_mat(m))
-            assert rank == len(want_pivots)
-            got = tuple(to_vec(reduced.row(i)) for i in range(rank))
-            assert got == tuple(tuple(r) for r in want_rows[:rank])
+            # Exactly one row per pivot, equal to the oracle's nonzero rows.
+            assert pivots == tuple(want_pivots)
+            assert to_mat(basis) == tuple(tuple(r) for r in want_rows[: len(want_pivots)])
 
+            # One kernel vector per row, the oracle's back substitution.
             ns = null_space(m)
-            ours = tuple(to_vec(ns.col(j)) for j in range(ns.ncols))
-            theirs = oracle.plain_nullspace(to_mat(m), ncols)
-            assert oracle.s_eq(
-                oracle.span(ours, ncols), oracle.span(theirs, ncols), ncols
-            )
-            for col in ours:
-                prod = oracle.mat_vec(to_mat(m), col)
+            ours = to_mat(ns)
+            assert ns.ncols == ncols
+            assert ours == oracle.plain_nullspace(to_mat(m), ncols)
+            for row in ours:
+                prod = oracle.mat_vec(to_mat(m), row)
                 assert oracle.is_zero_vec(prod)
 
 

@@ -111,6 +111,24 @@ def test_equal_operators_built_from_different_matrices_hash_alike(field):
         assert a == b and hash(a) == hash(b)
 
 
+def test_operators_on_different_ambient_spaces_compare_unequal():
+    # ``==`` compares (domain, images), as ``__hash__`` does and as the
+    # equality of subspaces and pairs does, so another field or dimension
+    # makes another operator.  ``op_eq`` keeps raising on that mismatch.
+    ops = [total_identity(Field.Q, 2), total_identity(Field.Q, 3), total_identity(Field.Qi, 2)]
+    for i, t in enumerate(ops):
+        assert ops.index(t) == i
+        for j, u in enumerate(ops):
+            assert (t == u) is (i == j) and (t != u) is (i != j)
+            assert (t.dom == u.dom) is (i == j) and (t.pair == u.pair) is (i == j)
+            if i != j:
+                with pytest.raises(AmbientMismatch):
+                    op_eq(t, u)
+    assert total_zero(Field.Q, 2) not in ops
+    rebuilt = PartialOperator.from_matrix(Subspace.full(Field.Qi, 2), Matrix.identity(Field.Qi, 2))
+    assert rebuilt in ops and ops.index(rebuilt) == 2
+
+
 def test_building_operators_computes_no_projector_of_a_domain(gram_projection_calls):
     # An operator is its domain plus images, and a projection whose pair
     # has a zero part has the basis or zero as its images, so nothing
@@ -401,12 +419,8 @@ def kernel_pair(p):
     """The pair of ``p`` by the kernel definition: the fixed space is
     null(M - I) and the zero part is null(M) inside the domain."""
     n = p.ambient_dim
-
-    def col_span(k):
-        return Subspace(p.field, n, [list(k.col(j)) for j in range(k.ncols)])
-
-    one = col_span(null_space(p.matrix - Matrix.identity(p.field, n)))
-    return one, col_span(null_space(p.matrix)).meet(p.dom)
+    one = Subspace(p.field, n, null_space(p.matrix - Matrix.identity(p.field, n)).rows())
+    return one, Subspace(p.field, n, null_space(p.matrix).rows()).meet(p.dom)
 
 
 def general_projections(field):
@@ -612,12 +626,12 @@ def test_projections_are_idempotent_under_composition():
 
 
 def per_column_domain(q, p):
-    """dom(q after p) built one kernel column at a time."""
+    """dom(q after p) built one kernel vector at a time."""
     n = p.ambient_dim
     b_t = p.dom.basis.transpose()
     outside = (Matrix.identity(p.field, n) - q.dom.projector) @ p.matrix
     ker = null_space(outside @ b_t)
-    return Subspace(p.field, n, [list(b_t @ ker.col(j)) for j in range(ker.ncols)])
+    return Subspace(p.field, n, [list(b_t @ k) for k in ker.rows()])
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -867,6 +881,14 @@ def test_algebra_suite_over_gaussians():
     ks = [random_scalar(rng, Field.Qi) for _ in range(12)]
     report = check_pls(ops, ks)
     assert report.ok, report.summary()
+
+
+def test_the_algebra_suite_rejects_an_empty_scalar_list():
+    with pytest.raises(ValueError, match=r"nonempty scalar list ks"):
+        check_pls([total_identity(Field.Q, 2)], [])
+    # With no operators no scalar is read.
+    report = check_pls([], [])
+    assert report.ok and all(r.instances == 0 for r in report.results.values())
 
 
 # --- the norm certificate ------------------------------------------------------

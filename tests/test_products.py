@@ -77,14 +77,16 @@ def test_qi_rref_with_fractional_entries_matches_oracle():
             rows = [list(r) for r in m.rows()]
             if nrows >= 3:
                 # Make the last row a Gaussian combination of the first two,
-                # so the rank is deficient and a zero row must appear.
+                # so the rank is deficient and the basis has fewer rows.
                 c0, c1 = G(fractional(rng), fractional(rng)), G(fractional(rng), fractional(rng))
                 rows[-1] = [c0 * x + c1 * y for x, y in zip(rows[0], rows[1])]
             m = Matrix.from_rows(Field.Qi, rows)
-            reduced, rank, pivots = rref(m)
+            basis, pivots = rref(m)
             want_rows, want_pivots = oracle.naive_rref(to_mat(m))
-            assert pivots == tuple(want_pivots) and rank == len(want_pivots)
-            assert to_mat(reduced) == tuple(tuple(r) for r in want_rows)
+            rank = len(want_pivots)
+            assert pivots == tuple(want_pivots) and basis.nrows == rank
+            assert to_mat(basis) == tuple(tuple(r) for r in want_rows[:rank])
+            assert all(oracle.is_zero_vec(r) for r in want_rows[rank:])
             if nrows >= 3:
                 assert rank < nrows
 
@@ -102,13 +104,12 @@ def test_qi_results_hold_canonical_triples_and_agree_with_the_oracle(data):
     a, b = qi(r, k), qi(k, c)
     prod = a @ b
     gram = a @ a.conj_transpose()
-    reduced, rank, _ = rref(a)
-    rows = [list(reduced.row(i)) for i in range(rank)]
-    proj = gram_projection(Matrix.from_cols(Field.Qi, rows) if rows else Matrix(Field.Qi, k, 0, []))
-    for m in (prod, gram, reduced, proj):
+    basis, _ = rref(a)
+    proj = gram_projection(basis.transpose())
+    for m in (prod, gram, basis, proj):
         assert all(is_canonical(e) for e in m.entries)
     assert to_mat(prod) == oracle.mat_mul(to_mat(a), to_mat(b))
     assert all(gram.entry(i, i).im == 0 for i in range(r))
-    want_rows, _ = oracle.naive_rref(to_mat(a))
-    assert to_mat(reduced) == tuple(tuple(row) for row in want_rows)
-    assert to_mat(proj) == oracle.gram_projection_matrix(tuple(to_vec(row) for row in rows), k)
+    want_rows, want_pivots = oracle.naive_rref(to_mat(a))
+    assert to_mat(basis) == tuple(tuple(row) for row in want_rows[: len(want_pivots)])
+    assert to_mat(proj) == oracle.gram_projection_matrix(to_mat(basis), k)

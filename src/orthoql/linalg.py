@@ -132,17 +132,6 @@ class Matrix:
         return cls(field, len(rows), ncols, [e for r in rows for e in r])
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [list(c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
-        for c in cols:
-            if len(c) != nrows:
-                raise DimensionMismatch("ragged columns")
-        return cls(
-            field, nrows, len(cols), [cols[j][i] for i in range(nrows) for j in range(len(cols))]
-        )
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
         return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])

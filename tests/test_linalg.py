@@ -74,7 +74,7 @@ def test_gram_projection_known():
 
 def test_gram_projection_rejects_dependent_columns():
     for field in (Field.Q, Field.Qi):
-        cols = Matrix.from_cols(field, [[1, 2, 0], [2, 4, 0]])
+        cols = Matrix.from_rows(field, [[1, 2, 0], [2, 4, 0]]).transpose()
         with pytest.raises(SingularGram):
             gram_projection(cols)
 
@@ -173,7 +173,7 @@ def test_solve_block_matches_oracle_column_by_column(field):
         a = rand_matrix(rng, field, nrows, ncols)
         if ncols > 1 and rng.randint(0, 1):
             # Repeat the first column last, so that a has a free column.
-            a = Matrix.from_cols(field, [list(a.col(j)) for j in range(ncols - 1)] + [list(a.col(0))])
+            a = Matrix.from_rows(field, [list(r)[: ncols - 1] + [r[0]] for r in a.rows()])
         # Columns in the column space of a, and random ones that mostly are not.
         cols = [
             list(a @ rand_matrix(rng, field, 1, ncols).row(0))
@@ -181,7 +181,7 @@ def test_solve_block_matches_oracle_column_by_column(field):
             else list(rand_matrix(rng, field, 1, nrows).row(0))
             for _ in range(rng.randint(1, 3))
         ]
-        b = Matrix.from_cols(field, cols)
+        b = Matrix.from_rows(field, cols).transpose()
         x, rank = _solve_block(a, b)
         assert rank == oracle.rank(to_mat(a))
         wants = [oracle.solve_naive(to_mat(a), to_vec(b.col(j))) for j in range(b.ncols)]

@@ -9,9 +9,9 @@ FORBIDDEN = ("orthoql", "conftest")
 
 
 def forbidden_imports(source: str) -> list[str]:
-    """The modules named by ``import`` statements and by ``__import__`` /
-    ``import_module`` calls in ``source`` whose top-level package is
-    forbidden, anywhere in the file."""
+    """The modules named anywhere in ``source`` by an ``import``
+    statement or an ``__import__`` / ``import_module`` call that are
+    relative or lie under a forbidden top-level name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -19,13 +19,11 @@ def forbidden_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom):
             # A relative import reaches the test package's neighbours.
             names = [node.module or "."] if node.level == 0 else ["." * node.level]
-        elif (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None))
-            in ("__import__", "import_module")
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called not in ("__import__", "import_module"):
+                continue
             names = [str(node.args[0].value)]
         else:
             continue

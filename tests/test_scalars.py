@@ -189,7 +189,6 @@ def test_a_complex_scalar_cannot_enter_a_q_object():
         lambda: Vector(Field.Q, [1, 0]).scaled(i),
         lambda: Matrix(Field.Q, 1, 2, [i, 0]),
         lambda: Matrix.from_rows(Field.Q, [[1, 0], [0, i]]),
-        lambda: Matrix.from_cols(Field.Q, [[1, 0], [i, 0]]),
         lambda: Matrix.identity(Field.Q, 2).scaled(i),
         lambda: Matrix.identity(Field.Q, 2) @ Vector(Field.Qi, [i, 0]),
         lambda: Subspace(Field.Q, 2, [[1, i]]),

@@ -1,17 +1,18 @@
 """Exact vectors and matrices over Q and Q(i).
 
 Everything here is an immutable value; operations return fresh
-objects.  Products clear denominators once per left row and once per
-right column and accumulate every dot product in Python ints.  Row
-reduction hands the integer elimination loop to ``kernel.rref_gauss``
-and finishes the canonical form (leading ones) by dividing each
-eliminated integer row by its pivot in integer arithmetic (Gaussian
-integers over Q(i)).  Over Q each output entry is one exact fraction;
-over Q(i) the integer triple (real part, imaginary part, denominator)
-of each product or reduced entry goes straight to the scalar's reducing
-routine, and denominators are cleared from the stored triples, so no
-fraction is built on that path.  A given row space always produces the
-same bits.
+objects, over the one field of their operands (mixing Q and Q(i) raises
+``AmbientMismatch``), so no routine dispatches on an entry's type.
+Products clear denominators once per left row and once per right column
+and accumulate every dot product in Python ints.  Row reduction hands
+the integer elimination loop to ``kernel.rref_gauss`` and finishes the
+canonical form (leading ones) by dividing each eliminated integer row
+by its pivot in integer arithmetic (Gaussian integers over Q(i)).  Over
+Q each output entry is one exact fraction; over Q(i) the integer triple
+(real part, imaginary part, denominator) of each product or reduced
+entry goes straight to the scalar's reducing routine, and denominators
+are cleared from the stored triples, so no fraction is built on that
+path.  A given row space always produces the same bits.
 
 Every basis is a row matrix, one basis vector per row: ``rref`` returns
 the canonical basis of a row space (its nonzero reduced rows, one per
@@ -30,7 +31,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from orthoql import scalars
-from orthoql.errors import DimensionMismatch, SingularGram
+from orthoql.errors import AmbientMismatch, DimensionMismatch, SingularGram
 from orthoql.kernel import rref_gauss
 from orthoql.scalars import Field, GaussianRational, Scalar, _gaussian
 
@@ -74,13 +75,13 @@ class Vector:
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        _check_dims(self.dim, other.dim)
+        _check_dims(self, other)
         return Vector(self.field, (a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        _check_dims(self.dim, other.dim)
+        _check_dims(self, other)
         return Vector(self.field, (a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
@@ -190,21 +191,22 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, (k * a for a in self.entries))
 
     def __matmul__(self, other):
+        if not isinstance(other, (Vector, Matrix)):
+            return NotImplemented
+        _check_field(self, other)
         if isinstance(other, Vector):
             if other.dim != self.ncols:
                 raise DimensionMismatch(
                     f"matrix has {self.ncols} columns, vector has dim {other.dim}"
                 )
-            return Vector(self.field, _product(self, [other.entries], other.field))
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-                )
-            p = other.ncols
-            cols = [other.entries[j::p] for j in range(p)]
-            return Matrix(self.field, self.nrows, p, _product(self, cols, other.field))
-        return NotImplemented
+            return Vector(self.field, _product(self, [other.entries]))
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
+            )
+        p = other.ncols
+        cols = [other.entries[j::p] for j in range(p)]
+        return Matrix(self.field, self.nrows, p, _product(self, cols))
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -246,12 +248,19 @@ class Matrix:
         return f"Matrix[{self.field.value} {self.nrows}x{self.ncols}]({body})"
 
 
-def _check_dims(a: int, b: int):
-    if a != b:
-        raise DimensionMismatch(f"dimension {a} vs {b}")
+def _check_field(a, b):
+    if a.field is not b.field:
+        raise AmbientMismatch(f"{a.field.value} operand with a {b.field.value} operand")
+
+
+def _check_dims(a: Vector, b: Vector):
+    _check_field(a, b)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimension {a.dim} vs {b.dim}")
 
 
 def _check_shape(a: Matrix, b: Matrix):
+    _check_field(a, b)
     if a.nrows != b.nrows or a.ncols != b.ncols:
         raise DimensionMismatch(
             f"shape {a.nrows}x{a.ncols} vs {b.nrows}x{b.ncols}"
@@ -266,24 +275,15 @@ def _cleared(entries: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [e.numerator * (den // e.denominator) for e in entries]
 
 
-def _cleared_parts(entries: Sequence[Scalar], field: Field) -> tuple[int, list[int], list[int]]:
-    """One common denominator for the real and imaginary parts of
-    ``entries``, scalars of ``field``, and both parts' numerators over it."""
-    if field is Field.Q:
-        parts = [_scalar_parts(e) for e in entries]
-        den = lcm(*(p.denominator for pair in parts for p in pair))
-        return (
-            den,
-            [re.numerator * (den // re.denominator) for re, _ in parts],
-            [im.numerator * (den // im.denominator) for _, im in parts],
-        )
+def _cleared_parts(entries: Sequence[GaussianRational]) -> tuple[int, list[int], list[int]]:
+    """A common denominator of the Q(i) ``entries`` and the numerators
+    of their real and imaginary parts over it."""
     den = lcm(*(e._d for e in entries))
     return den, [e._a * (den // e._d) for e in entries], [e._b * (den // e._d) for e in entries]
 
 
-def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[Scalar]:
-    """Entries of ``a`` times each column in ``cols``, row-major; ``field``
-    is the field of the right operand the columns come from.
+def _product(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """Entries of ``a`` times each column in ``cols``, row-major.
 
     Every left row and every right column is brought to one denominator
     once; each dot product then runs on Python ints and the exact result
@@ -291,14 +291,14 @@ def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[
     """
     m = a.ncols
     rows = [a.entries[i * m : (i + 1) * m] for i in range(a.nrows)]
-    if a.field is Field.Q and field is Field.Q:
+    if a.field is Field.Q:
         left = [_cleared(r) for r in rows]
         right = [_cleared(c) for c in cols]
         return [
             Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in left for dy, y in right
         ]
-    left = [_cleared_parts(r, a.field) for r in rows]
-    right = [_cleared_parts(c, field) for c in cols]
+    left = [_cleared_parts(r) for r in rows]
+    right = [_cleared_parts(c) for c in cols]
     return [
         _gaussian(
             sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
@@ -314,7 +314,7 @@ def _product(a: Matrix, cols: Sequence[Sequence[Scalar]], field: Field) -> list[
 
 def inner(x: Vector, y: Vector) -> Scalar:
     """Inner product, linear in the first argument: sum of x_i * conj(y_i)."""
-    _check_dims(x.dim, y.dim)
+    _check_dims(x, y)
     acc = x.field.zero
     for a, b in zip(x.entries, y.entries):
         acc = acc + a * scalars.conj(b)
@@ -328,20 +328,17 @@ def norm_sq(x: Vector) -> Fraction:
 
 # --- row reduction ----------------------------------------------------
 
-def _scalar_parts(s: Scalar) -> tuple[Fraction, Fraction]:
-    if isinstance(s, GaussianRational):
-        return s.re, s.im
-    return s, Fraction(0)
-
-
 def _integral_rows(m: Matrix) -> list[list[int]]:
     """Clear denominators per row.  Row scaling preserves the row space,
     and the canonical form is unique per row space, so scaling is safe."""
     data = []
     for i in range(m.nrows):
-        _, re, im = _cleared_parts(m.entries[i * m.ncols : (i + 1) * m.ncols], m.field)
+        row = m.entries[i * m.ncols : (i + 1) * m.ncols]
         flat = [0] * (2 * m.ncols)
-        flat[0::2], flat[1::2] = re, im
+        if m.field is Field.Q:
+            flat[0::2] = _cleared(row)[1]
+        else:
+            _, flat[0::2], flat[1::2] = _cleared_parts(row)
         data.append(flat)
     return data
 

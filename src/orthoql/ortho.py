@@ -16,7 +16,6 @@ and those built from them), componentwise on the subspace lattice.
 
 from __future__ import annotations
 
-from orthoql.errors import AmbientMismatch
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace, perp_rel
 
@@ -41,11 +40,7 @@ class OrthoSubspace:
     __slots__ = ("one", "zero", "_dom")
 
     def __init__(self, one: Subspace, zero: Subspace):
-        if one.field is not zero.field or one.ambient_dim != zero.ambient_dim:
-            raise AmbientMismatch(
-                f"{one.field.value}^{one.ambient_dim} vs "
-                f"{zero.field.value}^{zero.ambient_dim}"
-            )
+        one._check_ambient(zero)
         if not perp_rel(one, zero):
             raise ValueError("components of an orthogonal pair must be orthogonal")
         self.one = one

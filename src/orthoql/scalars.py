@@ -62,8 +62,8 @@ class GaussianRational:
 
     def __new__(cls, re=0, im=0):
         # Both parts over their least common denominator.
-        re = re if type(re) is Fraction else Fraction(re)
-        im = im if type(im) is Fraction else Fraction(im)
+        re = re if type(re) is Fraction else _rational(re)
+        im = im if type(im) is Fraction else _rational(im)
         p, q = re.denominator, im.denominator
         d = lcm(p, q)
         return _gaussian(re.numerator * (d // p), im.numerator * (d // q), d)
@@ -170,6 +170,13 @@ class GaussianRational:
         return f"{_frac_text(self.re)}{sign}{_frac_text(abs(self.im))}i"
 
 
+def _rational(value) -> Fraction:
+    """``Fraction(value)`` for an int (not a bool) or a Fraction, else TypeError."""
+    if not isinstance(value, (Fraction, int)) or type(value) is bool:
+        raise TypeError(f"{type(value).__name__} {value!r} is not an exact rational")
+    return Fraction(value)
+
+
 def _gaussian(a: int, b: int, d: int) -> GaussianRational:
     """``(a + b i) / d`` for ints with ``d != 0``, reduced to its
     canonical triple.  Every ``GaussianRational`` is made here."""
@@ -224,19 +231,16 @@ class Field(enum.Enum):
         return Fraction(1) if self is Field.Q else GaussianRational(1)
 
     def coerce(self, value) -> Scalar:
-        """Normalize ints and fractions into this field's scalar type.
-
-        Rejects genuinely complex values when the field is Q.
-        """
-        if self is Field.Q:
-            if isinstance(value, GaussianRational):
-                if value.im != 0:
-                    raise ValueError(f"{value} is not rational")
-                return value.re
-            return Fraction(value)
+        """Normalize an int, a Fraction or a GaussianRational into this
+        field's scalar type; anything else raises TypeError, and a
+        genuinely complex value raises ValueError over Q."""
         if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value))
+            if self is Field.Qi:
+                return value
+            if value._b:
+                raise ValueError(f"{value} is not rational")
+            return value.re
+        return _rational(value) if self is Field.Q else GaussianRational(value)
 
     def parse(self, text: str) -> Scalar:
         t = text.strip().replace(" ", "")

@@ -154,6 +154,8 @@ class Subspace:
     # --- membership ----------------------------------------------------
 
     def contains(self, x: Vector) -> bool:
+        if x.field is not self.field:
+            raise AmbientMismatch(f"{x.field.value} vector in {self.field.value}^{self.ambient_dim}")
         if x.dim != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of dim {x.dim} in ambient dimension {self.ambient_dim}"

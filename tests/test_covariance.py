@@ -1,11 +1,13 @@
-"""Unitary covariance of meet and compose, the two readers of a kernel.
+"""Unitary covariance of the subspace lattice, distances and compose.
 
 Every notion here is a Hilbert-space notion, so it commutes with a
-unitary change of coordinates U: meet(UA, UB) == U·meet(A, B), and the
-composite of the transported operators U q Uᴴ after U p Uᴴ is the
-transported composite, domain included.  These relations consult no
-oracle.  Over Q(i) only a non-real U can expose a conjugate in the
-wrong slot, so every Q(i) unitary drawn here has a non-real entry.
+unitary change of coordinates U: meet(UA, UB) == U·meet(A, B), likewise
+for join and perp, UA <= UB exactly when A <= B, distances to UA from Ux
+are distances to A from x, and the composite of the transported
+operators U q Uᴴ after U p Uᴴ is the transported composite, domain
+included.  These relations consult no oracle.  Over Q(i) only a
+non-real U can expose a conjugate in the wrong slot, so every Q(i)
+unitary drawn here has a non-real entry.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from orthoql.generators import (
     random_partial_operator,
     random_partial_projection,
     random_subspace,
+    random_subspace_within,
     random_vector,
     rng_from,
 )
@@ -52,6 +55,19 @@ def sharing_operands(rng, field, n):
     return Subspace(field, n, shared + own()), Subspace(field, n, shared + own())
 
 
+def pivot_split_operands(rng, field, n):
+    """Two subspaces of equal rank sharing one vector, whose canonical
+    bases have different pivot sets: the second one's own vector is zero
+    on the first two coordinates, so its second pivot lies past the
+    first one's."""
+    shared = random_vector(rng, field, n)
+    own = [field.zero, field.zero] + list(random_vector(rng, field, n - 2))
+    return (
+        Subspace(field, n, [shared, random_vector(rng, field, n)]),
+        Subspace(field, n, [shared, own]),
+    )
+
+
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_meet_commutes_with_a_unitary(field):
     rng = rng_from(101)
@@ -66,6 +82,36 @@ def test_meet_commutes_with_a_unitary(field):
         m = a.meet(b)
         assert moved(u, a).meet(moved(u, b)) == moved(u, m)
         seen.add((a.rank == b.rank, 0 < m.rank < min(a.rank, b.rank)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_meet_of_different_pivot_sets_commutes_with_a_unitary(field):
+    rng = rng_from(105)
+    for _ in range(6):
+        u = unitary(rng, field, 4)
+        a, b = pivot_split_operands(rng, field, 4)
+        m = a.meet(b)
+        assert a.rank == b.rank == 2 and a.pivots != b.pivots and m.rank == 1
+        assert moved(u, a).meet(moved(u, b)) == moved(u, m)
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_join_perp_leq_and_distance_commute_with_a_unitary(field):
+    rng = rng_from(107)
+    seen = set()
+    for k in range(24):
+        n = rng.randint(2, 4)
+        u = unitary(rng, field, n)
+        b = random_subspace(rng, field, n)
+        a = random_subspace_within(rng, b) if k % 2 else random_subspace(rng, field, n)
+        ua, ub = moved(u, a), moved(u, b)
+        assert ua.join(ub) == moved(u, a.join(b))
+        assert ua.perp() == moved(u, a.perp())
+        assert ua.leq(ub) == a.leq(b)
+        x = random_vector(rng, field, n)
+        assert ua.distance_sq(u @ x) == a.distance_sq(x)
+        seen.add((a.leq(b), 0 < a.rank < n))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 

@@ -1,5 +1,6 @@
 """Field arithmetic and the text form of scalars."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import is_canonical, to_num
-from orthoql.errors import ParseError
-from orthoql.linalg import Matrix, Vector
+from orthoql.errors import AmbientMismatch, ParseError
+from orthoql.linalg import Matrix, Vector, inner
+from orthoql.ortho import OrthoSubspace
+from orthoql.partial_op import decompose, identity_on
+from orthoql.quotient import QuotientSpace
 from orthoql.scalars import (
     Field,
     GaussianRational,
@@ -190,7 +194,6 @@ def test_a_complex_scalar_cannot_enter_a_q_object():
         lambda: Matrix(Field.Q, 1, 2, [i, 0]),
         lambda: Matrix.from_rows(Field.Q, [[1, 0], [0, i]]),
         lambda: Matrix.identity(Field.Q, 2).scaled(i),
-        lambda: Matrix.identity(Field.Q, 2) @ Vector(Field.Qi, [i, 0]),
         lambda: Subspace(Field.Q, 2, [[1, i]]),
     ]
     for attempt in attempts:
@@ -203,5 +206,52 @@ def test_a_real_gaussian_enters_a_q_object_as_a_fraction():
     v = Vector(Field.Q, [three, 1])
     m = Matrix.from_rows(Field.Q, [[three, 0], [0, 1]])
     s = Subspace(Field.Q, 2, [[1, three]])
-    for e in (v[0], m.entry(0, 0), s.basis.entry(0, 1)):
+    for e in (Field.Q.coerce(three), v[0], m.entry(0, 0), s.basis.entry(0, 1)):
         assert type(e) is Fraction and e == 3
+
+
+# --- the boundary: exact scalars only, one field per operation --------------
+
+@pytest.mark.parametrize("value", [0.1, True, "3/4", Decimal("0.1")])
+def test_an_inexact_or_foreign_scalar_is_refused(value):
+    name = type(value).__name__
+    for build in (
+        Field.Q.coerce,
+        Field.Qi.coerce,
+        GaussianRational,
+        lambda v: GaussianRational(0, v),
+        lambda v: Vector(Field.Q, [1, v]),
+        lambda v: Matrix(Field.Qi, 1, 1, [v]),
+    ):
+        with pytest.raises(TypeError, match=name):
+            build(value)
+
+
+def test_an_operand_over_the_other_field_is_refused():
+    q2, qi2 = Matrix.identity(Field.Q, 2), Matrix.identity(Field.Qi, 2)
+    x, z = Vector(Field.Q, [1, 0]), Vector(Field.Qi, [GaussianRational(0, 1), 0])
+    line, complex_line = Subspace(Field.Q, 2, [[1, 0]]), Subspace(Field.Qi, 2, [[1, 0]])
+    pair = OrthoSubspace.total_from(line)
+    attempts = [
+        lambda: q2 @ z,
+        lambda: qi2 @ x,
+        lambda: q2 @ qi2,
+        lambda: qi2 @ q2,
+        lambda: q2 + qi2,
+        lambda: qi2 - q2,
+        lambda: x + z,
+        lambda: z - x,
+        lambda: inner(x, z),
+        lambda: inner(z, x),
+        lambda: line.contains(z),
+        lambda: complex_line.contains(x),
+        lambda: line.project(z),
+        lambda: line.distance_sq(z),
+        lambda: complex_line.distance_sq(x),
+        lambda: identity_on(line)(z),
+        lambda: decompose(pair, z),
+        lambda: QuotientSpace(pair).q_iso(z),
+    ]
+    for attempt in attempts:
+        with pytest.raises(AmbientMismatch):
+            attempt()

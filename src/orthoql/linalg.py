@@ -20,7 +20,7 @@ pivot, with no zero rows), and ``null_space`` returns one kernel vector
 per row.  ``rref`` is the only elimination: null spaces, solutions,
 inverses and projectors are all read off one reduced form each, and
 ``_solve_block`` is the one reduction of an augmented ``[a | b]``
-behind ``solve``, ``matrix_inverse`` and ``gram_projection``.
+behind subspace membership, ``matrix_inverse`` and ``gram_projection``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "norm_sq",
     "rref",
     "null_space",
-    "solve",
     "gram_projection",
     "matrix_inverse",
 ]
@@ -53,7 +52,7 @@ class Vector:
 
     def __init__(self, field: Field, entries: Iterable):
         self.field = field
-        self.entries = tuple(field.coerce(e) for e in entries)
+        self.entries = tuple(field.coerce(e) for e in _own(field, entries))
 
     @property
     def dim(self) -> int:
@@ -111,10 +110,11 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: Iterable):
+        _check_size(nrows, ncols)
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = tuple(field.coerce(e) for e in entries)
+        self.entries = tuple(field.coerce(e) for e in _own(field, entries))
         if len(self.entries) != nrows * ncols:
             raise DimensionMismatch(
                 f"{nrows}x{ncols} matrix needs {nrows * ncols} entries, "
@@ -125,7 +125,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [list(r) for r in rows]
+        rows = [list(_own(field, r)) for r in rows]
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
@@ -246,6 +246,22 @@ class Matrix:
             for i in range(self.nrows)
         )
         return f"Matrix[{self.field.value} {self.nrows}x{self.ncols}]({body})"
+
+
+def _own(field: Field, source):
+    """``source``, whose entries enter ``field``, unless it is a vector over the other field."""
+    if isinstance(source, Vector) and source.field is not field:
+        raise AmbientMismatch(f"{source.field.value} vector entering {field.value}")
+    return source
+
+
+def _check_size(*sizes) -> None:
+    """Refuse a dimension that is not a nonnegative int (a bool is not one)."""
+    for n in sizes:
+        if type(n) is not int:
+            raise TypeError(f"{type(n).__name__} {n!r} is not a dimension")
+        if n < 0:
+            raise ValueError(f"dimension {n} must be nonnegative")
 
 
 def _check_field(a, b):
@@ -404,6 +420,7 @@ def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
     ``a @ X == b`` (free variables 0), or None when a column of ``b``
     lies outside the column space of ``a``, together with the rank of
     ``a``: the pivots left of the block."""
+    _check_field(a, b)
     if a.nrows != b.nrows:
         raise DimensionMismatch(f"matrix has {a.nrows} rows, right-hand side has {b.nrows}")
     n, p = a.ncols, b.ncols
@@ -420,14 +437,6 @@ def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
     for i, c in enumerate(pivots):
         x[c * p : (c + 1) * p] = basis.entries[i * w + n : (i + 1) * w]
     return Matrix(a.field, n, p, x), rank
-
-
-def solve(m: Matrix, b: Vector) -> Optional[Vector]:
-    """Canonical solution of m @ x = b (free variables 0), or None."""
-    if m.nrows != b.dim:
-        raise DimensionMismatch(f"matrix has {m.nrows} rows, vector has dim {b.dim}")
-    x, _ = _solve_block(m, Matrix(m.field, b.dim, 1, b.entries))
-    return None if x is None else Vector(m.field, x.entries)
 
 
 # --- inverses and projections -----------------------------------------

@@ -40,7 +40,7 @@ class OrthoSubspace:
     __slots__ = ("one", "zero", "_dom")
 
     def __init__(self, one: Subspace, zero: Subspace):
-        one._check_ambient(zero)
+        # perp_rel raises AmbientMismatch for parts of different spaces.
         if not perp_rel(one, zero):
             raise ValueError("components of an orthogonal pair must be orthogonal")
         self.one = one

@@ -301,7 +301,6 @@ def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vecto
     finer than the failure of op_eq: domains that overlap obliquely
     without an orthogonal witness make both op_eq and op_neq false.
     """
-    t.dom._check_ambient(u.dom)
     left = t.dom.meet(u.dom.perp())
     if left.is_strict:
         return True, left.basis.row(0)
@@ -453,7 +452,6 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     for the zero-parts.  The remaining clauses assume l <= m; otherwise
     they come back as hypothesis-not-met (applicable False, holds True).
     """
-    l.one._check_ambient(m.one)
     p_l1 = projection_of(l)
     p_l0 = proj_compl(p_l1)
     p_m1 = projection_of(m)
@@ -539,7 +537,6 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
     differ, all four clauses come back as hypothesis-not-met, and their
     detail names the ``op_eq_witness`` of the two composites.
     """
-    p.dom._check_ambient(q.dom)
     qp = compose(q, p)
     pq = compose(p, q)
     if not op_eq(qp, pq):

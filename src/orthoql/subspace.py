@@ -29,12 +29,14 @@ from orthoql.errors import AmbientMismatch, DimensionMismatch
 from orthoql.linalg import (
     Matrix,
     Vector,
+    _check_size,
     _kernel_rows,
+    _own,
+    _solve_block,
     gram_projection,
     norm_sq,
     null_space,
     rref,
-    solve,
 )
 from orthoql.scalars import Field
 
@@ -79,18 +81,18 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Iterable = ()):
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
+        _check_size(ambient_dim)
         self.field = field
         self.ambient_dim = ambient_dim
-        vectors = [list(r) for r in rows]
+        vectors = [list(_own(field, r)) for r in rows]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
         if vectors:
-            self.basis, self.pivots = rref(Matrix.from_rows(field, vectors))
+            entries = [e for v in vectors for e in v]
+            self.basis, self.pivots = rref(Matrix(field, len(vectors), ambient_dim, entries))
         else:
             self.basis, self.pivots = Matrix(field, 0, ambient_dim, []), ()
         self._perp = None
@@ -154,15 +156,10 @@ class Subspace:
     # --- membership ----------------------------------------------------
 
     def contains(self, x: Vector) -> bool:
-        if x.field is not self.field:
-            raise AmbientMismatch(f"{x.field.value} vector in {self.field.value}^{self.ambient_dim}")
-        if x.dim != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of dim {x.dim} in ambient dimension {self.ambient_dim}"
-            )
-        if self.rank == 0:
-            return x.is_zero
-        return solve(self.basis.transpose(), x) is not None
+        """Whether x is a combination of the basis rows.  Its column keeps
+        x's own field, so a vector over the other field is refused."""
+        column = Matrix(x.field, x.dim, 1, x.entries)
+        return _solve_block(self.basis.transpose(), column)[0] is not None
 
     # --- lattice operations --------------------------------------------
 
@@ -245,10 +242,6 @@ class Subspace:
         return gram_projection(self.basis.transpose())
 
     def project(self, x: Vector) -> Vector:
-        if x.dim != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of dim {x.dim} in ambient dimension {self.ambient_dim}"
-            )
         return self.projector @ x
 
     def distance_sq(self, x: Vector) -> Fraction:

@@ -18,7 +18,6 @@ from orthoql.linalg import (
     norm_sq,
     null_space,
     rref,
-    solve,
 )
 from orthoql.scalars import Field, GaussianRational as G, conj
 
@@ -56,14 +55,6 @@ def test_null_space_known():
     # vector for a matrix with no rows.
     assert null_space(Matrix.identity(Field.Q, 3)) == Matrix(Field.Q, 0, 3, [])
     assert null_space(Matrix(Field.Qi, 0, 2, [])) == Matrix.identity(Field.Qi, 2)
-
-
-def test_solve_known():
-    m = Matrix(Field.Q, 1, 2, [F(1), F(1)])
-    assert list(solve(m, Vector(Field.Q, [F(2)]))) == [F(2), F(0)]
-    # Inconsistent system has no solution at all.
-    m2 = Matrix(Field.Q, 2, 1, [F(1), F(1)])
-    assert solve(m2, Vector(Field.Q, [F(1), F(2)])) is None
 
 
 def test_gram_projection_known():
@@ -145,22 +136,6 @@ def test_rref_and_nullspace_match_oracle():
             for row in ours:
                 prod = oracle.mat_vec(to_mat(m), row)
                 assert oracle.is_zero_vec(prod)
-
-
-def test_solve_matches_oracle():
-    for field in (Field.Q, Field.Qi):
-        rng = random.Random(43)
-        for _ in range(60):
-            nrows = rng.randint(1, 4)
-            ncols = rng.randint(1, 4)
-            m = rand_matrix(rng, field, nrows, ncols)
-            b = rand_matrix(rng, field, 1, nrows).row(0)
-            got = solve(m, b)
-            want = oracle.solve_naive(to_mat(m), to_vec(b))
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and to_vec(got) == want
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

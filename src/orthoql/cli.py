@@ -20,6 +20,7 @@ exit status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -500,7 +501,9 @@ def cmd_quotient(
 
 # --- argument wiring -----------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="orthoql",
         description="exact lattice and partial-projection calculator",

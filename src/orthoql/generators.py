@@ -222,7 +222,7 @@ def cayley_unitary(rng: random.Random, field: Field, dim: int) -> Matrix:
 
 def conjugated(p: PartialProjection, u: Matrix) -> PartialProjection:
     """The projection seen through the unitary change of coordinates u."""
-    dom = Subspace(p.field, p.ambient_dim, [list(u @ b) for b in p.dom.basis.rows()])
+    dom = Subspace(p.field, p.ambient_dim, p.dom.basis @ u.transpose())
     return PartialProjection.from_matrix(dom, u @ p.matrix @ u.conj_transpose())
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from orthoql.generators import random_subspace
+from orthoql.linalg import _check_size
 from orthoql.ortho import (
     OrthoSubspace,
     o_eq,
@@ -689,6 +690,7 @@ def find_counterexample(
     honest and comes back empty)."""
     if law not in FAILING_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {FAILING_LAWS}")
+    _check_size(dim)
     if dim < 2:
         return None
     gap = {
@@ -736,6 +738,7 @@ def find_counterexample(
 def check_catalog(law: str, dim: int, field: Field) -> LawReport:
     """Search for a violation of one ``FAILING_LAWS`` entry in dimension
     ``max(dim, 2)`` and report it as an expected failure."""
+    _check_size(dim)
     report = LawReport()
     res = report.result(law, expected_fail=True)
     found = find_counterexample(law, max(dim, 2), field)

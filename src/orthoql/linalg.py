@@ -16,11 +16,13 @@ path.  A given row space always produces the same bits.
 
 Every basis is a row matrix, one basis vector per row: ``rref`` returns
 the canonical basis of a row space (its nonzero reduced rows, one per
-pivot, with no zero rows), and ``null_space`` returns one kernel vector
-per row.  ``rref`` is the only elimination: null spaces, solutions,
-inverses and projectors are all read off one reduced form each, and
-``_solve_block`` is the one reduction of an augmented ``[a | b]``
-behind subspace membership, ``matrix_inverse`` and ``gram_projection``.
+pivot, with no zero rows), and ``null_space`` returns the matrix of
+kernel rows that ``_kernel_rows`` reads off it; no routine takes rows
+out as vectors to build another matrix.  ``rref`` is the only
+elimination: null spaces, solutions, inverses and projectors are all
+read off one reduced form each, and ``_solve_block`` is the one
+reduction of an augmented ``[a | b]`` behind subspace membership,
+``matrix_inverse`` and ``gram_projection``.
 """
 
 from __future__ import annotations
@@ -392,27 +394,25 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(m.field, len(pivots), m.ncols, out), tuple(pivots)
 
 
-def _kernel_rows(basis: Matrix, pivots: Sequence[int]) -> list[list[Scalar]]:
+def _kernel_rows(basis: Matrix, pivots: Sequence[int]) -> Matrix:
     """Basis of {x : basis @ x = 0} for a canonical basis with these
-    pivots, read off the free columns: one vector per free column f,
+    pivots, read off the free columns: one row per free column f,
     e_f - sum_i basis[i][f] e_(pivot i)."""
     n, field = basis.ncols, basis.field
-    rows = []
-    for f in range(n):
-        if f in pivots:
-            continue
+    free = [f for f in range(n) if f not in pivots]
+    entries = []
+    for f in free:
         v = [field.zero] * n
         v[f] = field.one
         for i, c in enumerate(pivots):
             v[c] = -basis.entry(i, f)
-        rows.append(v)
-    return rows
+        entries += v
+    return Matrix(field, len(free), n, entries)
 
 
 def null_space(m: Matrix) -> Matrix:
     """Basis of {x : m @ x = 0}, one basis vector per row."""
-    rows = _kernel_rows(*rref(m))
-    return Matrix(m.field, len(rows), m.ncols, [e for r in rows for e in r])
+    return _kernel_rows(*rref(m))
 
 
 def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:

@@ -42,7 +42,7 @@ from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.linalg import Matrix, Vector, _solve_block, inner, norm_sq, null_space
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
-from orthoql.subspace import Subspace, perp_rel
+from orthoql.subspace import Subspace, _stacked, perp_rel
 
 __all__ = [
     "PartialOperator",
@@ -195,8 +195,8 @@ class PartialProjection(PartialOperator):
             raise ValueError("projection must be self-adjoint on its domain")
         # The projection maps its domain onto the fixed part, and 1 - p
         # maps it onto the killed part.
-        fixed = Subspace(dom.field, dom.ambient_dim, images.rows())
-        killed = Subspace(dom.field, dom.ambient_dim, (dom.basis - images).rows())
+        fixed = Subspace(dom.field, dom.ambient_dim, images)
+        killed = Subspace(dom.field, dom.ambient_dim, dom.basis - images)
         return cls(OrthoSubspace(fixed, killed))
 
 
@@ -328,7 +328,7 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     q.dom._check_ambient(p.dom)
     residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
     ker = null_space(residual.transpose())
-    dom = Subspace(p.field, p.ambient_dim, (ker @ p.dom.basis).rows())
+    dom = Subspace(p.field, p.ambient_dim, ker @ p.dom.basis)
     return PartialOperator(dom, _apply(q, _apply(p, dom.basis)))
 
 
@@ -431,10 +431,10 @@ COR7_CLAUSES = ("cor7_i", "cor7_ii", "cor7_iii")
 def _spanning_samples(sub: Subspace) -> Matrix:
     # Basis vectors plus pairwise sums, one per row: enough to exercise
     # the inequalities off the coordinate axes of the basis.
-    basis = sub.basis.rows()
-    r = len(basis)
-    samples = basis + [basis[i] + basis[j] for i in range(r) for j in range(i + 1, r)]
-    return Matrix(sub.field, len(samples), sub.ambient_dim, [e for x in samples for e in x])
+    n = sub.ambient_dim
+    rows = [sub.basis.entries[i * n : (i + 1) * n] for i in range(sub.rank)]
+    rows += [tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+    return Matrix(sub.field, len(rows), n, [e for x in rows for e in x])
 
 
 def _real_or_none(v: Scalar) -> Optional[Fraction]:
@@ -524,8 +524,7 @@ def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
     joined = a.join(b)
     if a.is_zero and b.is_zero:
         return joined.is_zero
-    stacked = Matrix(a.field, a.rank + b.rank, a.ambient_dim, a.basis.entries + b.basis.entries)
-    x, _ = _solve_block(stacked.transpose(), joined.basis.transpose())
+    x, _ = _solve_block(_stacked(a, b).transpose(), joined.basis.transpose())
     return x is not None
 
 

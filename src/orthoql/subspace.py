@@ -2,10 +2,11 @@
 
 A subspace is stored as the reduced row-echelon basis of its spanning
 set, which is the unique canonical representative of the space, so
-equality is bit-equality.  Meet is computed from the definition (pairs
-of coefficient vectors producing a common element), join as the span
-of stacked bases, and the orthocomplement read off the canonical basis;
-every operation is exact.
+equality is bit-equality.  A span computed here (a product, stacked
+bases, a kernel) goes to ``rref`` as the matrix it already is.  Meet is
+computed from the definition (pairs of coefficient vectors producing a
+common element), join as the span of stacked bases, and the
+orthocomplement read off the canonical basis; every operation is exact.
 
 Because the canonical basis is an exact structural key, a law run can
 share lattice results between equal operands: inside a
@@ -29,6 +30,7 @@ from orthoql.errors import AmbientMismatch, DimensionMismatch
 from orthoql.linalg import (
     Matrix,
     Vector,
+    _check_field,
     _check_size,
     _kernel_rows,
     _own,
@@ -75,26 +77,37 @@ def _shared(op: str, compute, *operands):
         return result
 
 
+def _stacked(a: Subspace, b: Subspace) -> Matrix:
+    """The basis rows of ``a`` above those of ``b``."""
+    return Matrix(a.field, a.rank + b.rank, a.ambient_dim, a.basis.entries + b.basis.entries)
+
+
 class Subspace:
     """A subspace of the ambient space, canonically presented."""
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_hash")
 
-    def __init__(self, field: Field, ambient_dim: int, rows: Iterable = ()):
+    def __init__(self, field: Field, ambient_dim: int, rows: Matrix | Iterable = ()):
+        """The span of ``rows``: spanning vectors (lists or ``Vector``s),
+        or a built ``Matrix`` whose rows span the space.  A matrix
+        over another field or of another width is refused; its entries
+        were checked when it was built and are not coerced again."""
         _check_size(ambient_dim)
         self.field = field
         self.ambient_dim = ambient_dim
-        vectors = [list(_own(field, r)) for r in rows]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        if vectors:
-            entries = [e for v in vectors for e in v]
-            self.basis, self.pivots = rref(Matrix(field, len(vectors), ambient_dim, entries))
+        if isinstance(rows, Matrix):
+            _check_field(self, rows)
+            if rows.ncols != ambient_dim:
+                raise DimensionMismatch(f"rows of width {rows.ncols} in dimension {ambient_dim}")
         else:
-            self.basis, self.pivots = Matrix(field, 0, ambient_dim, []), ()
+            vectors = [list(_own(field, r)) for r in rows]
+            for v in vectors:
+                if len(v) != ambient_dim:
+                    raise DimensionMismatch(
+                        f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
+                    )
+            rows = Matrix(field, len(vectors), ambient_dim, [e for v in vectors for e in v])
+        self.basis, self.pivots = rref(rows) if rows.nrows else (rows, ())
         self._perp = None
         self._projector = None
         self._hash = None
@@ -107,7 +120,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows())
+        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
 
     # --- basic structure ---------------------------------------------
 
@@ -178,11 +191,10 @@ class Subspace:
         if self.rank == 0 or other.rank == 0:
             return Subspace.zero(self.field, self.ambient_dim)
         r, k = self.rank, self.rank + other.rank
-        stacked = Matrix(self.field, k, self.ambient_dim, self.basis.entries + other.basis.entries)
-        ker = null_space(stacked.transpose())
+        ker = null_space(_stacked(self, other).transpose())
         halves = [e for i in range(ker.nrows) for e in ker.entries[i * k : i * k + r]]
         u = Matrix(self.field, ker.nrows, r, halves)
-        return Subspace(self.field, self.ambient_dim, (u @ self.basis).rows())
+        return Subspace(self.field, self.ambient_dim, u @ self.basis)
 
     def join(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both (sums are closed here)."""
@@ -190,8 +202,7 @@ class Subspace:
         return _shared("join", Subspace._join, self, other)
 
     def _join(self, other: "Subspace") -> "Subspace":
-        rows = [list(r) for r in self.basis.rows()] + [list(r) for r in other.basis.rows()]
-        return Subspace(self.field, self.ambient_dim, rows)
+        return Subspace(self.field, self.ambient_dim, _stacked(self, other))
 
     def perp(self) -> "Subspace":
         """Orthocomplement {x : <x, b> = 0 for every basis vector b}."""
@@ -203,8 +214,7 @@ class Subspace:
         # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and the
         # conjugate of the RREF basis is reduced with the same pivots, so
         # its kernel is read off the free columns.
-        rows = _kernel_rows(self.basis.conj(), self.pivots)
-        return Subspace(self.field, self.ambient_dim, rows)
+        return Subspace(self.field, self.ambient_dim, _kernel_rows(self.basis.conj(), self.pivots))
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -83,6 +83,20 @@ def gram_projection_calls(monkeypatch):
     return _record_calls(monkeypatch, "gram_projection")
 
 
+@pytest.fixture
+def vector_builds(monkeypatch):
+    """The ``Vector``s built from now on."""
+    built = []
+    real = Vector.__init__
+
+    def counted(self, field, entries):
+        real(self, field, entries)
+        built.append(self)
+
+    monkeypatch.setattr(Vector, "__init__", counted)
+    return built
+
+
 def sub_to_oracle(sub: Subspace):
     return to_mat(sub.basis)
 

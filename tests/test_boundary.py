@@ -168,6 +168,7 @@ TABLE = [
     Row("GaussianRational", GaussianRational, "k k"),
     # subspaces
     Row("Subspace", Subspace, "F n rows"),
+    Row("Subspace (matrix)", Subspace, "F n m"),
     Row("Subspace.zero", Subspace.zero, ".F n"),
     Row("Subspace.full", Subspace.full, ".F n"),
     Row("Subspace.contains", lambda s, x: s.contains(x), "S x"),
@@ -320,6 +321,11 @@ DIMENSION_CASES = {
     "Matrix(Q, True, 1, [1])": (lambda: Matrix(Field.Q, True, 1, [1]), TypeError),
     "Matrix(Qi, 1, 1.0, [1])": (lambda: Matrix(Field.Qi, 1, 1.0, [1]), TypeError),
     "Matrix.identity(Q, -1)": (lambda: Matrix.identity(Field.Q, -1), ValueError),
+    "find_counterexample(law, True)": (lambda: find_counterexample("distributivity", True), TypeError),
+    "find_counterexample(law, 2.0)": (lambda: find_counterexample("distributivity", 2.0), TypeError),
+    "find_counterexample(law, -1)": (lambda: find_counterexample("distributivity", -1), ValueError),
+    "check_catalog(law, True, Q)": (lambda: check_catalog("distributivity", True, Field.Q), TypeError),
+    "check_catalog(law, -1, Q)": (lambda: check_catalog("distributivity", -1, Field.Q), ValueError),
 }
 
 

@@ -549,6 +549,45 @@ def test_a_pair_may_not_take_a_subspace_name(tmp_path, capsys):
         assert captured.err == "error: ortho pair 'A': the name is already a subspace's\n"
 
 
+def test_one_parser_serves_every_call_as_a_fresh_one_would(good_file, capsys, monkeypatch):
+    """``main`` reuses the parser it built first.  Successive calls with
+    different subcommands, help requests and argparse's own errors
+    print, and exit, exactly as they do with a parser built per call."""
+    argvs = [
+        ["op", "meet", "Plane", "B", "--file", good_file],
+        ["check", "--random", "3", "2", "5", "--laws", "clql"],
+        ["check", "--bogus"],
+        ["op", "join", "A", "B", "--file", good_file, "--format", "json"],
+        ["--help"],
+        ["project", "L", "(2,3,0)", "--file", good_file],
+        ["project", "--help"],
+        [],
+        ["roundtrip", "--random", "2", "1", "3", "--format", "yaml"],
+        ["quotient", "L", "(1,0,0)", "(0,1,0)", "--file", good_file],
+        ["op", "meet", "A", "B", "--file", good_file],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+            seen.append((code, captured.out, err))
+        return seen
+
+    reused = outcomes()
+    assert cli._build_parser() is cli._build_parser()
+    assert outcomes() == reused
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert outcomes() == reused
+    assert {code for code, _, _ in reused} >= {0, "exit 0", "exit 2"}
+
+
 def test_unexpected_exception_exits_with_the_internal_error_code(good_file, capsys, monkeypatch):
     def broken(*args):
         raise KeyError("line one\nline two")

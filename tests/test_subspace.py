@@ -8,8 +8,16 @@ import pytest
 import oracle
 from conftest import sub_to_oracle, to_vec
 from orthoql.errors import AmbientMismatch
-from orthoql.generators import random_subspace, random_vector, rng_from
-from orthoql.linalg import Vector, matrix_inverse, norm_sq
+from orthoql import scalars
+from orthoql.generators import (
+    random_partial_operator,
+    random_scalar,
+    random_subspace,
+    random_vector,
+    rng_from,
+)
+from orthoql.linalg import Matrix, Vector, matrix_inverse, norm_sq
+from orthoql.partial_op import compose
 from orthoql.scalars import Field, GaussianRational as G
 from orthoql.subspace import Subspace, coperp_rel, perp_rel
 
@@ -60,6 +68,57 @@ def test_perp_is_one_elimination(field, rref_calls):
         # The full space has no free column, so nothing is left to reduce.
         assert len(rref_calls) == (0 if s.is_full else 1)
         assert sub_to_oracle(comp) == oracle.s_perp(sub_to_oracle(s), 4)
+
+
+def _nonzero_scalar(rng, field):
+    while True:
+        k = random_scalar(rng, field)
+        if not scalars.is_zero(k):
+            return k
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_span_has_one_canonical_form(field):
+    """The span of a built matrix is the span of the same rows given as
+    lists, and neither moves when the rows are permuted and each is
+    scaled by a nonzero scalar."""
+    rng = rng_from(31)
+    dependent = 0
+    for _ in range(60):
+        rows = [random_vector(rng, field, 4) for _ in range(rng.randint(0, 6))]
+        span = Subspace(field, 4, Matrix(field, len(rows), 4, [e for r in rows for e in r]))
+        assert span == Subspace(field, 4, [list(r) for r in rows])
+        moved = [r.scaled(_nonzero_scalar(rng, field)) for r in rng.sample(rows, len(rows))]
+        assert Subspace(field, 4, moved) == span
+        assert Subspace(field, 4, Matrix(field, len(moved), 4, [e for r in moved for e in r])) == span
+        assert sub_to_oracle(span) == oracle.span([to_vec(r) for r in rows], 4)
+        dependent += span.rank < len(rows)
+    assert dependent > 0
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_lattice_operations_and_compose_build_no_vector(field, vector_builds):
+    """meet, join, perp and compose hand matrices from one linear-algebra
+    call to the next, with no row taken out as a ``Vector``."""
+    rng = rng_from(37)
+    subs = [random_subspace(rng, field, 4) for _ in range(10)]
+    subs += [
+        Subspace.zero(field, 4),
+        Subspace(field, 4, [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 1]]),
+        Subspace.full(field, 4),
+    ]
+    ops = [random_partial_operator(rng, field, 4) for _ in range(6)]
+    assert {s.rank for s in subs} == {0, 1, 2, 3, 4}
+    del vector_builds[:]
+    for a in subs:
+        a.perp()
+        for b in subs:
+            a.meet(b)
+            a.join(b)
+    for t in ops:
+        for u in ops:
+            compose(t, u)
+    assert vector_builds == []
 
 
 def test_membership_and_coefficients():

@@ -64,7 +64,8 @@ def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
 
 def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
     k = rng.randint(0, dim)
-    return Subspace(field, dim, [random_vector(rng, field, dim) for _ in range(k)])
+    entries = [random_scalar(rng, field) for _ in range(k * dim)]
+    return Subspace(field, dim, Matrix(field, k, dim, entries))
 
 
 def random_member(rng: random.Random, sub: Subspace) -> Vector:
@@ -74,9 +75,8 @@ def random_member(rng: random.Random, sub: Subspace) -> Vector:
 
 def random_subspace_within(rng: random.Random, sub: Subspace) -> Subspace:
     k = rng.randint(0, sub.rank)
-    return Subspace(
-        sub.field, sub.ambient_dim, [random_member(rng, sub) for _ in range(k)]
-    )
+    coeffs = [random_scalar(rng, sub.field) for _ in range(k * sub.rank)]
+    return Subspace(sub.field, sub.ambient_dim, Matrix(sub.field, k, sub.rank, coeffs) @ sub.basis)
 
 
 def random_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:

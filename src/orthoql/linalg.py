@@ -20,9 +20,9 @@ pivot, with no zero rows), and ``null_space`` returns the matrix of
 kernel rows that ``_kernel_rows`` reads off it; no routine takes rows
 out as vectors to build another matrix.  ``rref`` is the only
 elimination: null spaces, solutions, inverses and projectors are all
-read off one reduced form each, and ``_solve_block`` is the one
-reduction of an augmented ``[a | b]`` behind subspace membership,
-``matrix_inverse`` and ``gram_projection``.
+read off one reduced form each.  ``_solve_block`` reduces ``[a | b]``
+once to solve ``a @ X == b`` (inverses, Gram projectors, the raw-sum
+check); subspace membership needs no solution and reads pivots only.
 """
 
 from __future__ import annotations
@@ -151,9 +151,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return Vector(self.field, self.entries[i * self.ncols : (i + 1) * self.ncols])
 
-    def col(self, j: int) -> Vector:
-        return Vector(self.field, (self.entries[i * self.ncols + j] for i in range(self.nrows)))
-
     def rows(self):
         return [self.row(i) for i in range(self.nrows)]
 
@@ -267,6 +264,9 @@ def _check_size(*sizes) -> None:
 
 
 def _check_field(a, b):
+    for x in (a, b):
+        if not isinstance(getattr(x, "field", None), Field):
+            raise TypeError(f"{type(x).__name__} is not an operand over a field")
     if a.field is not b.field:
         raise AmbientMismatch(f"{a.field.value} operand with a {b.field.value} operand")
 
@@ -341,6 +341,8 @@ def inner(x: Vector, y: Vector) -> Scalar:
 
 def norm_sq(x: Vector) -> Fraction:
     """Squared norm as a plain Fraction (always real, always >= 0)."""
+    if not isinstance(x, Vector):
+        raise TypeError(f"{type(x).__name__} is not a vector")
     return sum((scalars.abs_sq(a) for a in x.entries), Fraction(0))
 
 
@@ -416,10 +418,10 @@ def null_space(m: Matrix) -> Matrix:
 
 
 def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
-    """One reduction of ``[a | b]``.  Returns the canonical X with
-    ``a @ X == b`` (free variables 0), or None when a column of ``b``
-    lies outside the column space of ``a``, together with the rank of
-    ``a``: the pivots left of the block."""
+    """One reduction of ``[a | b]`` that solves ``a @ X == b``: the
+    canonical X (free variables 0), or None when there is none, together
+    with the rank of ``a``, the pivots left of the block.  To ask only
+    whether rows lie in a space, see ``Subspace._first_outside``."""
     _check_field(a, b)
     if a.nrows != b.nrows:
         raise DimensionMismatch(f"matrix has {a.nrows} rows, right-hand side has {b.nrows}")

@@ -180,14 +180,14 @@ class PartialProjection(PartialOperator):
         once the images pass the three projection checks; its pair is
         then read off the images."""
         images = PartialOperator.from_matrix(dom, matrix).images
-        # With C = images[:, pivots], C @ basis is what each image would
-        # be if it lay in the domain, and then C @ images is its image.
-        coords = _at_pivots(images, dom)
-        kept, twice = coords @ dom.basis, coords @ images
+        # An image in the domain has the coordinates C = images[:, pivots]
+        # over its basis, and then C @ images is its image.
+        outside, n = dom._first_outside(images), dom.ambient_dim
+        twice = _at_pivots(images, dom) @ images
         for j in range(dom.rank):
-            if kept.row(j) != images.row(j):
+            if j == outside:
                 raise ValueError("projection must map its domain into itself")
-            if twice.row(j) != images.row(j):
+            if twice.entries[j * n : (j + 1) * n] != images.entries[j * n : (j + 1) * n]:
                 raise ValueError("projection must be idempotent on its domain")
         # S[b][c] = <M b, c>, and <M b, c> = <b, M c> for all b, c iff S = S^H.
         s = images @ dom.basis.conj_transpose()
@@ -283,12 +283,10 @@ def op_eq_witness(t: PartialOperator, u: PartialOperator):
     domain only, or ("value", v) for a common vector mapped differently."""
     t.dom._check_ambient(u.dom)
     if t.dom != u.dom:
-        for b in t.dom.basis.rows():
-            if not u.dom.contains(b):
-                return ("domain", b)
-        for b in u.dom.basis.rows():
-            if not t.dom.contains(b):
-                return ("domain", b)
+        for a, b in ((t.dom, u.dom), (u.dom, t.dom)):
+            i = b._first_outside(a.basis)
+            if i is not None:
+                return ("domain", a.basis.row(i))
     b = _first_difference(t, u, t.dom.basis)
     return None if b is None else ("value", b)
 
@@ -524,7 +522,7 @@ def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
     joined = a.join(b)
     if a.is_zero and b.is_zero:
         return joined.is_zero
-    x, _ = _solve_block(_stacked(a, b).transpose(), joined.basis.transpose())
+    x, _ = _solve_block(_stacked(a.basis, b.basis), joined.basis.transpose())
     return x is not None
 
 

@@ -1,12 +1,12 @@
 """Linear subspaces of Q^n and Q(i)^n with decidable lattice structure.
 
 A subspace is stored as the reduced row-echelon basis of its spanning
-set, which is the unique canonical representative of the space, so
-equality is bit-equality.  A span computed here (a product, stacked
-bases, a kernel) goes to ``rref`` as the matrix it already is.  Meet is
-computed from the definition (pairs of coefficient vectors producing a
-common element), join as the span of stacked bases, and the
-orthocomplement read off the canonical basis; every operation is exact.
+set, the unique canonical representative of the space, so equality is
+bit-equality.  A span computed here (a product, stacked bases, a kernel)
+goes to ``rref`` as the matrix it already is.  Everything is exact: meet
+comes from the definition (coefficient pairs giving a common element),
+join is the span of stacked bases, the orthocomplement is read off the
+basis, and ``_first_outside`` alone decides whether rows lie in a space.
 
 Because the canonical basis is an exact structural key, a law run can
 share lattice results between equal operands: inside a
@@ -34,7 +34,6 @@ from orthoql.linalg import (
     _check_size,
     _kernel_rows,
     _own,
-    _solve_block,
     gram_projection,
     norm_sq,
     null_space,
@@ -77,9 +76,10 @@ def _shared(op: str, compute, *operands):
         return result
 
 
-def _stacked(a: Subspace, b: Subspace) -> Matrix:
-    """The basis rows of ``a`` above those of ``b``."""
-    return Matrix(a.field, a.rank + b.rank, a.ambient_dim, a.basis.entries + b.basis.entries)
+def _stacked(a: Matrix, b: Matrix) -> Matrix:
+    """``[aᵀ | bᵀ]``: the rows of ``a`` and then those of ``b`` as columns."""
+    n, x, y = a.ncols, a.entries, b.entries
+    return Matrix(a.field, n, a.nrows + b.nrows, [e for i in range(n) for e in x[i::n] + y[i::n]])
 
 
 class Subspace:
@@ -96,9 +96,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         if isinstance(rows, Matrix):
-            _check_field(self, rows)
-            if rows.ncols != ambient_dim:
-                raise DimensionMismatch(f"rows of width {rows.ncols} in dimension {ambient_dim}")
+            self._check_rows(rows)
         else:
             vectors = [list(_own(field, r)) for r in rows]
             for v in vectors:
@@ -160,19 +158,34 @@ class Subspace:
         return f"Subspace[{self.field.value}^{self.ambient_dim}; {rows or '0'}]"
 
     def _check_ambient(self, other: "Subspace"):
-        if self.field is not other.field or self.ambient_dim != other.ambient_dim:
+        _check_field(self, other)
+        if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(
                 f"{self.field.value}^{self.ambient_dim} vs "
                 f"{other.field.value}^{other.ambient_dim}"
             )
 
+    def _check_rows(self, rows: Matrix):
+        _check_field(self, rows)
+        if rows.ncols != self.ambient_dim:
+            raise DimensionMismatch(f"rows of width {rows.ncols} in dimension {self.ambient_dim}")
+
     # --- membership ----------------------------------------------------
 
     def contains(self, x: Vector) -> bool:
-        """Whether x is a combination of the basis rows.  Its column keeps
-        x's own field, so a vector over the other field is refused."""
-        column = Matrix(x.field, x.dim, 1, x.entries)
-        return _solve_block(self.basis.transpose(), column)[0] is not None
+        """Whether x lies in this space; a vector over the other field is refused."""
+        _check_field(self, x)
+        return self._first_outside(Matrix(self.field, 1, self.ambient_dim, x)) is None
+
+    def _first_outside(self, rows: Matrix) -> Optional[int]:
+        """The index of the first of ``rows`` outside this space, or None,
+        from one ``rref`` of ``[basisᵀ | rowsᵀ]``: the basis columns are
+        independent, so the first pivot right of them is in that row's column."""
+        self._check_rows(rows)
+        if not rows.nrows:
+            return None
+        pivots, r = rref(_stacked(self.basis, rows))[1], self.rank
+        return pivots[r] - r if len(pivots) > r else None
 
     # --- lattice operations --------------------------------------------
 
@@ -191,7 +204,7 @@ class Subspace:
         if self.rank == 0 or other.rank == 0:
             return Subspace.zero(self.field, self.ambient_dim)
         r, k = self.rank, self.rank + other.rank
-        ker = null_space(_stacked(self, other).transpose())
+        ker = null_space(_stacked(self.basis, other.basis))
         halves = [e for i in range(ker.nrows) for e in ker.entries[i * k : i * k + r]]
         u = Matrix(self.field, ker.nrows, r, halves)
         return Subspace(self.field, self.ambient_dim, u @ self.basis)
@@ -202,7 +215,7 @@ class Subspace:
         return _shared("join", Subspace._join, self, other)
 
     def _join(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.field, self.ambient_dim, _stacked(self, other))
+        return Subspace(self.field, self.ambient_dim, _stacked(self.basis, other.basis).transpose())
 
     def perp(self) -> "Subspace":
         """Orthocomplement {x : <x, b> = 0 for every basis vector b}."""
@@ -223,7 +236,7 @@ class Subspace:
     def _leq(self, other: "Subspace") -> bool:
         if self.rank > other.rank:
             return False
-        return all(other.contains(b) for b in self.basis.rows())
+        return other._first_outside(self.basis) is None
 
     def __and__(self, other):
         return self.meet(other)
@@ -235,7 +248,7 @@ class Subspace:
         return self.leq(other)
 
     def __ge__(self, other):
-        return other.leq(self)
+        return other.leq(self) if isinstance(other, Subspace) else NotImplemented
 
     # --- metric structure ------------------------------------------------
 
@@ -280,7 +293,7 @@ def coperp_rel(a: Subspace, b: Subspace):
     order, with <x, y> != 0, or ``(False, None)`` when the spaces are
     orthogonal.  Entry (i, j) of ``a.basis @ b.basis^H`` is <a_i, b_j>.
     """
-    a._check_ambient(b)
+    Subspace._check_ambient(a, b)
     products = a.basis @ b.basis.conj_transpose()
     for k, value in enumerate(products.entries):
         if not scalars.is_zero(value):

@@ -1,6 +1,8 @@
 """Sanity checks for the instance generators: determinism, validity of
 what they emit, and coverage of the hypotheses the law suites gate on."""
 
+import pytest
+
 from orthoql.generators import (
     cayley_unitary,
     clql_triples,
@@ -16,13 +18,14 @@ from orthoql.generators import (
     random_partial_projection,
     random_subspace,
     random_subspace_within,
+    random_vector,
     rng_from,
 )
 from orthoql.linalg import Matrix
 from orthoql.ortho import o_leq, o_neg
 from orthoql.partial_op import compose, op_eq
 from orthoql.scalars import Field
-from orthoql.subspace import perp_rel
+from orthoql.subspace import Subspace, perp_rel
 
 
 def test_same_seed_same_stream():
@@ -32,6 +35,26 @@ def test_same_seed_same_stream():
     ta = ordered_ortho_pairs(rng_from(11), Field.Qi, 3, 6)
     tb = ordered_ortho_pairs(rng_from(11), Field.Qi, 3, 6)
     assert ta == tb
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_drawn_span_is_one_matrix_in_the_row_by_row_draw_order(field, vector_builds):
+    """``random_subspace`` and ``random_subspace_within`` build no
+    ``Vector`` and span what drawing one vector or member per row spans,
+    leaving the stream where that would."""
+    for seed in range(20):
+        rng = rng_from(seed)
+        del vector_builds[:]
+        sub = random_subspace(rng, field, 4)
+        within = random_subspace_within(rng, sub)
+        assert vector_builds == []
+        after = rng.random()
+        rng = rng_from(seed)
+        rows = [random_vector(rng, field, 4) for _ in range(rng.randint(0, 4))]
+        assert sub == Subspace(field, 4, rows)
+        members = [random_member(rng, sub) for _ in range(rng.randint(0, sub.rank))]
+        assert within == Subspace(field, 4, members)
+        assert rng.random() == after
 
 
 def test_members_and_nested_subspaces_land_inside():

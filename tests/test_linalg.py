@@ -159,12 +159,12 @@ def test_solve_block_matches_oracle_column_by_column(field):
         b = Matrix.from_rows(field, cols).transpose()
         x, rank = _solve_block(a, b)
         assert rank == oracle.rank(to_mat(a))
-        wants = [oracle.solve_naive(to_mat(a), to_vec(b.col(j))) for j in range(b.ncols)]
+        wants = [oracle.solve_naive(to_mat(a), col) for col in to_mat(b.transpose())]
         if None in wants:
             assert x is None
         else:
             assert x is not None and a @ x == b
-            assert [to_vec(x.col(j)) for j in range(b.ncols)] == wants
+            assert list(to_mat(x.transpose())) == wants
         seen.add((rank < ncols, x is None))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     # No rows: every right-hand side is solved by zero, and the rank is 0.

@@ -516,6 +516,39 @@ def test_the_operator_algebra_never_yields_a_projection(field):
 
 # --- equality and apartness ----------------------------------------------
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_membership_in_operators_builds_no_vector_but_the_witness(field, vector_builds):
+    """``from_matrix`` decides closure with no ``Vector``, whether it
+    accepts or rejects, and ``op_eq_witness`` builds only the witness it
+    returns."""
+    rng = rng_from(53)
+    doms = [random_ortho(rng, field, 3).dom for _ in range(4)]
+    cases = [(p.dom, p.matrix) for p in (random_partial_projection(rng, field, 3) for _ in range(6))]
+    plane = Subspace(field, 3, [[1, 0, 0], [0, 1, 0]])
+    cases += [(plane, Matrix.from_rows(field, rows)) for f, rows, _ in REJECTED if f is field]
+    ops = [random_partial_operator(rng, field, 3) for _ in range(4)]
+    ops += [make(d) for d in doms for make in (zero_on, identity_on)]
+    del vector_builds[:]
+    outcomes = set()
+    for dom, m in cases:
+        try:
+            PartialProjection.from_matrix(dom, m)
+            outcomes.add("accepted")
+        except ValueError as e:
+            outcomes.add(next(m for m in (CLOSURE, IDEMPOTENT, SELF_ADJOINT) if m in str(e)))
+    assert outcomes == {"accepted", CLOSURE, IDEMPOTENT, SELF_ADJOINT}
+    assert vector_builds == []
+    kinds = set()
+    for t in ops:
+        for u in ops:
+            del vector_builds[:]
+            w = op_eq_witness(t, u)
+            assert vector_builds == ([] if w is None else [w[1]])
+            assert all(v is w[1] for v in vector_builds)
+            kinds.add(None if w is None else w[0])
+    assert kinds == {None, "domain", "value"}
+
+
 def test_apartness_finds_a_domain_witness():
     t = zero_on(qs([1, 0, 0], [0, 1, 0]))
     u = zero_on(qs([1, 0, 0], [0, 0, 1]))

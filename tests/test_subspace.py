@@ -7,9 +7,10 @@ import pytest
 
 import oracle
 from conftest import sub_to_oracle, to_vec
-from orthoql.errors import AmbientMismatch
+from orthoql.errors import AmbientMismatch, DimensionMismatch
 from orthoql import scalars
 from orthoql.generators import (
+    random_member,
     random_partial_operator,
     random_scalar,
     random_subspace,
@@ -132,6 +133,85 @@ def test_membership_and_coefficients():
     assert not q3().contains(x)
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_first_outside_names_the_first_row_the_oracle_finds_outside(field):
+    """Over spaces of every rank, the zero space and the full space
+    included, rows that mix members, zero rows and drawn rows: the index
+    is that of the first row outside, None when there is none."""
+    rng = rng_from(41)
+    n = 4
+
+    def draw(sub):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return random_member(rng, sub)
+        return Vector(field, [0] * n) if kind == 1 else random_vector(rng, field, n)
+
+    seen = set()
+    for r in range(n + 1):
+        for _ in range(6):
+            sub = _space_of_rank(rng, field, n, r)
+            basis = sub_to_oracle(sub)
+            for _ in range(5):
+                rows = [draw(sub) for _ in range(rng.randint(0, 5))]
+                m = Matrix(field, len(rows), n, [e for row in rows for e in row])
+                outside = [i for i, x in enumerate(rows) if not oracle.member(basis, to_vec(x), n)]
+                want = outside[0] if outside else None
+                assert sub._first_outside(m) == want
+                if not rows:
+                    seen.add("no rows")
+                elif want is None:
+                    seen.add("all inside")
+                elif want == 0:
+                    seen.add("at 0")
+                else:
+                    seen.add("after a member")
+                    if any(x.is_zero for x in rows[:want]):
+                        seen.add("after a zero row")
+    assert seen == {"no rows", "all inside", "at 0", "after a member", "after a zero row"}
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_first_outside_refuses_other_spaces_and_reduces_at_most_once(field, rref_calls):
+    other = Field.Qi if field is Field.Q else Field.Q
+    plane = Subspace(field, 3, [[1, 0, 0], [0, 1, 1]])
+    with pytest.raises(AmbientMismatch):
+        plane._first_outside(Matrix.identity(other, 3))
+    with pytest.raises(DimensionMismatch):
+        plane._first_outside(Matrix.identity(field, 2))
+    del rref_calls[:]
+    assert plane._first_outside(Matrix(field, 0, 3, [])) is None
+    assert Subspace.zero(field, 3).leq(plane)
+    assert rref_calls == []
+    rows = Matrix.from_rows(field, [[1, 0, 0], [0, 2, 2], [0, 0, 1], [0, 1, 0]])
+    assert plane._first_outside(rows) == 2
+    assert len(rref_calls) == 1
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_leq_is_at_most_one_reduction(field, rref_calls):
+    rng = rng_from(43)
+    subs = [_space_of_rank(rng, field, 4, r) for r in range(5) for _ in range(2)]
+    for a in subs:
+        for b in subs:
+            del rref_calls[:]
+            assert a.leq(b) == oracle.s_leq(sub_to_oracle(a), sub_to_oracle(b), 4)
+            assert len(rref_calls) <= 1
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_membership_builds_no_vector(field, vector_builds):
+    rng = rng_from(47)
+    subs = [_space_of_rank(rng, field, 4, r) for r in range(5) for _ in range(2)]
+    xs = [random_vector(rng, field, 4) for _ in range(3)] + [random_member(rng, s) for s in subs]
+    del vector_builds[:]
+    for a in subs:
+        assert [a.contains(x) for x in xs] == [Subspace(field, 4, [x]).leq(a) for x in xs]
+        for b in subs:
+            a.leq(b)
+    assert vector_builds == []
+
+
 def test_distance_known():
     line = q3([1, 0, 0])
     x = Vector(Field.Q, [F(2), F(3), F(0)])
@@ -169,7 +249,7 @@ def test_projector_matches_the_inverse_route_and_the_oracle(field):
         basis = sub_to_oracle(sub)
         for j in range(3):
             e = tuple(oracle.num(1 if i == j else 0) for i in range(3))
-            assert to_vec(p.col(j)) == oracle.project_onto(e, basis, 3)
+            assert to_vec(p.transpose().row(j)) == oracle.project_onto(e, basis, 3)
 
 
 def test_lattice_matches_oracle():

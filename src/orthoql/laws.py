@@ -17,7 +17,8 @@ adjunction) is kept separate: those laws are expected to fail, the
 finder must reproduce the standard witnesses, and ``check_catalog``
 reports them as expected-fail.  Each ``check_*`` runs inside one
 ``subspace._shared_results`` block, so equal operands share their meets,
-joins, orders, orthocomplements and projectors for the length of the
+joins, orders, orthocomplements and projectors, each pair's
+orthogonality check and each pair's projection for the length of the
 run and no longer.
 """
 
@@ -220,6 +221,10 @@ def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawR
     report = LawReport()
     for law in CLQL_LAWS:
         report.result(law)
+    for l, m, n in instances:
+        # A triple over two spaces, or with no space, is refused before any law runs.
+        Subspace._check_ambient(l, m)
+        Subspace._check_ambient(l, n)
     if instances:
         first = instances[0][0]
         bottom = Subspace.zero(first.field, first.ambient_dim)

@@ -39,10 +39,10 @@ from fractions import Fraction
 from typing import Optional
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, _solve_block, inner, norm_sq, null_space
+from orthoql.linalg import Matrix, Vector, _check_field, _solve_block, inner, norm_sq, null_space
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
-from orthoql.subspace import Subspace, _stacked, perp_rel
+from orthoql.subspace import Subspace, _shared, _stacked, perp_rel
 
 __all__ = [
     "PartialOperator",
@@ -86,6 +86,7 @@ class PartialOperator:
     __slots__ = ("dom", "images")
 
     def __init__(self, dom: Subspace, images: Matrix):
+        _check_operands(dom, images)
         if (images.nrows, images.ncols, images.field) != (dom.rank, dom.ambient_dim, dom.field):
             raise AmbientMismatch(
                 f"{images.nrows}x{images.ncols} {images.field.value} images on a rank"
@@ -98,6 +99,7 @@ class PartialOperator:
     @classmethod
     def from_matrix(cls, dom: Subspace, matrix: Matrix):
         """The operator on ``dom`` that agrees there with ``matrix``."""
+        _check_operands(dom, matrix)
         if matrix.nrows != dom.ambient_dim or matrix.ncols != dom.ambient_dim:
             raise AmbientMismatch(
                 f"{matrix.nrows}x{matrix.ncols} matrix on ambient dimension {dom.ambient_dim}"
@@ -200,6 +202,14 @@ class PartialProjection(PartialOperator):
         return cls(OrthoSubspace(fixed, killed))
 
 
+def _check_operands(*operands) -> None:
+    """Refuse, with TypeError, an operand that is no subspace or matrix
+    (a float, say) before its shape is read; a field mismatch is left to
+    the caller's message."""
+    for x in operands:
+        _check_field(x, x)
+
+
 def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
     """The columns of ``rows`` at the pivots of ``sub``: the coordinates
     over ``sub.basis`` of each row, when the row lies in ``sub``."""
@@ -247,8 +257,9 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
-    and killing the zero-part."""
-    return PartialProjection(pair)
+    and killing the zero-part.  Inside a law run, equal pairs share one
+    projection."""
+    return _shared("projection_of", PartialProjection, pair)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
@@ -335,15 +346,15 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
 def proj_compl(p: PartialProjection) -> PartialProjection:
     """1 - p with 1 meaning the identity of dom(p): same domain,
     x mapped to x - p(x)."""
-    return PartialProjection(o_neg(p.pair))
+    return projection_of(o_neg(p.pair))
 
 
 def proj_meet(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return PartialProjection(o_meet(p.pair, q.pair))
+    return projection_of(o_meet(p.pair, q.pair))
 
 
 def proj_join(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return PartialProjection(o_join(p.pair, q.pair))
+    return projection_of(o_join(p.pair, q.pair))
 
 
 def proj_minus(p: PartialProjection, q: PartialProjection) -> PartialProjection:

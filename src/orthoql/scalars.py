@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Optional, Union
 
 from orthoql.errors import OrthoQLError, ParseError
 
@@ -32,10 +32,12 @@ __all__ = [
 
 Scalar = Union[Fraction, "GaussianRational"]
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^({_RAT})$")
-_FULL_RE = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
-_IMAG_RE = re.compile(rf"^({_RAT})i$")
+# A rational is two groups, its signed numerator and its optional
+# denominator; the imaginary part of a full Q(i) scalar carries its sign.
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_REAL_RE = re.compile(rf"^{_RAT}$")
+_FULL_RE = re.compile(rf"^{_RAT}([+-]\d+)(?:/(\d+))?i$")
+_IMAG_RE = re.compile(rf"^{_RAT}i$")
 
 
 def _frac_text(q: Fraction) -> str:
@@ -243,18 +245,23 @@ class Field(enum.Enum):
         return _rational(value) if self is Field.Q else GaussianRational(value)
 
     def parse(self, text: str) -> Scalar:
+        """The scalar that ``text`` writes, built from the integer groups
+        of the one match that validated it: "p", "p/q", and over Q(i)
+        also "p/q+r/si" and "r/si"."""
         t = text.strip().replace(" ", "")
         try:
             m = _REAL_RE.match(t)
             if m:
-                return self.coerce(Fraction(t))
+                q = _fraction(*m.groups())
+                return q if self is Field.Q else GaussianRational(q)
             if self is Field.Qi:
                 m = _FULL_RE.match(t)
                 if m:
-                    return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+                    g = m.groups()
+                    return GaussianRational(_fraction(*g[:2]), _fraction(*g[2:]))
                 m = _IMAG_RE.match(t)
                 if m:
-                    return GaussianRational(0, Fraction(m.group(1)))
+                    return GaussianRational(0, _fraction(*m.groups()))
         except ZeroDivisionError:
             raise ParseError(f"{text!r} has a zero denominator") from None
         except ValueError:
@@ -262,3 +269,8 @@ class Field(enum.Enum):
             # limit (sys.get_int_max_str_digits, 4300 by default).
             raise ParseError(f"scalar of {len(t)} characters has too many digits") from None
         raise ParseError(f"cannot parse {text!r} as a scalar over {self.value}")
+
+
+def _fraction(num: str, den: Optional[str]) -> Fraction:
+    """The fraction of a matched numerator group and denominator group."""
+    return Fraction(int(num), int(den) if den else 1)

@@ -9,14 +9,15 @@ join is the span of stacked bases, the orthocomplement is read off the
 basis, and ``_first_outside`` alone decides whether rows lie in a space.
 
 Because the canonical basis is an exact structural key, a law run can
-share lattice results between equal operands: inside a
-``_shared_results()`` block, ``meet``, ``join``, ``leq``, ``perp`` and
-``projector`` first look their result up in one table keyed by the
-operation and its operands (whose equality includes the field), and
-store it there when they compute it.  Equal operands have equal results,
-so the table changes no answer.  It lives exactly as long as the
-outermost block; a nested block reuses it, and outside any block there
-is no table and every operation computes its result afresh.
+share results between equal operands: inside a ``_shared_results()``
+block, ``meet``, ``join``, ``leq``, ``perp`` and ``projector``, the
+orthogonality check ``perp_rel`` (keyed on the unordered pair) and
+``partial_op.projection_of`` first look their result up in one table
+keyed by the operation and its operands (whose equality includes the
+field), and store it there when they compute it.  Equal operands have
+equal results, so the table changes no answer.  It lives exactly as
+long as the outermost block; a nested block reuses it, and outside any
+block there is no table and every operation computes its result afresh.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _results: Optional[dict] = None
 
 @contextmanager
 def _shared_results():
-    """Share lattice results among equal operands until the outermost
+    """Share results among equal operands until the outermost
     block closes, which drops the table."""
     global _results
     if _results is not None:
@@ -215,7 +216,8 @@ class Subspace:
         return _shared("join", Subspace._join, self, other)
 
     def _join(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.field, self.ambient_dim, _stacked(self.basis, other.basis).transpose())
+        n, rows = self.ambient_dim, self.basis.entries + other.basis.entries
+        return Subspace(self.field, n, Matrix(self.field, self.rank + other.rank, n, rows))
 
     def perp(self) -> "Subspace":
         """Orthocomplement {x : <x, b> = 0 for every basis vector b}."""
@@ -282,7 +284,17 @@ def perp_rel(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of ``a`` is orthogonal to every vector of ``b``.
 
     Checking basis pairs suffices, by (bi)linearity of the inner product.
+    The relation is symmetric, so a law run shares one answer between
+    ``(a, b)`` and ``(b, a)``.
     """
+    Subspace._check_ambient(a, b)
+    table = _results
+    if table is not None and ("perp_rel", b, a) in table:
+        return table["perp_rel", b, a]
+    return _shared("perp_rel", _orthogonal, a, b)
+
+
+def _orthogonal(a: Subspace, b: Subspace) -> bool:
     return not coperp_rel(a, b)[0]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from orthoql import linalg, subspace
 from orthoql.linalg import Matrix, Vector
+from orthoql.partial_op import PartialProjection
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
 
@@ -94,6 +95,35 @@ def vector_builds(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Vector, "__init__", counted)
+    return built
+
+
+@pytest.fixture
+def coperp_calls(monkeypatch):
+    """The pairs of spaces whose orthogonality ``perp_rel`` computes
+    from now on, through ``coperp_rel``."""
+    calls = []
+    real = subspace.coperp_rel
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(subspace, "coperp_rel", counted)
+    return calls
+
+
+@pytest.fixture
+def projection_builds(monkeypatch):
+    """The ``PartialProjection``s built from their pairs from now on."""
+    built = []
+    real = PartialProjection.__init__
+
+    def counted(self, pair):
+        real(self, pair)
+        built.append(self)
+
+    monkeypatch.setattr(PartialProjection, "__init__", counted)
     return built
 
 

@@ -1,5 +1,6 @@
 """Field arithmetic and the text form of scalars."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -74,6 +75,69 @@ def test_parse_forms():
     )
     assert Field.Qi.parse("-2i") == GaussianRational(0, -2)
     assert Field.Qi.parse("5") == GaussianRational(5, 0)
+
+
+# The pieces of the accepted forms: Unicode digits ("٣"), leading zeros,
+# signs and numerators of hundreds of digits all turn up.
+numerators = st.one_of(
+    st.from_regex(r"[+-]?\d+", fullmatch=True),
+    # A long numeral is a short one repeated: drawing hundreds of digits
+    # one by one is slow.
+    st.builds(
+        lambda sign, digits, k: sign + digits * k,
+        st.sampled_from(["", "+", "-"]),
+        st.from_regex(r"\d{1,4}", fullmatch=True),
+        st.integers(60, 120),
+    ),
+)
+signed = st.from_regex(r"[+-]\d+", fullmatch=True)
+denominators = st.one_of(st.just(""), st.from_regex(r"/\d+", fullmatch=True)).filter(
+    lambda d: not d or int(d[1:])
+)
+rationals = st.builds(str.__add__, numerators, denominators)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rationals)
+def test_a_rational_parses_as_its_fraction(text):
+    got = Field.Q.parse(text)
+    assert type(got) is Fraction and got == Fraction(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rationals, st.builds(str.__add__, signed, denominators), st.sampled_from(["re", "full", "im"]))
+def test_a_gaussian_rational_parses_part_by_part(re_text, im_text, form):
+    text, want = {
+        "re": (re_text, (Fraction(re_text), 0)),
+        "full": (f"{re_text}{im_text}i", (Fraction(re_text), Fraction(im_text))),
+        "im": (f"{re_text}i", (0, Fraction(re_text))),
+    }[form]
+    z = Field.Qi.parse(text)
+    assert is_canonical(z) and (z.re, z.im) == want
+
+
+def test_the_parse_pieces_cover_what_they_claim():
+    assert Field.Q.parse("٣/٠٤") == Fraction(3, 4)
+    assert Field.Q.parse("-007/014") == Fraction(-1, 2)
+    assert Field.Qi.parse("+2/4-٣i") == GaussianRational(Fraction(1, 2), -3)
+
+
+@pytest.mark.parametrize("field, text", [
+    (Field.Q, "1/0"), (Field.Q, "0/0"), (Field.Qi, "1/0"), (Field.Qi, "0/0"),
+    (Field.Qi, "1+1/0i"), (Field.Qi, "2/0i"), (Field.Qi, "1/0+1i"),
+])
+def test_a_zero_denominator_is_a_parse_error(field, text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        field.parse(text)
+
+
+@pytest.mark.parametrize("form", ["{}", "-{}/7", "{}i", "1+{}i", "1/2-3/{}i"])
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_numeral_past_the_digit_limit_is_a_parse_error(field, form):
+    text = form.format("7" * (sys.get_int_max_str_digits() + 1))
+    want = "too many digits" if field is Field.Qi or "i" not in form else "cannot parse"
+    with pytest.raises(ParseError, match=want):
+        field.parse(text)
 
 
 @pytest.mark.parametrize("bad", ["", "i", "1+i", "one", "2/", "1..2", "2+3j"])

@@ -1,6 +1,6 @@
-"""The table of lattice results that one law run shares: it changes no
-answer, never mixes fields, and lives exactly as long as the outermost
-run."""
+"""The table of results that one law run shares (lattice results,
+orthogonality checks and projections): it changes no answer, never
+mixes fields, and lives exactly as long as the outermost run."""
 
 import pytest
 
@@ -13,14 +13,20 @@ from orthoql.generators import (
     random_subspace,
     rng_from,
 )
-from orthoql.partial_op import projection_of
+from orthoql.ortho import OrthoSubspace
+from orthoql.partial_op import proj_compl, proj_join, proj_meet, projection_of
 from orthoql.scalars import Field
-from orthoql.subspace import Subspace, _shared_results
+from orthoql.subspace import Subspace, _shared_results, perp_rel
 
 
 def copy(s):
     """A fresh object equal to ``s``, with nothing cached on it."""
     return Subspace(s.field, s.ambient_dim, s.basis.rows())
+
+
+def copy_pair(pair):
+    """A fresh pair equal to ``pair``, built and checked again."""
+    return OrthoSubspace(copy(pair.one), copy(pair.zero))
 
 
 def lattice_results(a, b):
@@ -122,3 +128,88 @@ def test_a_nested_scope_reuses_the_outer_table():
             laws.check_clql([(a, Subspace(Field.Q, 2), a)])
         assert subspace._results is table
     assert subspace._results is None
+
+
+# --- orthogonality checks and projections ------------------------------
+
+def spaces_and_pairs(field, seed):
+    """Drawn spaces, orthogonal and not, and drawn pairs of Q^3 or Q(i)^3."""
+    rng = rng_from(seed)
+    pairs = [random_ortho(rng, field, 3) for _ in range(6)]
+    spaces = [random_subspace(rng, field, 3) for _ in range(4)]
+    spaces += [s for p in pairs[:2] for s in (p.one, p.zero)]
+    return spaces, pairs
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_run_checks_each_unordered_pair_of_spaces_once(field, coperp_calls):
+    a, b = Subspace(field, 3, [[1, 2, 0]]), Subspace(field, 3, [[2, -1, 5]])
+    c = Subspace(field, 3, [[1, 1, 1]])
+    with _shared_results():
+        got = [perp_rel(x, y) for x, y in ((a, b), (b, a), (copy(a), copy(b)), (copy(b), copy(a)))]
+        assert got == [True] * 4 and len(coperp_calls) == 1
+        got = [perp_rel(x, y) for x, y in ((a, c), (c, a), (copy(c), copy(a)))]
+        assert got == [False] * 3 and len(coperp_calls) == 2
+    # Outside a run every call computes.
+    assert [perp_rel(a, b), perp_rel(b, a), perp_rel(a, b)] == [True] * 3
+    assert len(coperp_calls) == 5
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_run_builds_each_projection_once(field, projection_builds):
+    _, (pair, other, *_) = spaces_and_pairs(field, 47)
+    with _shared_results():
+        p = projection_of(pair)
+        assert projection_of(copy_pair(pair)) is p and len(projection_builds) == 1
+        q = projection_of(other)
+        c = proj_compl(p)
+        assert proj_compl(projection_of(copy_pair(pair))) is c and len(projection_builds) == 3
+        # The complement of the complement is the projection of the first pair.
+        assert proj_compl(c) is p and len(projection_builds) == 3
+        meet, join = proj_meet(p, q), proj_join(p, q)
+        assert proj_meet(p, projection_of(copy_pair(other))) is meet
+        assert proj_join(p, q) is join and len(projection_builds) == 5
+    # Outside a run every call builds.
+    fresh = [projection_of(pair), projection_of(pair), proj_compl(p), proj_compl(p)]
+    assert fresh[0] is not fresh[1] and fresh[2] is not fresh[3]
+    assert fresh == [p, p, c, c] and len(projection_builds) == 9
+
+
+def test_a_run_still_refuses_operands_over_another_space(coperp_calls, projection_builds):
+    a, b = Subspace(Field.Q, 3, [[1, 0, 0]]), Subspace(Field.Q, 3, [[0, 1, 0]])
+    other_field, other_dim = Subspace(Field.Qi, 3, [[0, 1, 0]]), Subspace(Field.Q, 2, [[0, 1]])
+    pair = OrthoSubspace(a, b)
+    with _shared_results():
+        assert perp_rel(a, b) and perp_rel(b, a)
+        for bad in (other_field, other_dim):
+            for x, y in ((a, bad), (bad, a), (b, bad), (bad, b)):
+                with pytest.raises(AmbientMismatch):
+                    perp_rel(x, y)
+            with pytest.raises(AmbientMismatch):
+                OrthoSubspace(a, bad)
+        # Equal entries over Q(i) are another pair, with its own check and
+        # its own projection.
+        complex_pair = OrthoSubspace(Subspace(Field.Qi, 3, [[1, 0, 0]]), other_field)
+        p, cp = projection_of(pair), projection_of(complex_pair)
+        assert p.field is Field.Q and cp.field is Field.Qi
+        assert p is not cp and len(projection_builds) == 2
+    # The pair outside the run, the first check inside it, the Q(i) pair.
+    assert len(coperp_calls) == 3
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_shared_checks_and_projections_change_no_answer(field):
+    spaces, pairs = spaces_and_pairs(field, 53)
+
+    def answers():
+        orthogonal = [perp_rel(copy(a), copy(b)) for a in spaces for b in spaces]
+        projections = [projection_of(copy_pair(l)) for l in pairs]
+        projections += [proj_compl(p) for p in projections]
+        projections += [f(p, q) for f in (proj_meet, proj_join) for p in projections for q in projections]
+        return orthogonal, [(p.dom, p.images, p.pair) for p in projections]
+
+    want = answers()
+    assert True in want[0] and False in want[0]
+    with _shared_results():
+        assert answers() == want
+        assert answers() == want

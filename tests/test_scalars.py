@@ -116,7 +116,7 @@ def test_a_gaussian_rational_parses_part_by_part(re_text, im_text, form):
     assert is_canonical(z) and (z.re, z.im) == want
 
 
-def test_the_parse_pieces_cover_what_they_claim():
+def test_unicode_digits_leading_zeros_and_signs_parse():
     assert Field.Q.parse("٣/٠٤") == Fraction(3, 4)
     assert Field.Q.parse("-007/014") == Fraction(-1, 2)
     assert Field.Qi.parse("+2/4-٣i") == GaussianRational(Fraction(1, 2), -3)
@@ -131,13 +131,13 @@ def test_a_zero_denominator_is_a_parse_error(field, text):
         field.parse(text)
 
 
-@pytest.mark.parametrize("form", ["{}", "-{}/7", "{}i", "1+{}i", "1/2-3/{}i"])
-@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+@pytest.mark.parametrize("field, form", [
+    (Field.Q, "{}"), (Field.Q, "-{}/7"), (Field.Qi, "{}"), (Field.Qi, "-{}/7"),
+    (Field.Qi, "{}i"), (Field.Qi, "1+{}i"), (Field.Qi, "1/2-3/{}i"),
+])
 def test_a_numeral_past_the_digit_limit_is_a_parse_error(field, form):
-    text = form.format("7" * (sys.get_int_max_str_digits() + 1))
-    want = "too many digits" if field is Field.Qi or "i" not in form else "cannot parse"
-    with pytest.raises(ParseError, match=want):
-        field.parse(text)
+    with pytest.raises(ParseError, match="too many digits"):
+        field.parse(form.format("7" * (sys.get_int_max_str_digits() + 1)))
 
 
 @pytest.mark.parametrize("bad", ["", "i", "1+i", "one", "2/", "1..2", "2+3j"])

@@ -228,12 +228,12 @@ def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
 
 def identity_on(dom: Subspace) -> PartialProjection:
     """The identity as a partial map on ``dom``."""
-    return PartialProjection(OrthoSubspace(dom, Subspace.zero(dom.field, dom.ambient_dim)))
+    return projection_of(OrthoSubspace(dom, Subspace.zero(dom.field, dom.ambient_dim)))
 
 
 def zero_on(dom: Subspace) -> PartialProjection:
     """The zero map on ``dom`` (distinct from zero maps on other domains)."""
-    return PartialProjection(OrthoSubspace(Subspace.zero(dom.field, dom.ambient_dim), dom))
+    return projection_of(OrthoSubspace(Subspace.zero(dom.field, dom.ambient_dim), dom))
 
 
 def total_identity(field: Field, ambient_dim: int) -> PartialProjection:
@@ -333,8 +333,11 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     For x = c @ basis, p(x) = c @ images lies in dom(q) exactly when
     c @ residual = 0, with residual = images - images[:, pivots of
     dom(q)] @ basis of dom(q), so the domain is the image of a kernel.
+    A total outer domain keeps the inner one: every image lies in it.
     """
     q.dom._check_ambient(p.dom)
+    if q.dom.is_full:
+        return PartialOperator(p.dom, _apply(q, p.images))
     residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
     ker = null_space(residual.transpose())
     dom = Subspace(p.field, p.ambient_dim, ker @ p.dom.basis)

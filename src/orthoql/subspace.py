@@ -7,6 +7,9 @@ goes to ``rref`` as the matrix it already is.  Everything is exact: meet
 comes from the definition (coefficient pairs giving a common element),
 join is the span of stacked bases, the orthocomplement is read off the
 basis, and ``_first_outside`` alone decides whether rows lie in a space.
+An operation with a zero or full operand is read off the ranks with no
+elimination, and containment between spaces of equal rank is a bitwise
+comparison of their bases, since equal-rank containment is equality.
 
 Because the canonical basis is an exact structural key, a law run can
 share results between equal operands: inside a ``_shared_results()``
@@ -119,7 +122,12 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        """The whole space: the identity is its own RREF, so nothing is reduced."""
+        s = cls.__new__(cls)
+        s.field, s.ambient_dim = field, ambient_dim
+        s.basis, s.pivots = Matrix.identity(field, ambient_dim), tuple(range(ambient_dim))
+        s._perp = s._projector = s._hash = None
+        return s
 
     # --- basic structure ---------------------------------------------
 
@@ -183,7 +191,7 @@ class Subspace:
         from one ``rref`` of ``[basisᵀ | rowsᵀ]``: the basis columns are
         independent, so the first pivot right of them is in that row's column."""
         self._check_rows(rows)
-        if not rows.nrows:
+        if not rows.nrows or self.is_full:
             return None
         pivots, r = rref(_stacked(self.basis, rows))[1], self.rank
         return pivots[r] - r if len(pivots) > r else None
@@ -202,8 +210,10 @@ class Subspace:
         return _shared("meet", Subspace._meet, self, other)
 
     def _meet(self, other: "Subspace") -> "Subspace":
-        if self.rank == 0 or other.rank == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
+        if self.is_zero or other.is_full:
+            return self
+        if other.is_zero or self.is_full:
+            return other
         r, k = self.rank, self.rank + other.rank
         ker = null_space(_stacked(self.basis, other.basis))
         halves = [e for i in range(ker.nrows) for e in ker.entries[i * k : i * k + r]]
@@ -216,6 +226,10 @@ class Subspace:
         return _shared("join", Subspace._join, self, other)
 
     def _join(self, other: "Subspace") -> "Subspace":
+        if self.is_full or other.is_zero:
+            return self
+        if other.is_full or self.is_zero:
+            return other
         n, rows = self.ambient_dim, self.basis.entries + other.basis.entries
         return Subspace(self.field, n, Matrix(self.field, self.rank + other.rank, n, rows))
 
@@ -226,6 +240,10 @@ class Subspace:
         return self._perp
 
     def _orthocomplement(self) -> "Subspace":
+        if self.is_zero:
+            return Subspace.full(self.field, self.ambient_dim)
+        if self.is_full:
+            return Subspace.zero(self.field, self.ambient_dim)
         # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and the
         # conjugate of the RREF basis is reduced with the same pivots, so
         # its kernel is read off the free columns.
@@ -236,8 +254,11 @@ class Subspace:
         return _shared("leq", Subspace._leq, self, other)
 
     def _leq(self, other: "Subspace") -> bool:
-        if self.rank > other.rank:
-            return False
+        if self.is_zero or other.is_full:
+            return True
+        if self.rank >= other.rank:
+            # Canonical bases make equal-rank containment equality.
+            return self.rank == other.rank and self.basis == other.basis
         return other._first_outside(self.basis) is None
 
     def __and__(self, other):
@@ -306,6 +327,8 @@ def coperp_rel(a: Subspace, b: Subspace):
     orthogonal.  Entry (i, j) of ``a.basis @ b.basis^H`` is <a_i, b_j>.
     """
     Subspace._check_ambient(a, b)
+    if a.is_zero or b.is_zero:
+        return False, None
     products = a.basis @ b.basis.conj_transpose()
     for k, value in enumerate(products.entries):
         if not scalars.is_zero(value):

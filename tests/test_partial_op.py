@@ -680,6 +680,22 @@ def test_composition_domain_matches_the_per_column_construction(field):
             assert_same_operator(qp, PartialOperator.from_matrix(qp.dom, q.matrix @ p.matrix))
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_total_outer_domain_keeps_the_inner_one(field, rref_calls):
+    rng = rng_from(79)
+    full = Subspace.full(field, 3)
+    outer = [PartialOperator.from_matrix(full, random_matrix(rng, field)) for _ in range(3)]
+    outer += [projection_of(OrthoSubspace.total_from(dom)) for dom in domains(field)]
+    inner = [PartialOperator.from_matrix(dom, random_matrix(rng, field)) for dom in domains(field)]
+    inner += [projection_of(random_ortho(rng, field, 3)) for _ in range(4)] + outer
+    for q in outer:
+        for p in inner:
+            del rref_calls[:]
+            qp = compose(q, p)
+            assert rref_calls == []
+            assert_same_operator(qp, PartialOperator.from_matrix(p.dom, q.matrix @ p.matrix))
+
+
 def test_composition_restricts_the_domain():
     # The domain keeps exactly the vectors whose image lands inside the
     # second factor's domain.

@@ -14,7 +14,15 @@ from orthoql.generators import (
     rng_from,
 )
 from orthoql.ortho import OrthoSubspace
-from orthoql.partial_op import proj_compl, proj_join, proj_meet, projection_of
+from orthoql.partial_op import (
+    identity_on,
+    proj_compl,
+    proj_join,
+    proj_meet,
+    projection_of,
+    total_zero,
+    zero_on,
+)
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace, _shared_results, perp_rel
 
@@ -173,6 +181,18 @@ def test_a_run_builds_each_projection_once(field, projection_builds):
     fresh = [projection_of(pair), projection_of(pair), proj_compl(p), proj_compl(p)]
     assert fresh[0] is not fresh[1] and fresh[2] is not fresh[3]
     assert fresh == [p, p, c, c] and len(projection_builds) == 9
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_run_builds_each_identity_and_zero_map_once(field, projection_builds, rref_calls):
+    dom = Subspace(field, 3, [[1, 0, 2], [0, 1, 1]])
+    with _shared_results():
+        maps = [identity_on(dom), zero_on(dom), total_zero(field, 3)]
+        again = [identity_on(copy(dom)), zero_on(copy(dom)), total_zero(field, 3)]
+        assert all(x is y for x, y in zip(again, maps)) and len(projection_builds) == 3
+    # The total zero map reduces nothing: the full space is the identity.
+    del rref_calls[:]
+    assert total_zero(field, 3).dom.is_full and rref_calls == []
 
 
 def test_a_run_still_refuses_operands_over_another_space(coperp_calls, projection_builds):

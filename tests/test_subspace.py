@@ -66,8 +66,8 @@ def test_perp_is_one_elimination(field, rref_calls):
     for s in subs:
         del rref_calls[:]
         comp = s.perp()
-        # The full space has no free column, so nothing is left to reduce.
-        assert len(rref_calls) == (0 if s.is_full else 1)
+        # The bounds swap, read off the ranks: nothing is reduced.
+        assert len(rref_calls) == (0 if s.is_full or s.is_zero else 1)
         assert sub_to_oracle(comp) == oracle.s_perp(sub_to_oracle(s), 4)
 
 
@@ -197,6 +197,70 @@ def test_leq_is_at_most_one_reduction(field, rref_calls):
             del rref_calls[:]
             assert a.leq(b) == oracle.s_leq(sub_to_oracle(a), sub_to_oracle(b), 4)
             assert len(rref_calls) <= 1
+
+
+def _bounds_and_planes(field):
+    """Fresh operands of field^4, nothing cached on them: the zero space,
+    the full space, a plane, and another plane of the same rank."""
+    w = G(0, 1) if field is Field.Qi else F(1, 2)
+    return {
+        "zero": Subspace.zero(field, 4),
+        "full": Subspace.full(field, 4),
+        "plane": Subspace(field, 4, [[1, w, 0, 2], [0, 1, w, -1]]),
+        "other plane": Subspace(field, 4, [[0, 1, 0, w], [1, 0, 3, 0]]),
+    }
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_bound_operand_is_read_off_the_ranks(field, rref_calls):
+    """Every ordered pair of operands agrees with the oracle, and an
+    operation with a zero or full operand reduces nothing; nor does
+    ``leq`` between spaces of equal rank."""
+    names = list(_bounds_and_planes(field))
+    seen = set()
+    for x in names:
+        for y in names:
+            a, b = _bounds_and_planes(field)[x], _bounds_and_planes(field)[y]
+            oa, ob = sub_to_oracle(a), sub_to_oracle(b)
+            bound = bool({x, y} & {"zero", "full"})
+            outside = [i for i, row in enumerate(ob) if not oracle.member(oa, row, 4)]
+            orthogonal = oracle.orthogonal(oa, ob)
+            cases = [
+                ("meet", lambda: sub_to_oracle(a.meet(b)), oracle.s_meet(oa, ob, 4), bound),
+                ("join", lambda: sub_to_oracle(a.join(b)), oracle.s_join(oa, ob, 4), bound),
+                ("leq", lambda: a.leq(b), oracle.s_leq(oa, ob, 4), bound or a.rank == b.rank),
+                ("perp", lambda: sub_to_oracle(a.perp()), oracle.s_perp(oa, 4), x in ("zero", "full")),
+                (
+                    "first outside",
+                    lambda: a._first_outside(b.basis),
+                    outside[0] if outside else None,
+                    x == "full" or y == "zero",
+                ),
+                ("perp_rel", lambda: perp_rel(a, b), orthogonal, True),
+                ("coperp_rel", lambda: coperp_rel(a, b)[0], not orthogonal, True),
+            ]
+            for op, compute, want, free in cases:
+                del rref_calls[:]
+                assert compute() == want, (op, x, y)
+                assert not rref_calls if free else rref_calls, (op, x, y)
+            if orthogonal:
+                assert coperp_rel(a, b) == (False, None)
+            if a.rank == b.rank and not bound:
+                seen.add("equal" if a == b else "equal rank, not contained")
+    # The distinct planes refute a leq that answers True on equal ranks.
+    assert seen == {"equal", "equal rank, not contained"}
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_the_full_space_is_the_canonical_identity(field, rref_calls):
+    for n in range(4):
+        full = Subspace.full(field, n)
+        assert rref_calls == []
+        spanned = Subspace(field, n, Matrix.identity(field, n))
+        assert (full.basis, full.pivots) == (spanned.basis, spanned.pivots)
+        assert full == spanned and hash(full) == hash(spanned) and full.is_full
+        assert repr(full) == repr(spanned)
+        del rref_calls[:]
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

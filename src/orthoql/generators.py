@@ -62,10 +62,12 @@ def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
     return Vector(field, (random_scalar(rng, field) for _ in range(dim)))
 
 
+def _random_rows(rng: random.Random, field: Field, k: int, ncols: int) -> Matrix:
+    return Matrix(field, k, ncols, [random_scalar(rng, field) for _ in range(k * ncols)])
+
+
 def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
-    k = rng.randint(0, dim)
-    entries = [random_scalar(rng, field) for _ in range(k * dim)]
-    return Subspace(field, dim, Matrix(field, k, dim, entries))
+    return Subspace(field, dim, _random_rows(rng, field, rng.randint(0, dim), dim))
 
 
 def random_member(rng: random.Random, sub: Subspace) -> Vector:
@@ -73,10 +75,13 @@ def random_member(rng: random.Random, sub: Subspace) -> Vector:
     return (Matrix(sub.field, 1, sub.rank, coeffs) @ sub.basis).row(0)
 
 
+def _random_within(rng: random.Random, sub: Subspace, k: int) -> Subspace:
+    """The span of k random combinations of the basis of ``sub``."""
+    return Subspace(sub.field, sub.ambient_dim, _random_rows(rng, sub.field, k, sub.rank) @ sub.basis)
+
+
 def random_subspace_within(rng: random.Random, sub: Subspace) -> Subspace:
-    k = rng.randint(0, sub.rank)
-    coeffs = [random_scalar(rng, sub.field) for _ in range(k * sub.rank)]
-    return Subspace(sub.field, sub.ambient_dim, Matrix(sub.field, k, sub.rank, coeffs) @ sub.basis)
+    return _random_within(rng, sub, rng.randint(0, sub.rank))
 
 
 def random_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:
@@ -101,6 +106,29 @@ def clql_triples(
                 random_subspace(rng, field, dim),
             )
         )
+    return out
+
+
+def _modular_triples(
+    rng: random.Random, field: Field, dim: int, count: int
+) -> list[tuple[Subspace, Subspace, Subspace]]:
+    """Triples (L, M, N) that meet the modular law's hypothesis and that
+    the lattice axioms do not settle alone: 0 < N < L < H, 0 < M < H, and
+    M comparable with neither L nor N.  N is drawn inside L, and a
+    degenerate draw is drawn again.  Such a triple needs dim >= 3, so
+    below that the list is empty."""
+    if dim < 3:
+        return []
+    out = []
+    while len(out) < count:
+        l = Subspace(field, dim, _random_rows(rng, field, rng.randint(2, dim - 1), dim))
+        if l.rank < 2:
+            continue
+        n = _random_within(rng, l, rng.randint(1, l.rank - 1))
+        m = Subspace(field, dim, _random_rows(rng, field, rng.randint(1, dim - 1), dim))
+        # N <= L, so M <= N would give M <= L and L <= M would give N <= M.
+        if not (n.is_zero or m.is_zero or m.leq(l) or n.leq(m)):
+            out.append((l, m, n))
     return out
 
 

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from orthoql.generators import random_subspace
+from orthoql.generators import _modular_triples
 from orthoql.linalg import _check_size
 from orthoql.ortho import (
     OrthoSubspace,
@@ -685,14 +685,24 @@ def find_counterexample(
     law: str,
     dim: int,
     field: Field = Field.Q,
-    budget: int = 400,
+    budget: int = 32,
     seed: int = 0,
 ) -> Optional[Counterexample]:
-    """Search for a violating instance: known catalog first, then random
-    triples.  Returns None when the law cannot fail at this dimension
-    (or genuinely never fails, as with modularity here: sums of
-    subspaces are always closed at finite dimension, so the search is
-    honest and comes back empty)."""
+    """Search for a violating instance; None when none is found.
+
+    Distributivity and the Heyting adjunction are tried on the standard
+    two-dimensional witnesses, padded with zeros, which refute both in
+    every dimension from 2 on; below 2 neither can fail.
+
+    Modularity holds at finite dimension (sums of subspaces are closed),
+    so its search is expected to come back empty, but it is a real one:
+    it tries ``budget`` triples (L, M, N) drawn from ``seed`` with
+    0 < N < L < H, 0 < M < H and M comparable with neither L nor N.
+    Any other triple misses the hypothesis N <= L or is settled by the
+    lattice axioms alone, so it could not expose a wrong ``meet`` or
+    ``join``.  Such a triple needs three dimensions: at ``dim <= 2``
+    nothing is drawn and the result is None.  ``check_catalog`` prints
+    the same line whichever triples were tried, as long as none fails."""
     if law not in FAILING_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {FAILING_LAWS}")
     _check_size(dim)
@@ -727,13 +737,10 @@ def find_counterexample(
                 Subspace(field, dim, [_padded(field, dim, 1, 1)]),
             )
         )
+    else:
+        catalog = _modular_triples(random.Random(seed), field, dim, budget)
     for triple in catalog:
         found = gap(*triple)
-        if found is not None:
-            return found
-    rng = random.Random(seed)
-    for _ in range(budget):
-        found = gap(*(random_subspace(rng, field, dim) for _ in range(3)))
         if found is not None:
             return found
     return None

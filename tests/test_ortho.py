@@ -4,8 +4,9 @@ import pytest
 
 import oracle
 from conftest import sub_to_oracle
+from orthoql import generators, laws
 from orthoql.errors import AmbientMismatch
-from orthoql.generators import complql_triples, random_ortho, rng_from
+from orthoql.generators import _modular_triples, complql_triples, random_ortho, rng_from
 from orthoql.laws import (
     COMPLQL_LAWS,
     check_clql,
@@ -161,8 +162,81 @@ def test_heyting_counterexample_detects_the_gap():
 
 
 def test_modularity_has_no_counterexample_here():
+    assert find_counterexample("modularity", 2) is None
     assert find_counterexample("modularity", 3) is None
+    assert find_counterexample("modularity", 3, Field.Qi) is None
     assert find_counterexample("modularity", 4, budget=50) is None
+
+
+@pytest.fixture
+def modularity_gaps(monkeypatch):
+    """The triples the modularity search evaluates from now on."""
+    calls = []
+    real = laws._modularity_gap
+
+    def counted(l, m, n):
+        calls.append((l, m, n))
+        return real(l, m, n)
+
+    monkeypatch.setattr(laws, "_modularity_gap", counted)
+    return calls
+
+
+@pytest.fixture
+def meet_mutant(monkeypatch):
+    """A wrong ``meet``: the zero space whenever neither operand contains
+    the other.  Degenerate modularity triples cannot tell it apart."""
+    real = Subspace._meet
+
+    def mutant(self, other):
+        if self._leq(other) or other._leq(self):
+            return real(self, other)
+        return Subspace.zero(self.field, self.ambient_dim)
+
+    monkeypatch.setattr(Subspace, "_meet", mutant)
+
+
+@pytest.mark.parametrize("field, dim", [(Field.Q, 3), (Field.Q, 4), (Field.Qi, 3), (Field.Q, 8)])
+def test_modularity_search_tries_only_non_degenerate_triples(modularity_gaps, field, dim):
+    assert find_counterexample("modularity", dim, field) is None
+    assert modularity_gaps
+    for l, m, n in modularity_gaps:
+        ol, om, on = (sub_to_oracle(s) for s in (l, m, n))
+        # 0 < N < L < H and 0 < M < H.
+        assert oracle.s_leq(on, ol, dim)
+        assert 0 < oracle.rank(on) < oracle.rank(ol) < dim
+        assert 0 < oracle.rank(om) < dim
+        for other in (ol, on):
+            assert not oracle.s_leq(om, other, dim)
+            assert not oracle.s_leq(other, om, dim)
+
+
+def test_modularity_search_cost_is_bounded_by_its_budget(modularity_gaps, monkeypatch):
+    draws = []
+    real = generators.random_scalar
+
+    def counted(rng, field):
+        draws.append(field)
+        return real(rng, field)
+
+    monkeypatch.setattr(generators, "random_scalar", counted)
+    # No triple in two dimensions is non-degenerate, so nothing is drawn.
+    assert find_counterexample("modularity", 2) is None
+    assert draws == [] and modularity_gaps == []
+    assert find_counterexample("modularity", 16, budget=8) is None
+    assert 0 < len(modularity_gaps) <= 8
+
+
+@pytest.mark.parametrize("field, dim", [(Field.Q, 4), (Field.Qi, 3)])
+def test_modularity_search_exposes_a_wrong_meet(meet_mutant, field, dim):
+    ce = find_counterexample("modularity", dim, field)
+    assert ce is not None and ce.law == "modularity"
+    assert ce.lhs != ce.rhs
+
+
+def test_modular_closed_exposes_a_wrong_meet_on_modular_triples(meet_mutant):
+    report = check_clql(_modular_triples(rng_from(7), Field.Q, 4, 16))
+    assert report.results["modular_closed"].violations
 
 
 def test_counterexample_search_edges():

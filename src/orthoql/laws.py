@@ -17,9 +17,8 @@ adjunction) is kept separate: those laws are expected to fail, the
 finder must reproduce the standard witnesses, and ``check_catalog``
 reports them as expected-fail.  Each ``check_*`` runs inside one
 ``subspace._shared_results`` block, so equal operands share their meets,
-joins, orders, orthocomplements and projectors, each pair's
-orthogonality check and each pair's projection for the length of the
-run and no longer.
+joins and orders for the length of the run and no longer; a subspace
+keeps its own orthocomplement and projector, and a pair its projection.
 """
 
 from __future__ import annotations
@@ -705,7 +704,7 @@ def find_counterexample(
     the same line whichever triples were tried, as long as none fails."""
     if law not in FAILING_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {FAILING_LAWS}")
-    _check_size(dim)
+    _check_size(dim, budget)
     if dim < 2:
         return None
     gap = {

@@ -12,6 +12,12 @@ is what the law battery in :mod:`orthoql.laws` exercises.
 ``OrthoSubspace`` holds a pair, its domain and its order; each
 connective is one module function (``o_meet``, ``o_join``, ``o_neg``
 and those built from them), componentwise on the subspace lattice.
+The public constructor checks that the parts are orthogonal.  The
+connectives skip that check through ``OrthoSubspace._of``, because
+their pairs are orthogonal by construction: negation swaps the parts,
+and a1 ∧ b1 lies in a1 ⊥ a0 and in b1 ⊥ b0, so it is orthogonal to
+a0 ∨ b0 (join is dual).  Their operands' spaces are still checked
+inside ``meet`` and ``join``.
 """
 
 from __future__ import annotations
@@ -37,15 +43,22 @@ __all__ = [
 class OrthoSubspace:
     """An orthogonal pair of subspaces of a common ambient space."""
 
-    __slots__ = ("one", "zero", "_dom")
+    __slots__ = ("one", "zero", "_dom", "_projection")
 
     def __init__(self, one: Subspace, zero: Subspace):
         # perp_rel raises AmbientMismatch for parts of different spaces.
         if not perp_rel(one, zero):
             raise ValueError("components of an orthogonal pair must be orthogonal")
-        self.one = one
-        self.zero = zero
-        self._dom = None
+        self.one, self.zero = one, zero
+        self._dom = self._projection = None
+
+    @classmethod
+    def _of(cls, one: Subspace, zero: Subspace) -> "OrthoSubspace":
+        """The pair (one, zero), unchecked: its parts are orthogonal by construction."""
+        pair = cls.__new__(cls)
+        pair.one, pair.zero = one, zero
+        pair._dom = pair._projection = None
+        return pair
 
     # --- constructors --------------------------------------------------
 
@@ -62,7 +75,7 @@ class OrthoSubspace:
     @classmethod
     def total_from(cls, one: Subspace) -> "OrthoSubspace":
         """The unique total pair with the given one-part."""
-        return cls(one, one.perp())
+        return cls._of(one, one.perp())
 
     # --- structure -------------------------------------------------------
 
@@ -91,11 +104,11 @@ class OrthoSubspace:
 
     def local_zero(self) -> "OrthoSubspace":
         """The least element of the interval this pair lives in."""
-        return OrthoSubspace(Subspace.zero(self.field, self.ambient_dim), self.dom)
+        return OrthoSubspace._of(Subspace.zero(self.field, self.ambient_dim), self.dom)
 
     def local_one(self) -> "OrthoSubspace":
         """The greatest element of the interval this pair lives in."""
-        return OrthoSubspace(self.dom, Subspace.zero(self.field, self.ambient_dim))
+        return OrthoSubspace._of(self.dom, Subspace.zero(self.field, self.ambient_dim))
 
     def __eq__(self, other):
         if not isinstance(other, OrthoSubspace):
@@ -113,15 +126,15 @@ class OrthoSubspace:
 
 
 def o_meet(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return OrthoSubspace(a.one & b.one, a.zero | b.zero)
+    return OrthoSubspace._of(a.one & b.one, a.zero | b.zero)
 
 
 def o_join(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
-    return OrthoSubspace(a.one | b.one, a.zero & b.zero)
+    return OrthoSubspace._of(a.one | b.one, a.zero & b.zero)
 
 
 def o_neg(a: OrthoSubspace) -> OrthoSubspace:
-    return OrthoSubspace(a.zero, a.one)
+    return OrthoSubspace._of(a.zero, a.one)
 
 
 def o_minus(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:

@@ -16,15 +16,16 @@ Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
 ``PartialProjection`` is built from its pair and keeps it:
 ``PartialProjection(pair)`` takes the images of the pair's domain
-basis under the one-part's orthogonal projector, so ``projection_of``
-is that constructor and ``subspaces_of`` reads the stored pair.  The
-logical operations act on pairs: negation swaps the parts, so
-``proj_compl`` is the projection of the negated pair, and meet, join
-and order are those of the pairs.  ``PartialProjection.from_matrix``
-is the one place where a matrix claims to be a projection: its images
-must map the domain into itself, be idempotent and be self-adjoint,
-and the pair is then read off them with no kernel computed, as the
-span of the images and of what they leave out, basis row minus image.
+basis under the one-part's orthogonal projector; ``projection_of``
+builds it once per pair and keeps it on the pair, and ``subspaces_of``
+reads the stored pair.  The logical operations act on pairs: negation
+swaps the parts, so ``proj_compl`` is the projection of the negated
+pair, and meet, join and order are those of the pairs.
+``PartialProjection.from_matrix`` is the one place where a matrix
+claims to be a projection: its images must map the domain into itself,
+be idempotent and be self-adjoint, and the pair is then read off them
+with no kernel computed, as the span of the images and of what they
+leave out, basis row minus image.
 
 The calculus of composites for ordered pairs and for commuting
 projections is checked clause by clause: each calculus returns a plain
@@ -42,7 +43,7 @@ from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.linalg import Matrix, Vector, _check_field, _solve_block, inner, norm_sq, null_space
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
 from orthoql.scalars import Field, GaussianRational, Scalar
-from orthoql.subspace import Subspace, _shared, _stacked, perp_rel
+from orthoql.subspace import Subspace, _stacked, perp_rel
 
 __all__ = [
     "PartialOperator",
@@ -257,9 +258,10 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
-    and killing the zero-part.  Inside a law run, equal pairs share one
-    projection."""
-    return _shared("projection_of", PartialProjection, pair)
+    and killing the zero-part, built once per pair and kept on it."""
+    if pair._projection is None:
+        pair._projection = PartialProjection(pair)
+    return pair._projection
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:

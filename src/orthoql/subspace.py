@@ -13,14 +13,14 @@ comparison of their bases, since equal-rank containment is equality.
 
 Because the canonical basis is an exact structural key, a law run can
 share results between equal operands: inside a ``_shared_results()``
-block, ``meet``, ``join``, ``leq``, ``perp`` and ``projector``, the
-orthogonality check ``perp_rel`` (keyed on the unordered pair) and
-``partial_op.projection_of`` first look their result up in one table
-keyed by the operation and its operands (whose equality includes the
-field), and store it there when they compute it.  Equal operands have
-equal results, so the table changes no answer.  It lives exactly as
-long as the outermost block; a nested block reuses it, and outside any
-block there is no table and every operation computes its result afresh.
+block, ``meet``, ``join`` and ``leq``, which the law suites repeat on
+equal operands that are distinct objects, first look their result up in
+one table keyed by the operation and its operands (whose equality
+includes the field), and store it there when they compute it.  Equal
+operands have equal results, so the table changes no answer.  It lives
+exactly as long as the outermost block; a nested block reuses it, and
+outside any block there is no table and every operation computes its
+result afresh.  ``perp`` and ``projector`` keep theirs on the subspace.
 """
 
 from __future__ import annotations
@@ -236,18 +236,17 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthocomplement {x : <x, b> = 0 for every basis vector b}."""
         if self._perp is None:
-            self._perp = _shared("perp", Subspace._orthocomplement, self)
+            if self.is_zero:
+                self._perp = Subspace.full(self.field, self.ambient_dim)
+            elif self.is_full:
+                self._perp = Subspace.zero(self.field, self.ambient_dim)
+            else:
+                # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and
+                # the conjugate of the RREF basis is reduced with the same
+                # pivots, so its kernel is read off the free columns.
+                rows = _kernel_rows(self.basis.conj(), self.pivots)
+                self._perp = Subspace(self.field, self.ambient_dim, rows)
         return self._perp
-
-    def _orthocomplement(self) -> "Subspace":
-        if self.is_zero:
-            return Subspace.full(self.field, self.ambient_dim)
-        if self.is_full:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # <x, b> = 0 for every basis row b is conj(basis) @ x = 0, and the
-        # conjugate of the RREF basis is reduced with the same pivots, so
-        # its kernel is read off the free columns.
-        return Subspace(self.field, self.ambient_dim, _kernel_rows(self.basis.conj(), self.pivots))
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -279,13 +278,8 @@ class Subspace:
     def projector(self) -> Matrix:
         """Ambient matrix of the orthogonal projection onto this space."""
         if self._projector is None:
-            self._projector = _shared("projector", Subspace._gram_projector, self)
+            self._projector = gram_projection(self.basis.transpose())
         return self._projector
-
-    def _gram_projector(self) -> Matrix:
-        if self.rank == 0:
-            return Matrix.zero(self.field, self.ambient_dim, self.ambient_dim)
-        return gram_projection(self.basis.transpose())
 
     def project(self, x: Vector) -> Vector:
         return self.projector @ x
@@ -305,17 +299,7 @@ def perp_rel(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of ``a`` is orthogonal to every vector of ``b``.
 
     Checking basis pairs suffices, by (bi)linearity of the inner product.
-    The relation is symmetric, so a law run shares one answer between
-    ``(a, b)`` and ``(b, a)``.
     """
-    Subspace._check_ambient(a, b)
-    table = _results
-    if table is not None and ("perp_rel", b, a) in table:
-        return table["perp_rel", b, a]
-    return _shared("perp_rel", _orthogonal, a, b)
-
-
-def _orthogonal(a: Subspace, b: Subspace) -> bool:
     return not coperp_rel(a, b)[0]
 
 

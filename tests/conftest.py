@@ -5,8 +5,10 @@ from math import gcd
 
 import pytest
 
+import oracle
 from orthoql import linalg, subspace
 from orthoql.linalg import Matrix, Vector
+from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
@@ -54,6 +56,26 @@ def from_num(field, pair):
 
 def from_vec(field, x):
     return Vector(field, [from_num(field, e) for e in x])
+
+
+@pytest.fixture(scope="session", autouse=True)
+def pair_contract():
+    """Every pair that a connective builds unchecked, with
+    ``OrthoSubspace._of``, has orthogonal parts, asserted in the oracle's
+    own arithmetic for the whole session."""
+    build = OrthoSubspace._of
+
+    def checked(one, zero):
+        pair = build(one, zero)
+        zeros = to_mat(zero.basis)
+        for x in to_mat(one.basis):
+            for y in zeros:
+                assert oracle.ciszero(oracle.inner(x, y)), f"a connective built {pair!r}"
+        return pair
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OrthoSubspace, "_of", checked)
+        yield
 
 
 def _record_calls(monkeypatch, name):

@@ -330,6 +330,22 @@ DIMENSION_CASES = {
     "find_counterexample(law, True)": (lambda: find_counterexample("distributivity", True), TypeError),
     "find_counterexample(law, 2.0)": (lambda: find_counterexample("distributivity", 2.0), TypeError),
     "find_counterexample(law, -1)": (lambda: find_counterexample("distributivity", -1), ValueError),
+    "find_counterexample(law, 4, budget=True)": (
+        lambda: find_counterexample("modularity", 4, budget=True),
+        TypeError,
+    ),
+    "find_counterexample(law, 4, budget=2.5)": (
+        lambda: find_counterexample("modularity", 4, budget=2.5),
+        TypeError,
+    ),
+    "find_counterexample(law, 4, budget=-1)": (
+        lambda: find_counterexample("modularity", 4, budget=-1),
+        ValueError,
+    ),
+    "find_counterexample(law, 1, budget=-1)": (
+        lambda: find_counterexample("distributivity", 1, budget=-1),
+        ValueError,
+    ),
     "check_catalog(law, True, Q)": (lambda: check_catalog("distributivity", True, Field.Q), TypeError),
     "check_catalog(law, -1, Q)": (lambda: check_catalog("distributivity", -1, Field.Q), ValueError),
 }

@@ -1,6 +1,12 @@
-"""The table of results that one law run shares (lattice results,
-orthogonality checks and projections): it changes no answer, never
-mixes fields, and lives exactly as long as the outermost run."""
+"""Where each cached result lives.  One law run shares a table of
+``meet``, ``join`` and ``leq`` results between equal operands: it
+changes no answer, never mixes fields, and lives exactly as long as the
+outermost run.  A subspace keeps its own orthocomplement and projector,
+a pair keeps its own projection, and only the public pair constructor
+checks orthogonality; the connectives' pairs are orthogonal by
+construction."""
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -13,7 +19,7 @@ from orthoql.generators import (
     random_subspace,
     rng_from,
 )
-from orthoql.ortho import OrthoSubspace
+from orthoql.ortho import OrthoSubspace, o_join, o_meet, o_neg
 from orthoql.partial_op import (
     identity_on,
     proj_compl,
@@ -38,7 +44,7 @@ def copy_pair(pair):
 
 
 def lattice_results(a, b):
-    return (a.meet(b), a.join(b), a.leq(b), b.leq(a), a.perp(), b.perp(), a.projector, b.projector)
+    return (a.meet(b), a.join(b), a.leq(b), b.leq(a))
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -53,25 +59,28 @@ def test_shared_results_change_no_answer(field):
     with _shared_results():
         first = [lattice_results(copy(a), copy(b)) for a, b in pairs]
         second = [lattice_results(copy(a), copy(b)) for a, b in pairs]
+        for a in spaces:
+            copy(a).perp(), copy(a).projector
+        # The table holds the binary lattice results and nothing else.
+        assert {key[0] for key in subspace._results} == {"meet", "join", "leq"}
     assert first == want and second == want
     # The second pass over fresh copies finds every result in the table.
     assert all(x is y for f, s in zip(first, second) for x, y in zip(f, s))
 
 
-def test_shared_results_keep_the_fields_apart():
-    # Equal real entries over Q and Q(i).  A real GaussianRational equals
-    # and hashes like its Fraction, so only the field tells them apart.
-    rows, line = [[1, 2, 0], [0, 1, -1]], [[1, 0, 3]]
-    q, lq = Subspace(Field.Q, 3, rows), Subspace(Field.Q, 3, line)
-    qi, lqi = Subspace(Field.Qi, 3, rows), Subspace(Field.Qi, 3, line)
-    assert q.basis.entries == qi.basis.entries
-    assert hash(q.basis.entries) == hash(qi.basis.entries)
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_subspace_keeps_its_orthocomplement_and_projector(field, gram_projection_calls):
+    rng = rng_from(59)
+    spaces = [random_subspace(rng, field, 3) for _ in range(8)]
     with _shared_results():
-        for a, b in ((q, lq), (qi, lqi)):
-            got = [a.meet(b), a.join(b), b.join(a), a.perp(), b.perp()]
-            assert [s.field for s in got] == [a.field] * len(got)
-            assert a.projector.field is a.field and b.projector.field is a.field
-            assert got == [copy(a).meet(copy(b)), a.join(b), b.join(a), a.perp(), b.perp()]
+        for a in spaces:
+            twin = copy(a)
+            assert a.perp() is a.perp() and a.projector is a.projector
+            # An equal space is another object with its own caches.
+            assert twin.perp() == a.perp() and twin.perp() is not a.perp()
+            assert twin.projector == a.projector and twin.projector is not a.projector
+    assert len(gram_projection_calls) == 2 * len(spaces)
+    assert [a.perp() for a in spaces] == [copy(a).perp() for a in spaces]
 
 
 def suites():
@@ -150,17 +159,36 @@ def spaces_and_pairs(field, seed):
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
-def test_a_run_checks_each_unordered_pair_of_spaces_once(field, coperp_calls):
+def test_a_pair_is_checked_once_per_construction(field, coperp_calls):
     a, b = Subspace(field, 3, [[1, 2, 0]]), Subspace(field, 3, [[2, -1, 5]])
     c = Subspace(field, 3, [[1, 1, 1]])
-    with _shared_results():
-        got = [perp_rel(x, y) for x, y in ((a, b), (b, a), (copy(a), copy(b)), (copy(b), copy(a)))]
-        assert got == [True] * 4 and len(coperp_calls) == 1
-        got = [perp_rel(x, y) for x, y in ((a, c), (c, a), (copy(c), copy(a)))]
-        assert got == [False] * 3 and len(coperp_calls) == 2
-    # Outside a run every call computes.
-    assert [perp_rel(a, b), perp_rel(b, a), perp_rel(a, b)] == [True] * 3
-    assert len(coperp_calls) == 5
+    for run in (_shared_results, nullcontext):
+        del coperp_calls[:]
+        with run():
+            pairs = [OrthoSubspace(a, b), OrthoSubspace(b, a), OrthoSubspace(copy(a), copy(b))]
+            assert len(coperp_calls) == 3 and OrthoSubspace(a, b) == pairs[0]
+            assert len(coperp_calls) == 4
+            for one, zero in ((a, c), (c, a)):
+                with pytest.raises(ValueError, match="must be orthogonal"):
+                    OrthoSubspace(one, zero)
+            assert len(coperp_calls) == 6
+            # perp_rel computes every time; nothing shares its answer.
+            assert [perp_rel(a, b), perp_rel(b, a), perp_rel(a, c)] == [True, True, False]
+            assert len(coperp_calls) == 9
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_connectives_build_their_pairs_unchecked(field, coperp_calls):
+    _, pairs = spaces_and_pairs(field, 61)
+    del coperp_calls[:]
+    built = []
+    for a in pairs:
+        built += [o_neg(a), a.local_zero(), a.local_one(), OrthoSubspace.total_from(a.one)]
+        built += [f(a, b) for f in (o_meet, o_join) for b in pairs]
+    assert coperp_calls == []
+    # Each is the pair that the checked constructor accepts.
+    assert all(OrthoSubspace(p.one, p.zero) == p for p in built)
+    assert len(coperp_calls) == len(built)
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -168,37 +196,44 @@ def test_a_run_builds_each_projection_once(field, projection_builds):
     _, (pair, other, *_) = spaces_and_pairs(field, 47)
     with _shared_results():
         p = projection_of(pair)
-        assert projection_of(copy_pair(pair)) is p and len(projection_builds) == 1
+        assert projection_of(pair) is p and len(projection_builds) == 1
+        # An equal pair is another object and keeps its own projection.
+        twin = copy_pair(pair)
+        assert projection_of(twin) == p and projection_of(twin) is not p
+        assert projection_of(twin) is projection_of(twin) and len(projection_builds) == 2
         q = projection_of(other)
         c = proj_compl(p)
-        assert proj_compl(projection_of(copy_pair(pair))) is c and len(projection_builds) == 3
-        # The complement of the complement is the projection of the first pair.
-        assert proj_compl(c) is p and len(projection_builds) == 3
+        assert projection_of(c.pair) is c and len(projection_builds) == 4
         meet, join = proj_meet(p, q), proj_join(p, q)
-        assert proj_meet(p, projection_of(copy_pair(other))) is meet
-        assert proj_join(p, q) is join and len(projection_builds) == 5
-    # Outside a run every call builds.
-    fresh = [projection_of(pair), projection_of(pair), proj_compl(p), proj_compl(p)]
-    assert fresh[0] is not fresh[1] and fresh[2] is not fresh[3]
-    assert fresh == [p, p, c, c] and len(projection_builds) == 9
+        assert projection_of(meet.pair) is meet and projection_of(join.pair) is join
+        assert len(projection_builds) == 6
+    # Outside a run the pair still keeps its projection.
+    assert projection_of(pair) is p and projection_of(other) is q
+    assert len(projection_builds) == 6
+    fresh = copy_pair(pair)
+    assert projection_of(fresh) is projection_of(fresh) == p and len(projection_builds) == 7
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
-def test_a_run_builds_each_identity_and_zero_map_once(field, projection_builds, rref_calls):
+def test_identity_and_zero_maps_check_their_pair_and_reduce_nothing(
+    field, coperp_calls, projection_builds, rref_calls
+):
     dom = Subspace(field, 3, [[1, 0, 2], [0, 1, 1]])
-    with _shared_results():
-        maps = [identity_on(dom), zero_on(dom), total_zero(field, 3)]
-        again = [identity_on(copy(dom)), zero_on(copy(dom)), total_zero(field, 3)]
-        assert all(x is y for x, y in zip(again, maps)) and len(projection_builds) == 3
-    # The total zero map reduces nothing: the full space is the identity.
     del rref_calls[:]
-    assert total_zero(field, 3).dom.is_full and rref_calls == []
+    maps = [identity_on(dom), zero_on(dom), total_zero(field, 3)]
+    # Each pair comes through the checked constructor and is built once.
+    assert len(coperp_calls) == 3 and len(projection_builds) == 3
+    assert [projection_of(m.pair) for m in maps] == maps
+    assert len(projection_builds) == 3
+    # A zero part is read off the rank, and the full space is the identity.
+    assert maps[2].dom.is_full and rref_calls == []
 
 
 def test_a_run_still_refuses_operands_over_another_space(coperp_calls, projection_builds):
     a, b = Subspace(Field.Q, 3, [[1, 0, 0]]), Subspace(Field.Q, 3, [[0, 1, 0]])
     other_field, other_dim = Subspace(Field.Qi, 3, [[0, 1, 0]]), Subspace(Field.Q, 2, [[0, 1]])
     pair = OrthoSubspace(a, b)
+    assert len(coperp_calls) == 1
     with _shared_results():
         assert perp_rel(a, b) and perp_rel(b, a)
         for bad in (other_field, other_dim):
@@ -209,12 +244,11 @@ def test_a_run_still_refuses_operands_over_another_space(coperp_calls, projectio
                 OrthoSubspace(a, bad)
         # Equal entries over Q(i) are another pair, with its own check and
         # its own projection.
+        del coperp_calls[:]
         complex_pair = OrthoSubspace(Subspace(Field.Qi, 3, [[1, 0, 0]]), other_field)
         p, cp = projection_of(pair), projection_of(complex_pair)
         assert p.field is Field.Q and cp.field is Field.Qi
-        assert p is not cp and len(projection_builds) == 2
-    # The pair outside the run, the first check inside it, the Q(i) pair.
-    assert len(coperp_calls) == 3
+        assert p is not cp and len(projection_builds) == 2 and len(coperp_calls) == 1
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

@@ -12,9 +12,11 @@ diff-friendly.  Exit status: 0 when every law that should hold does
 hold, 1 when a violation was found (a library bug, not a user error),
 2 for unusable input, 3 for an internal error (an exception orthoql
 does not raise on purpose, also a library bug).  Every error exit
-writes exactly one ``error:`` line to stderr.  Laws that are known to
-fail on Hilbert lattices are tagged expected-fail and never affect the
-exit status.
+writes exactly one ``error:`` line to stderr.  The catalog laws are
+tagged expected-fail and never affect the exit status: distributivity
+and the Heyting adjunction, which fail on subspace lattices, and also
+modularity, which holds at finite dimension.  So a violation that the
+modularity search found would be printed but would still exit 0.
 """
 
 from __future__ import annotations

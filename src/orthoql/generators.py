@@ -87,7 +87,7 @@ def random_subspace_within(rng: random.Random, sub: Subspace) -> Subspace:
 def random_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:
     one = random_subspace(rng, field, dim)
     zero = random_subspace_within(rng, one.perp())
-    return OrthoSubspace(one, zero)
+    return OrthoSubspace._of(one, zero)
 
 
 def random_total_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:
@@ -144,14 +144,16 @@ def orthogonal_total_pair(
 def _ordered_pair(
     rng: random.Random, field: Field, dim: int, total: bool
 ) -> tuple[OrthoSubspace, OrthoSubspace]:
-    """A pair ordered low-to-high; with total=True both ends are total."""
+    """A pair ordered low-to-high; with total=True both ends are total.
+    Both pairs are orthogonal by construction: m0 lies in m1.perp(), and
+    l0 in l1.perp(), which contains m1.perp() since l1 lies in m1."""
     l1 = random_subspace(rng, field, dim)
     m1 = l1.join(random_subspace(rng, field, dim))
     if total:
         return OrthoSubspace.total_from(l1), OrthoSubspace.total_from(m1)
     m0 = random_subspace_within(rng, m1.perp())
     l0 = m0.join(random_subspace_within(rng, l1.perp()))
-    return OrthoSubspace(l1, l0), OrthoSubspace(m1, m0)
+    return OrthoSubspace._of(l1, l0), OrthoSubspace._of(m1, m0)
 
 
 def complql_triples(
@@ -254,28 +256,30 @@ def conjugated(p: PartialProjection, u: Matrix) -> PartialProjection:
     return PartialProjection.from_matrix(dom, u @ p.matrix @ u.conj_transpose())
 
 
-def _coordinate_projection(
-    field: Field, dim: int, support: set[int], fixed: set[int]
-) -> PartialProjection:
-    def axes(idx: set[int]) -> Subspace:
-        rows = []
-        for j in sorted(idx):
-            row = [field.zero] * dim
-            row[j] = field.one
-            rows.append(row)
-        return Subspace(field, dim, rows)
+def _axis_projection(cols: Matrix, support: set[int], fixed: set[int]) -> PartialProjection:
+    """The projection fixing the span of the rows of ``cols`` at ``fixed``
+    and killing the span of those at ``support - fixed``.  The rows are
+    the columns of a unitary, which are orthonormal, so the pair is
+    orthogonal by construction."""
+    n = cols.ncols
 
-    return projection_of(OrthoSubspace(axes(fixed), axes(support - fixed)))
+    def span(idx: set[int]) -> Subspace:
+        rows = [e for j in sorted(idx) for e in cols.entries[j * n : (j + 1) * n]]
+        return Subspace(cols.field, n, Matrix(cols.field, len(idx), n, rows))
+
+    return projection_of(OrthoSubspace._of(span(fixed), span(support - fixed)))
 
 
 def commuting_pairs(
     rng: random.Random, field: Field, dim: int, count: int
 ) -> list[tuple[PartialProjection, PartialProjection]]:
-    """Pairs of commuting projections: simultaneously diagonal on the
-    coordinate axes, then optionally pushed through a shared unitary.
+    """Pairs of commuting projections, simultaneously diagonal in the
+    columns of a shared unitary: the identity, or a Cayley unitary.
 
-    Two coordinate projections commute exactly when the domains of the
-    two composites coincide as index sets, so candidates are rejection
+    Each projection is drawn as its pair, the spans of two disjoint sets
+    of the unitary's columns, so nothing is conjugated or checked again.
+    Two such projections commute exactly when the domains of the two
+    composites coincide as index sets, so candidates are rejection
     sampled on that criterion (sharing the support always works and is
     the fallback).
     """
@@ -294,12 +298,12 @@ def commuting_pairs(
         else:
             s2 = set(s1)
             t2 = {j for j in s2 if rng.randint(0, 1)}
-        p = _coordinate_projection(field, dim, s1, t1)
-        q = _coordinate_projection(field, dim, s2, t2)
+        # The unitary's columns, as rows; the identity is its own transpose.
         if rng.randint(0, 1):
-            u = cayley_unitary(rng, field, dim)
-            p, q = conjugated(p, u), conjugated(q, u)
-        out.append((p, q))
+            cols = cayley_unitary(rng, field, dim).transpose()
+        else:
+            cols = Matrix.identity(field, dim)
+        out.append((_axis_projection(cols, s1, t1), _axis_projection(cols, s2, t2)))
     return out
 
 

@@ -13,12 +13,15 @@ passes, so coverage is visible in the report.  The clause calculi of
 Cor. 7) return plain {clause: (applicable, holds, detail)} maps, which
 ``check_lescomp`` and ``check_comm`` tally clause by clause.  A small
 catalog of classical counterexamples (distributivity and the Heyting
-adjunction) is kept separate: those laws are expected to fail, the
-finder must reproduce the standard witnesses, and ``check_catalog``
-reports them as expected-fail.  Each ``check_*`` runs inside one
-``subspace._shared_results`` block, so equal operands share their meets,
-joins and orders for the length of the run and no longer; a subspace
-keeps its own orthocomplement and projector, and a pair its projection.
+adjunction) is kept separate: those laws are expected to fail, and the
+finder must reproduce the standard witnesses.  ``check_catalog`` also
+searches modularity, which holds at finite dimension, and it tags all
+three laws expected-fail, modularity included: a modularity violation
+would be reported but would not count towards the exit status.  Each
+``check_*`` runs inside one ``subspace._shared_results`` block, so
+equal operands share their meets, joins and orders for the length of
+the run and no longer; a subspace keeps its own orthocomplement and
+projector, and a pair its projection.
 """
 
 from __future__ import annotations
@@ -704,7 +707,11 @@ def find_counterexample(
     the same line whichever triples were tried, as long as none fails."""
     if law not in FAILING_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {FAILING_LAWS}")
-    _check_size(dim, budget)
+    _check_size(dim)
+    if type(budget) is not int:
+        raise TypeError(f"budget {budget!r} is not an int")
+    if budget < 0:
+        raise ValueError(f"budget {budget} must be nonnegative")
     if dim < 2:
         return None
     gap = {

@@ -12,12 +12,17 @@ is what the law battery in :mod:`orthoql.laws` exercises.
 ``OrthoSubspace`` holds a pair, its domain and its order; each
 connective is one module function (``o_meet``, ``o_join``, ``o_neg``
 and those built from them), componentwise on the subspace lattice.
-The public constructor checks that the parts are orthogonal.  The
-connectives skip that check through ``OrthoSubspace._of``, because
-their pairs are orthogonal by construction: negation swaps the parts,
-and a1 ∧ b1 lies in a1 ⊥ a0 and in b1 ⊥ b0, so it is orthogonal to
-a0 ∨ b0 (join is dual).  Their operands' spaces are still checked
-inside ``meet`` and ``join``.
+A pair is checked where its parts come from a caller: the public
+constructor ``OrthoSubspace(one, zero)`` checks that they are
+orthogonal, and so do ``bottom`` and ``top``.  A pair whose parts the
+package built orthogonal is made with ``OrthoSubspace._of``, unchecked.
+The connectives are one such place: negation swaps the parts, and
+a1 ∧ b1 lies in a1 ⊥ a0 and in b1 ⊥ b0, so it is orthogonal to a0 ∨ b0
+(join is dual); their operands' spaces are still checked inside
+``meet`` and ``join``.  The generators are another, since each draws
+its zero-part inside the complement of its one-part or spans
+orthonormal columns, and ``PartialProjection.from_matrix`` is the
+third, whose projection checks make the parts it reads orthogonal.
 """
 
 from __future__ import annotations

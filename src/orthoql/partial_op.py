@@ -25,7 +25,8 @@ pair, and meet, join and order are those of the pairs.
 claims to be a projection: its images must map the domain into itself,
 be idempotent and be self-adjoint, and the pair is then read off them
 with no kernel computed, as the span of the images and of what they
-leave out, basis row minus image.
+leave out, basis row minus image.  Those checks make the two spans
+orthogonal, so the pair is built unchecked, with ``OrthoSubspace._of``.
 
 The calculus of composites for ordered pairs and for commuting
 projections is checked clause by clause: each calculus returns a plain
@@ -160,9 +161,9 @@ class PartialProjection(PartialOperator):
     the pair's domain, and each basis row b goes to its orthogonal
     projection onto the one-part, so the zero-part is killed.  When one
     part is zero the images are read off the ranks: the basis itself, or
-    zero.  The pair was checked when it was built, so nothing is
-    re-checked here; ``from_matrix`` is where a matrix claims to be a
-    projection."""
+    zero.  The pair is orthogonal by the time it gets here, checked by
+    its public constructor or built so, and nothing is re-checked;
+    ``from_matrix`` is where a matrix claims to be a projection."""
 
     __slots__ = ("pair",)
 
@@ -181,7 +182,7 @@ class PartialProjection(PartialOperator):
     def from_matrix(cls, dom: Subspace, matrix: Matrix):
         """The projection on ``dom`` that agrees there with ``matrix``,
         once the images pass the three projection checks; its pair is
-        then read off the images."""
+        then read off the images, orthogonal by those checks."""
         images = PartialOperator.from_matrix(dom, matrix).images
         # An image in the domain has the coordinates C = images[:, pivots]
         # over its basis, and then C @ images is its image.
@@ -196,11 +197,11 @@ class PartialProjection(PartialOperator):
         s = images @ dom.basis.conj_transpose()
         if s != s.conj_transpose():
             raise ValueError("projection must be self-adjoint on its domain")
-        # The projection maps its domain onto the fixed part, and 1 - p
-        # maps it onto the killed part.
+        # p maps its domain onto the fixed part and 1 - p onto the killed
+        # part, orthogonal since <Pb, c - Pc> = <Pb, c> - <P²b, c> = 0.
         fixed = Subspace(dom.field, dom.ambient_dim, images)
         killed = Subspace(dom.field, dom.ambient_dim, dom.basis - images)
-        return cls(OrthoSubspace(fixed, killed))
+        return cls(OrthoSubspace._of(fixed, killed))
 
 
 def _check_operands(*operands) -> None:

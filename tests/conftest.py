@@ -44,7 +44,9 @@ def to_vec(v):
 
 
 def to_mat(m):
-    return tuple(to_vec(row) for row in m.rows())
+    """The rows of ``m``, read off its entries with no ``Vector`` built."""
+    n = m.ncols
+    return tuple(to_vec(m.entries[i * n : (i + 1) * n]) for i in range(m.nrows))
 
 
 def from_num(field, pair):
@@ -60,9 +62,10 @@ def from_vec(field, x):
 
 @pytest.fixture(scope="session", autouse=True)
 def pair_contract():
-    """Every pair that a connective builds unchecked, with
-    ``OrthoSubspace._of``, has orthogonal parts, asserted in the oracle's
-    own arithmetic for the whole session."""
+    """Every pair that the package builds unchecked, with
+    ``OrthoSubspace._of`` (the connectives, the generators and
+    ``from_matrix``), has orthogonal parts, asserted in the oracle's own
+    arithmetic for the whole session."""
     build = OrthoSubspace._of
 
     def checked(one, zero):
@@ -70,7 +73,7 @@ def pair_contract():
         zeros = to_mat(zero.basis)
         for x in to_mat(one.basis):
             for y in zeros:
-                assert oracle.ciszero(oracle.inner(x, y)), f"a connective built {pair!r}"
+                assert oracle.ciszero(oracle.inner(x, y)), f"built unchecked: {pair!r}"
         return pair
 
     with pytest.MonkeyPatch.context() as patch:

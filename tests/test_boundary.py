@@ -356,3 +356,12 @@ def test_a_dimension_is_a_nonnegative_int(case):
     build, error = DIMENSION_CASES[case]
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("case", [case for case in DIMENSION_CASES if "budget" in case])
+def test_a_bad_budget_is_refused_by_name(case):
+    """The search budget is refused with a message that names it, not
+    with the one for a dimension."""
+    build, error = DIMENSION_CASES[case]
+    with pytest.raises(error, match="budget"):
+        build()

@@ -251,6 +251,21 @@ def test_check_stdout_bytes_over_qi_are_pinned(capsys, suite, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QI_STDOUT[suite, fmt]
 
 
+# The headline runs: every law suite over Q^4, and over Q^12, a dimension
+# that no benchmark workload reaches.
+PINNED_HEADLINE_STDOUT = {
+    ("4", "60", "7"): "4a7c62689cbc4d3d2f1ab48dbb22f380f1b3f24f9941d4b8010e258863b44a61",
+    ("12", "2", "7"): "5ecd966fef07d38e3c855e1981ff03598450909737bcc7591e4ac4b9813515d1",
+}
+
+
+@pytest.mark.parametrize("random", sorted(PINNED_HEADLINE_STDOUT), ids=" ".join)
+def test_headline_check_stdout_bytes_are_pinned(capsys, random):
+    code, out = run(capsys, "check", "--random", *random, "--laws", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HEADLINE_STDOUT[random]
+
+
 # A file over Q(i)^3 for the op digests below: A and B are orthogonal
 # complex lines, D a plane with a complex row.
 QI_OPS = {

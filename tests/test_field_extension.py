@@ -1,16 +1,35 @@
 """Q sits inside Q(i): a Q instance is a Q(i) instance with zero
 imaginary parts, and every operation must mean the same over both.  So
-for each operation whose result is cached, the lifted Q result equals
-the Q(i) result on the lifted operands, compared as values.  This needs
-no oracle, and it holds the two fields' separate clearing, product and
-leading-one code to one answer."""
+for each operation on subspaces, pairs, vectors and operators, the
+lifted Q result equals the Q(i) result on the lifted operands, compared
+as values.  This needs no oracle, and it holds the two fields' separate
+clearing, product and leading-one code to one answer."""
+
+from fractions import Fraction
 
 import pytest
 
-from orthoql.generators import random_ortho, random_subspace, rng_from
+from orthoql.generators import (
+    random_member,
+    random_ortho,
+    random_partial_operator,
+    random_subspace,
+    random_vector,
+    rng_from,
+)
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace, o_join, o_meet, o_neg
-from orthoql.partial_op import projection_of
+from orthoql.partial_op import (
+    PartialOperator,
+    PartialProjection,
+    compose,
+    decompose,
+    norm_sq_is_one,
+    op_eq,
+    op_neq,
+    projection_of,
+)
+from orthoql.quotient import QuotientSpace
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace, coperp_rel
 
@@ -25,6 +44,12 @@ def lift(x):
         return Subspace(Field.Qi, x.ambient_dim, lift(x.basis))
     if isinstance(x, OrthoSubspace):
         return OrthoSubspace(lift(x.one), lift(x.zero))
+    if isinstance(x, PartialProjection):
+        return projection_of(lift(x.pair))
+    if isinstance(x, PartialOperator):
+        return PartialOperator(lift(x.dom), lift(x.images))
+    if isinstance(x, Fraction):
+        return Field.Qi.coerce(x)
     if isinstance(x, tuple):
         return tuple(lift(e) for e in x)
     assert x is None or type(x) is bool, x
@@ -32,13 +57,29 @@ def lift(x):
 
 
 def operands():
-    """Spaces of Q^3, among them orthogonal and non-orthogonal parts, and
-    orthogonal pairs of Q^3."""
+    """Q^3 operands by kind: spaces, among them orthogonal and
+    non-orthogonal parts; orthogonal pairs; vectors, in and out of the
+    spaces; each pair with two members of its domain; partial operators,
+    total and not, and projections, one of them zero."""
     rng = rng_from(67)
     pairs = [random_ortho(rng, Field.Q, 3) for _ in range(4)]
     spaces = [random_subspace(rng, Field.Q, 3) for _ in range(4)]
     spaces += [s for p in pairs[:2] for s in (p.one, p.zero)]
-    return spaces, pairs
+    vectors = [random_vector(rng, Field.Q, 3) for _ in range(2)]
+    vectors += [random_member(rng, s) for s in spaces[:3]]
+    members = [(p, random_member(rng, p.dom), random_member(rng, p.dom)) for p in pairs]
+    projections = [projection_of(p) for p in pairs + [pairs[0].local_zero()]]
+    operators = [random_partial_operator(rng, Field.Q, 3, total=t) for t in (False, False, True)]
+    return {
+        "space": [(a,) for a in spaces],
+        "spaces": [(a, b) for a in spaces for b in spaces],
+        "pair": [(p,) for p in pairs],
+        "pairs": [(p, q) for p in pairs for q in pairs],
+        "space, vector": [(a, x) for a in spaces for x in vectors],
+        "pair, members": members,
+        "projection": [(p,) for p in projections],
+        "operators": [(t, u) for t in operators + projections[:2] for u in operators + projections[:2]],
+    }
 
 
 def projection_values(pair):
@@ -54,26 +95,33 @@ OPERATIONS = {
     "join": ("spaces", lambda a, b: a.join(b)),
     "leq": ("spaces", lambda a, b: a.leq(b)),
     "coperp_rel": ("spaces", coperp_rel),
+    "contains": ("space, vector", lambda a, x: a.contains(x)),
+    "distance_sq": ("space, vector", lambda a, x: a.distance_sq(x)),
     "projection_of": ("pair", projection_values),
     "o_neg": ("pair", o_neg),
     "o_meet": ("pairs", o_meet),
     "o_join": ("pairs", o_join),
+    "decompose": ("pair, members", lambda p, x, y: decompose(p, x)),
+    "q_inner": ("pair, members", lambda p, x, y: QuotientSpace(p).q_inner(x, y)),
+    "norm_sq_is_one": ("projection", norm_sq_is_one),
+    "compose": ("operators", compose),
+    "op_eq": ("operators", op_eq),
+    "op_neq": ("operators", op_neq),
 }
 
 
 @pytest.mark.parametrize("name", OPERATIONS)
 def test_the_lifted_q_result_is_the_q_i_result(name):
     kind, op = OPERATIONS[name]
-    spaces, pairs = operands()
-    pool = spaces if kind.startswith("space") else pairs
-    if kind in ("space", "pair"):
-        cases = [(x,) for x in pool]
-    else:
-        cases = [(x, y) for x in pool for y in pool]
+    cases = operands()[kind]
+    answers = set()
     for args in cases:
         lifted = tuple(lift(x) for x in args)
         assert all(x.field is Field.Qi for x in lifted)
-        assert lift(op(*args)) == op(*lifted), (name, args)
-    if name == "coperp_rel":
-        # Both answers occur, so a lifted witness was compared.
-        assert {op(*args)[0] for args in cases} == {True, False}
+        got = op(*args)
+        assert lift(got) == op(*lifted), (name, args)
+        answers.add(got[0] if isinstance(got, tuple) else got)
+    if name in ("leq", "coperp_rel", "contains", "norm_sq_is_one", "op_eq", "op_neq"):
+        # Both answers occur, so for coperp_rel and op_neq a lifted
+        # witness was compared.
+        assert answers >= {True, False}, name

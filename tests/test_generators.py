@@ -8,6 +8,7 @@ from orthoql.generators import (
     clql_triples,
     commuting_pairs,
     complql_triples,
+    conjugated,
     non_ordered_ortho_pairs,
     ordered_ortho_pairs,
     orthogonal_total_pair,
@@ -22,8 +23,8 @@ from orthoql.generators import (
     rng_from,
 )
 from orthoql.linalg import Matrix
-from orthoql.ortho import o_leq, o_neg
-from orthoql.partial_op import compose, op_eq
+from orthoql.ortho import OrthoSubspace, o_leq, o_neg
+from orthoql.partial_op import PartialProjection, compose, op_eq, projection_of
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace, perp_rel
 
@@ -121,6 +122,81 @@ def test_commuting_pairs_commute():
     rng = rng_from(53)
     for p, q in commuting_pairs(rng, Field.Q, 4, 15):
         assert op_eq(compose(p, q), compose(q, p))
+
+
+def reference_commuting_pairs(rng, field, dim, count):
+    """The matrix route to the pairs of ``commuting_pairs``: coordinate
+    projections, each conjugated by the shared unitary when one is drawn
+    and read back through ``from_matrix``, each marked by whether a
+    unitary was drawn."""
+
+    def coordinate(support, fixed):
+        def axes(idx):
+            return Subspace(field, dim, [[int(i == j) for i in range(dim)] for j in sorted(idx)])
+
+        return projection_of(OrthoSubspace(axes(fixed), axes(support - fixed)))
+
+    out = []
+    while len(out) < count:
+        s1 = {j for j in range(dim) if rng.randint(0, 1)}
+        t1 = {j for j in s1 if rng.randint(0, 1)}
+        for _ in range(8):
+            s2 = {j for j in range(dim) if rng.randint(0, 1)}
+            t2 = {j for j in s2 if rng.randint(0, 1)}
+            if (t1 & s2) | (s1 - t1) == (t2 & s1) | (s2 - t2):
+                break
+        else:
+            s2 = set(s1)
+            t2 = {j for j in s2 if rng.randint(0, 1)}
+        p, q = coordinate(s1, t1), coordinate(s2, t2)
+        drawn = bool(rng.randint(0, 1))
+        if drawn:
+            u = cayley_unitary(rng, field, dim)
+            p, q = conjugated(p, u), conjugated(q, u)
+        out.append((p, q, drawn))
+    return out
+
+
+@pytest.mark.parametrize("field, dim", [(Field.Q, 3), (Field.Q, 4), (Field.Qi, 3)])
+def test_commuting_pairs_are_those_of_the_matrix_route(field, dim):
+    """Drawing each projection as a pair of spans of the unitary's
+    columns gives, pair for pair, the projections that conjugating
+    coordinate projections gives, and leaves the stream where it would."""
+    unitaries = []
+    for seed in range(5):
+        rng, ref_rng = rng_from(seed), rng_from(seed)
+        got = commuting_pairs(rng, field, dim, 4)
+        want = reference_commuting_pairs(ref_rng, field, dim, 4)
+        assert rng.getstate() == ref_rng.getstate()
+        for pair, (*ref, drawn) in zip(got, want):
+            for p, r in zip(pair, ref):
+                assert (p.dom, p.images, p.pair) == (r.dom, r.images, r.pair)
+            unitaries.append(drawn)
+    # Both branches ran: the identity and a Cayley unitary.
+    assert len(unitaries) == 20 and set(unitaries) == {True, False}
+
+
+def test_generated_pairs_are_built_unchecked(coperp_calls, monkeypatch):
+    """The generators' pairs are orthogonal by construction, so none is
+    checked again, and commuting projections never go through
+    ``from_matrix``; the session-wide pair contract asserts each pair."""
+    matrices = []
+    real = PartialProjection.from_matrix
+
+    def counted(cls, dom, matrix):
+        matrices.append(matrix)
+        return real(dom, matrix)
+
+    monkeypatch.setattr(PartialProjection, "from_matrix", classmethod(counted))
+    rng = rng_from(71)
+    for field, dim in ((Field.Q, 4), (Field.Qi, 3)):
+        del coperp_calls[:]
+        [random_ortho(rng, field, dim) for _ in range(6)]
+        ordered_ortho_pairs(rng, field, dim, 6)
+        non_ordered_ortho_pairs(rng, field, dim, 6)
+        complql_triples(rng, field, dim, 10)
+        commuting_pairs(rng, field, dim, 6)
+        assert coperp_calls == [] and matrices == []
 
 
 def test_operators_respect_the_total_flag():

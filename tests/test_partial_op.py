@@ -287,6 +287,18 @@ def test_roundtrips_both_ways():
             assert pair.is_total == p.is_total
 
 
+def test_an_accepted_matrix_reads_its_pair_unchecked(coperp_calls):
+    """The three projection checks make the parts read off the images
+    orthogonal, so ``from_matrix`` proves no orthogonality again; the
+    session-wide pair contract asserts it."""
+    for field in (Field.Q, Field.Qi):
+        projections = built_projections(field, 3)
+        del coperp_calls[:]
+        for q in projections:
+            assert PartialProjection.from_matrix(q.dom, q.matrix).pair == q.pair
+        assert coperp_calls == []
+
+
 CLOSURE = "map its domain into itself"
 IDEMPOTENT = "idempotent on its domain"
 SELF_ADJOINT = "self-adjoint on its domain"

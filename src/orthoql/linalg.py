@@ -23,6 +23,16 @@ elimination: null spaces, solutions, inverses and projectors are all
 read off one reduced form each.  ``_solve_block`` reduces ``[a | b]``
 once to solve ``a @ X == b`` (inverses, Gram projectors, the raw-sum
 check); subspace membership needs no solution and reads pivots only.
+
+Validity is checked once, where entries enter.  The public ``Vector``,
+``Matrix`` and ``Matrix.from_rows`` check sizes, refuse a vector over
+the other field and coerce every entry; ``identity`` and ``zero`` check
+their sizes.  Arithmetic results (sums, differences, negations,
+``scaled``, which coerces its one factor, products, transposes,
+conjugates, kernel rows and solutions) are already exact scalars of
+their field and are built with the private ``Matrix._of`` and
+``Vector._of``, which store them with no check.  ``rref``'s output and
+``row`` still go through the public constructors.
 """
 
 from __future__ import annotations
@@ -56,6 +66,15 @@ class Vector:
         self.field = field
         self.entries = tuple(field.coerce(e) for e in _own(field, entries))
 
+    @classmethod
+    def _of(cls, field: Field, entries: Iterable) -> "Vector":
+        """The vector of ``entries``, already exact scalars of ``field``,
+        stored as they are: no field or coerce check."""
+        v = object.__new__(cls)
+        v.field = field
+        v.entries = tuple(entries)
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -77,20 +96,20 @@ class Vector:
         if not isinstance(other, Vector):
             return NotImplemented
         _check_dims(self, other)
-        return Vector(self.field, (a + b for a, b in zip(self.entries, other.entries)))
+        return Vector._of(self.field, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         _check_dims(self, other)
-        return Vector(self.field, (a - b for a, b in zip(self.entries, other.entries)))
+        return Vector._of(self.field, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return Vector(self.field, (-a for a in self.entries))
+        return Vector._of(self.field, [-a for a in self.entries])
 
     def scaled(self, k) -> "Vector":
         k = self.field.coerce(k)
-        return Vector(self.field, (k * a for a in self.entries))
+        return Vector._of(self.field, [k * a for a in self.entries])
 
     def __rmul__(self, k):
         return self.scaled(k)
@@ -126,6 +145,18 @@ class Matrix:
     # --- constructors ---------------------------------------------
 
     @classmethod
+    def _of(cls, field: Field, nrows: int, ncols: int, entries: Iterable) -> "Matrix":
+        """The ``nrows`` x ``ncols`` matrix of ``entries``, already exact
+        scalars of ``field`` in row-major order, stored as they are: no
+        size, field or coerce check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = tuple(entries)
+        return m
+
+    @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
         rows = [list(_own(field, r)) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -136,12 +167,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
+        _check_size(n)
         one, zero = field.one, field.zero
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls._of(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, [field.zero] * (nrows * ncols))
+        _check_size(nrows, ncols)
+        return cls._of(field, nrows, ncols, [field.zero] * (nrows * ncols))
 
     # --- access ----------------------------------------------------
 
@@ -164,30 +197,24 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         _check_shape(self, other)
-        return Matrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            (a + b for a, b in zip(self.entries, other.entries)),
+        return Matrix._of(
+            self.field, self.nrows, self.ncols, [a + b for a, b in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         _check_shape(self, other)
-        return Matrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            (a - b for a, b in zip(self.entries, other.entries)),
+        return Matrix._of(
+            self.field, self.nrows, self.ncols, [a - b for a, b in zip(self.entries, other.entries)]
         )
 
     def __neg__(self):
-        return Matrix(self.field, self.nrows, self.ncols, (-a for a in self.entries))
+        return Matrix._of(self.field, self.nrows, self.ncols, [-a for a in self.entries])
 
     def scaled(self, k) -> "Matrix":
         k = self.field.coerce(k)
-        return Matrix(self.field, self.nrows, self.ncols, (k * a for a in self.entries))
+        return Matrix._of(self.field, self.nrows, self.ncols, [k * a for a in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, (Vector, Matrix)):
@@ -198,33 +225,25 @@ class Matrix:
                 raise DimensionMismatch(
                     f"matrix has {self.ncols} columns, vector has dim {other.dim}"
                 )
-            return Vector(self.field, _product(self, [other.entries]))
+            return Vector._of(self.field, _product(self, [other.entries]))
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         p = other.ncols
         cols = [other.entries[j::p] for j in range(p)]
-        return Matrix(self.field, self.nrows, p, _product(self, cols))
+        return Matrix._of(self.field, self.nrows, p, _product(self, cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            (self.entry(i, j) for j in range(self.ncols) for i in range(self.nrows)),
-        )
+        n, e = self.ncols, self.entries
+        return Matrix._of(self.field, n, self.nrows, [x for j in range(n) for x in e[j::n]])
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            (scalars.conj(self.entry(i, j)) for j in range(self.ncols) for i in range(self.nrows)),
-        )
+        t = self.transpose()
+        return t if self.field is Field.Q else t.conj()
 
     def conj(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, (scalars.conj(e) for e in self.entries))
+        return Matrix._of(self.field, self.nrows, self.ncols, [scalars.conj(e) for e in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -409,7 +428,7 @@ def _kernel_rows(basis: Matrix, pivots: Sequence[int]) -> Matrix:
         for i, c in enumerate(pivots):
             v[c] = -basis.entry(i, f)
         entries += v
-    return Matrix(field, len(free), n, entries)
+    return Matrix._of(field, len(free), n, entries)
 
 
 def null_space(m: Matrix) -> Matrix:
@@ -438,7 +457,7 @@ def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
     x = [a.field.zero] * (n * p)
     for i, c in enumerate(pivots):
         x[c * p : (c + 1) * p] = basis.entries[i * w + n : (i + 1) * w]
-    return Matrix(a.field, n, p, x), rank
+    return Matrix._of(a.field, n, p, x), rank
 
 
 # --- inverses and projections -----------------------------------------

@@ -119,7 +119,7 @@ class PartialOperator:
         entries = [self.field.zero] * (n * n)
         for i, c in enumerate(self.dom.pivots):
             entries[c::n] = self.images.entries[i * n : (i + 1) * n]
-        return Matrix(self.field, n, n, entries)
+        return Matrix._of(self.field, n, n, entries)
 
     @property
     def field(self) -> Field:
@@ -216,7 +216,7 @@ def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
     """The columns of ``rows`` at the pivots of ``sub``: the coordinates
     over ``sub.basis`` of each row, when the row lies in ``sub``."""
     entries = [rows.entry(i, c) for i in range(rows.nrows) for c in sub.pivots]
-    return Matrix(rows.field, rows.nrows, sub.rank, entries)
+    return Matrix._of(rows.field, rows.nrows, sub.rank, entries)
 
 
 def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
@@ -449,7 +449,7 @@ def _spanning_samples(sub: Subspace) -> Matrix:
     n = sub.ambient_dim
     rows = [sub.basis.entries[i * n : (i + 1) * n] for i in range(sub.rank)]
     rows += [tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
-    return Matrix(sub.field, len(rows), n, [e for x in rows for e in x])
+    return Matrix._of(sub.field, len(rows), n, [e for x in rows for e in x])
 
 
 def _real_or_none(v: Scalar) -> Optional[Fraction]:

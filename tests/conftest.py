@@ -81,6 +81,39 @@ def pair_contract():
         yield
 
 
+def exact_entries(field, entries):
+    """Whether every entry is a scalar of ``field`` in its one exact
+    form: exactly a ``Fraction`` over Q, a canonical triple over Q(i)."""
+    if field is Field.Q:
+        return all(type(e) is Fraction for e in entries)
+    return all(is_canonical(e) for e in entries)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def scalar_contract():
+    """Every matrix and vector that the package builds unchecked, with
+    ``Matrix._of`` or ``Vector._of`` (its arithmetic results), holds
+    ``nrows * ncols`` entries, each already a scalar of its field in its
+    one exact form, for the whole session."""
+    matrix_of, vector_of = Matrix._of, Vector._of
+
+    def matrix(cls, field, nrows, ncols, entries):
+        m = matrix_of(field, nrows, ncols, entries)
+        assert len(m.entries) == nrows * ncols, f"built unchecked: {nrows}x{ncols} {m!r}"
+        assert exact_entries(field, m.entries), f"built unchecked: {m.entries!r}"
+        return m
+
+    def vector(cls, field, entries):
+        v = vector_of(field, entries)
+        assert exact_entries(field, v.entries), f"built unchecked: {v.entries!r}"
+        return v
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "_of", classmethod(matrix))
+        patch.setattr(Vector, "_of", classmethod(vector))
+        yield
+
+
 def _record_calls(monkeypatch, name):
     """The arguments handed to ``linalg.<name>`` from now on, recorded at
     both of its binding sites, ``linalg`` and ``subspace``."""
@@ -111,16 +144,35 @@ def gram_projection_calls(monkeypatch):
 
 @pytest.fixture
 def vector_builds(monkeypatch):
-    """The ``Vector``s built from now on."""
+    """The ``Vector``s built from now on, checked or not."""
     built = []
-    real = Vector.__init__
+    real, real_of = Vector.__init__, Vector._of
 
     def counted(self, field, entries):
         real(self, field, entries)
         built.append(self)
 
+    def counted_of(cls, field, entries):
+        built.append(real_of(field, entries))
+        return built[-1]
+
     monkeypatch.setattr(Vector, "__init__", counted)
+    monkeypatch.setattr(Vector, "_of", classmethod(counted_of))
     return built
+
+
+@pytest.fixture
+def coerce_calls(monkeypatch):
+    """The values handed to ``Field.coerce`` from now on."""
+    calls = []
+    real = Field.coerce
+
+    def counted(field, value):
+        calls.append(value)
+        return real(field, value)
+
+    monkeypatch.setattr(Field, "coerce", counted)
+    return calls
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 imaginary parts, and every operation must mean the same over both.  So
 for each operation on subspaces, pairs, vectors and operators, the
 lifted Q result equals the Q(i) result on the lifted operands, compared
-as values.  This needs no oracle, and it holds the two fields' separate
+as values; and each law suite reports the same counts on lifted
+instances.  This needs no oracle, and it holds the two fields' separate
 clearing, product and leading-one code to one answer."""
 
 from fractions import Fraction
@@ -10,13 +11,19 @@ from fractions import Fraction
 import pytest
 
 from orthoql.generators import (
+    commuting_pairs,
+    non_ordered_ortho_pairs,
+    ordered_ortho_pairs,
+    orthogonal_total_pair,
     random_member,
     random_ortho,
     random_partial_operator,
+    random_scalar,
     random_subspace,
     random_vector,
     rng_from,
 )
+from orthoql.laws import check_comm, check_lescomp, check_pls
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace, o_join, o_meet, o_neg
 from orthoql.partial_op import (
@@ -125,3 +132,44 @@ def test_the_lifted_q_result_is_the_q_i_result(name):
         # Both answers occur, so for coperp_rel and op_neq a lifted
         # witness was compared.
         assert answers >= {True, False}, name
+
+
+def pls_instances(rng):
+    ops = [random_partial_operator(rng, Field.Q, 3, total=(i % 3 == 0)) for i in range(6)]
+    return ops, [random_scalar(rng, Field.Q) for _ in ops]
+
+
+def lescomp_instances(rng):
+    return (ordered_ortho_pairs(rng, Field.Q, 3, 3) + non_ordered_ortho_pairs(rng, Field.Q, 3, 3),)
+
+
+def comm_instances(rng):
+    return commuting_pairs(rng, Field.Q, 3, 4), [orthogonal_total_pair(rng, Field.Q, 3) for _ in range(4)]
+
+
+# Each suite, with Q^3 instances drawn as ``check --random`` draws them.
+SUITES = {
+    "pls": (check_pls, pls_instances),
+    "lescomp": (check_lescomp, lescomp_instances),
+    "comm": (check_comm, comm_instances),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_law_suite_counts_the_same_on_lifted_instances(suite):
+    """Per law, the same ``instances``, ``hypothesis_met`` and violation
+    count over Q and over the lifted Q(i) instances; the hypotheses are
+    met somewhere, so the comparison is not of empty counts."""
+    check, draw = SUITES[suite]
+    args = draw(rng_from(71))
+    lifted = [[lift(x) for x in arg] for arg in args]
+
+    def counts(report):
+        return {
+            law: (r.instances, r.hypothesis_met, len(r.violations))
+            for law, r in report.results.items()
+        }
+
+    got = counts(check(*args))
+    assert got == counts(check(*lifted))
+    assert sum(met for _, met, _ in got.values()) > 0, got

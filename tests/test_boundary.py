@@ -327,6 +327,8 @@ DIMENSION_CASES = {
     "Matrix(Q, True, 1, [1])": (lambda: Matrix(Field.Q, True, 1, [1]), TypeError),
     "Matrix(Qi, 1, 1.0, [1])": (lambda: Matrix(Field.Qi, 1, 1.0, [1]), TypeError),
     "Matrix.identity(Q, -1)": (lambda: Matrix.identity(Field.Q, -1), ValueError),
+    "Matrix.zero(Q, True, 1)": (lambda: Matrix.zero(Field.Q, True, 1), TypeError),
+    "Matrix.zero(Qi, 1, -1)": (lambda: Matrix.zero(Field.Qi, 1, -1), ValueError),
     "find_counterexample(law, True)": (lambda: find_counterexample("distributivity", True), TypeError),
     "find_counterexample(law, 2.0)": (lambda: find_counterexample("distributivity", 2.0), TypeError),
     "find_counterexample(law, -1)": (lambda: find_counterexample("distributivity", -1), ValueError),

@@ -285,7 +285,11 @@ def test_an_inexact_or_foreign_scalar_is_refused(value):
         GaussianRational,
         lambda v: GaussianRational(0, v),
         lambda v: Vector(Field.Q, [1, v]),
+        lambda v: Vector(Field.Qi, [v]),
+        lambda v: Matrix(Field.Q, 1, 2, [1, v]),
         lambda v: Matrix(Field.Qi, 1, 1, [v]),
+        lambda v: Matrix.from_rows(Field.Q, [[v]]),
+        lambda v: Matrix.from_rows(Field.Qi, [[1, v]]),
     ):
         with pytest.raises(TypeError, match=name):
             build(value)

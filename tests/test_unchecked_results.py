@@ -3,15 +3,15 @@
 results (sums, products, transposes, reindexing), already exact
 scalars of their field, are built with ``Matrix._of``/``Vector._of`` and
 coerce nothing.  The session-wide ``scalar_contract`` fixture checks
-what those unchecked builds hold; these tests count the ``coerce``
-calls and hold the refusals of the public path."""
+what those unchecked builds hold, and these tests count the ``coerce``
+calls.  The public path's refusals are held by ``test_boundary`` and
+``test_scalars``."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from orthoql.cli import main
-from orthoql.errors import AmbientMismatch
 from orthoql.linalg import Matrix, Vector, _kernel_rows, _solve_block, rref
 from orthoql.partial_op import PartialOperator, _at_pivots, _spanning_samples
 from orthoql.scalars import Field, GaussianRational
@@ -97,37 +97,6 @@ def test_the_public_constructors_still_coerce(field, coerce_calls):
     for m in built:
         assert [type(e) for e in m.entries] == [kind, kind]
         assert list(m.entries) == [1, F(1, 2)]
-
-
-PUBLIC = {
-    "Vector": lambda field, entries: Vector(field, entries),
-    "Matrix": lambda field, entries: Matrix(field, 1, 2, entries),
-    "from_rows": lambda field, entries: Matrix.from_rows(field, [entries]),
-}
-
-
-@pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("build", PUBLIC)
-def test_the_public_constructors_still_refuse(build, field):
-    build = PUBLIC[build]
-    for bad in (0.5, True):
-        with pytest.raises(TypeError):
-            build(field, [1, bad])
-    other = Field.Qi if field is Field.Q else Field.Q
-    with pytest.raises(AmbientMismatch):
-        build(field, Vector(other, [1, 2]))
-
-
-@pytest.mark.parametrize("field", FIELDS)
-def test_identity_and_zero_still_check_their_sizes(field):
-    with pytest.raises(TypeError):
-        Matrix.zero(field, True, 1)
-    with pytest.raises(ValueError):
-        Matrix.zero(field, 1, -1)
-    with pytest.raises(ValueError):
-        Matrix.identity(field, -1)
-    with pytest.raises(TypeError):
-        Matrix.identity(field, 2.0)
 
 
 # ``coerce`` calls of one in-process ``check --random 4 4 7 --laws SUITE``,

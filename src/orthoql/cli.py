@@ -356,9 +356,8 @@ def _check_suite(
 
     if selector == "comm":
         if inst is not None:
-            pairs = _windows(_named_sorted(inst.ortho), 2)
-            proj_pairs = [(projection_of(l), projection_of(m)) for l, m in pairs]
-            cor7_pairs = pairs
+            cor7_pairs = _windows(_named_sorted(inst.ortho), 2)
+            proj_pairs = _windows([projection_of(p) for p in _named_sorted(inst.ortho)], 2)
         else:
             rng = rng_from(seed)
             proj_pairs = commuting_pairs(rng, fld, dim, count)

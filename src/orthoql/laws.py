@@ -21,7 +21,8 @@ would be reported but would not count towards the exit status.  Each
 ``check_*`` runs inside one ``subspace._shared_results`` block, so
 equal operands share their meets, joins and orders for the length of
 the run and no longer; a subspace keeps its own orthocomplement and
-projector, and a pair its projection.
+projector, and a pair keeps nothing of its projection, which is built
+anew wherever a suite asks for it.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def check_complql(
             and o_eq(o_join(l, o_neg(l)), l.local_one()),
         )
         parts["complql6"] = (l.is_total, (not l.is_total) or o_neg(l).is_total)
-        hyp7 = l.is_total and m.is_total and o_leq(l, o_neg(m))
+        hyp7 = l.is_total and m.is_total and o_perp(l, m)
         parts["complql7"] = (hyp7, (not hyp7) or join.is_total)
 
         for law, (applicable, holds) in parts.items():
@@ -398,7 +399,7 @@ def check_complql(
         report.result("corcomplql_vi").record(
             hyp_cvi, (not hyp_cvi) or o_minus(m, l).is_total, ops
         )
-        hyp_cvii = both_total and o_leq(l, o_neg(m))
+        hyp_cvii = both_total and o_perp(l, m)
         report.result("corcomplql_vii").record(
             hyp_cvii, (not hyp_cvii) or o_eq(m, o_minus(join, l)), ops
         )

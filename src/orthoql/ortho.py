@@ -9,9 +9,15 @@ components, which makes it an involution by construction; the
 interesting content is how it interacts with meet and join, and that
 is what the law battery in :mod:`orthoql.laws` exercises.
 
-``OrthoSubspace`` holds a pair, its domain and its order; each
-connective is one module function (``o_meet``, ``o_join``, ``o_neg``
-and those built from them), componentwise on the subspace lattice.
+``OrthoSubspace`` holds a pair, its domain and its order, and nothing
+of its projection; each connective is one module function
+(``o_meet``, ``o_join``, ``o_neg`` and those built from them),
+componentwise on the subspace lattice.  This module is the one place
+that derives ``o_minus``, ``o_implies``, ``o_iff``, ``o_not`` and
+``o_perp``; the projection connectives of :mod:`orthoql.partial_op` are
+each one call through them.  Negation keeps its operand's domain, since
+dom(¬A) = A0 ∨ A1 = dom(A), so the complement of a pair whose domain is
+known joins nothing again.
 A pair is checked where its parts come from a caller: the public
 constructor ``OrthoSubspace(one, zero)`` checks that they are
 orthogonal, and so do ``bottom`` and ``top``.  A pair whose parts the
@@ -48,21 +54,21 @@ __all__ = [
 class OrthoSubspace:
     """An orthogonal pair of subspaces of a common ambient space."""
 
-    __slots__ = ("one", "zero", "_dom", "_projection")
+    __slots__ = ("one", "zero", "_dom")
 
     def __init__(self, one: Subspace, zero: Subspace):
         # perp_rel raises AmbientMismatch for parts of different spaces.
         if not perp_rel(one, zero):
             raise ValueError("components of an orthogonal pair must be orthogonal")
         self.one, self.zero = one, zero
-        self._dom = self._projection = None
+        self._dom = None
 
     @classmethod
     def _of(cls, one: Subspace, zero: Subspace) -> "OrthoSubspace":
         """The pair (one, zero), unchecked: its parts are orthogonal by construction."""
         pair = cls.__new__(cls)
         pair.one, pair.zero = one, zero
-        pair._dom = pair._projection = None
+        pair._dom = None
         return pair
 
     # --- constructors --------------------------------------------------
@@ -139,7 +145,10 @@ def o_join(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:
 
 
 def o_neg(a: OrthoSubspace) -> OrthoSubspace:
-    return OrthoSubspace._of(a.zero, a.one)
+    # dom(¬A) = A0 ∨ A1 = dom(A): the negation keeps its operand's domain.
+    neg = OrthoSubspace._of(a.zero, a.one)
+    neg._dom = a._dom
+    return neg
 
 
 def o_minus(a: OrthoSubspace, b: OrthoSubspace) -> OrthoSubspace:

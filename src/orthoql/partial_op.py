@@ -16,11 +16,16 @@ Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
 ``PartialProjection`` is built from its pair and keeps it:
 ``PartialProjection(pair)`` takes the images of the pair's domain
-basis under the one-part's orthogonal projector; ``projection_of``
-builds it once per pair and keeps it on the pair, and ``subspaces_of``
-reads the stored pair.  The logical operations act on pairs: negation
-swaps the parts, so ``proj_compl`` is the projection of the negated
-pair, and meet, join and order are those of the pairs.
+basis under the one-part's orthogonal projector; ``projection_of`` is
+that constructor, and ``subspaces_of`` reads the stored pair.  The
+pair keeps nothing of its projection, so no reference cycle ties the
+two together and each ``projection_of`` call builds one projection.
+The logical operations act on pairs: each projection connective is
+the projection of its pair connective from :mod:`orthoql.ortho`, so
+``proj_compl`` is the projection of the negated pair, ``proj_minus``,
+``proj_implies``, ``proj_iff`` and ``proj_not`` build one projection
+each, and order and orthogonality are those of the pairs, with no
+projection built.
 ``PartialProjection.from_matrix`` is the one place where a matrix
 claims to be a projection: its images must map the domain into itself,
 be idempotent and be self-adjoint, and the pair is then read off them
@@ -42,7 +47,8 @@ from typing import Optional
 
 from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.linalg import Matrix, Vector, _check_field, _solve_block, inner, norm_sq, null_space
-from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_neg
+from orthoql.ortho import OrthoSubspace, o_iff, o_implies, o_join, o_leq, o_meet, o_minus
+from orthoql.ortho import o_neg, o_not, o_perp
 from orthoql.scalars import Field, GaussianRational, Scalar
 from orthoql.subspace import Subspace, _stacked, perp_rel
 
@@ -259,10 +265,9 @@ def decompose(pair: OrthoSubspace, x: Vector) -> tuple[Vector, Vector]:
 
 def projection_of(pair: OrthoSubspace) -> PartialProjection:
     """The partial projection with domain dom(pair) fixing the one-part
-    and killing the zero-part, built once per pair and kept on it."""
-    if pair._projection is None:
-        pair._projection = PartialProjection(pair)
-    return pair._projection
+    and killing the zero-part.  It keeps the pair, and the pair keeps
+    nothing of it, so each call builds the projection anew."""
+    return PartialProjection(pair)
 
 
 def subspaces_of(p: PartialProjection) -> OrthoSubspace:
@@ -364,19 +369,19 @@ def proj_join(p: PartialProjection, q: PartialProjection) -> PartialProjection:
 
 
 def proj_minus(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return proj_meet(p, proj_compl(q))
+    return projection_of(o_minus(p.pair, q.pair))
 
 
 def proj_implies(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return proj_join(proj_compl(p), q)
+    return projection_of(o_implies(p.pair, q.pair))
 
 
 def proj_iff(p: PartialProjection, q: PartialProjection) -> PartialProjection:
-    return proj_meet(proj_implies(p, q), proj_implies(q, p))
+    return projection_of(o_iff(p.pair, q.pair))
 
 
 def proj_not(p: PartialProjection) -> PartialProjection:
-    return proj_implies(p, total_zero(p.field, p.ambient_dim))
+    return projection_of(o_not(p.pair))
 
 
 def proj_leq(p: PartialProjection, q: PartialProjection) -> bool:
@@ -384,7 +389,7 @@ def proj_leq(p: PartialProjection, q: PartialProjection) -> bool:
 
 
 def proj_orthogonal(p: PartialProjection, q: PartialProjection) -> bool:
-    return proj_leq(p, proj_compl(q))
+    return o_perp(p.pair, q.pair)
 
 
 # --- partial linear structure ---------------------------------------------
@@ -591,7 +596,7 @@ def cor7_calculus(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     without closure, the projections compose to the total zero map, and
     the projection of the join is the sum of the projections."""
     l.one._check_ambient(m.one)
-    if not (l.is_total and m.is_total and o_leq(l, o_neg(m))):
+    if not (l.is_total and m.is_total and o_perp(l, m)):
         detail = "pairs are not total and orthogonal"
         return {c: (False, True, detail) for c in COR7_CLAUSES}
     p_l = projection_of(l)

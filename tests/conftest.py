@@ -81,6 +81,35 @@ def pair_contract():
         yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def projection_contract():
+    """Every projection built from its pair, with
+    ``PartialProjection(pair)``, has the pair's domain, fixes the
+    one-part and kills the zero-part, asserted in the oracle's own
+    arithmetic once per distinct pair value for the whole session."""
+    build = PartialProjection.__init__
+    seen = set()
+
+    def checked(self, pair):
+        build(self, pair)
+        n = pair.ambient_dim
+        key = (pair.field, n, pair.one.basis.entries, pair.zero.basis.entries)
+        if key in seen:
+            return
+        seen.add(key)
+        # Canonical spans, as s_eq compares them: equal spaces are equal tuples.
+        one, zero = oracle.span(to_mat(pair.one.basis), n), oracle.span(to_mat(pair.zero.basis), n)
+        dom = to_mat(self.dom.basis)
+        assert oracle.span(dom, n) == oracle.s_join(one, zero, n), f"domain of {self!r}"
+        fixed, killed = oracle.projection_pair(dom, to_mat(self.images), n)
+        assert fixed == one, f"fixed part of {self!r}"
+        assert killed == zero, f"killed part of {self!r}"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PartialProjection, "__init__", checked)
+        yield
+
+
 def exact_entries(field, entries):
     """Whether every entry is a scalar of ``field`` in its one exact
     form: exactly a ``Fraction`` over Q, a canonical triple over Q(i)."""

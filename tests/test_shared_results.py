@@ -2,10 +2,11 @@
 ``meet``, ``join`` and ``leq`` results between equal operands: it
 changes no answer, never mixes fields, and lives exactly as long as the
 outermost run.  A subspace keeps its own orthocomplement and projector,
-a pair keeps its own projection, and only the public pair constructor
-checks orthogonality; the connectives' pairs are orthogonal by
-construction."""
+a projection keeps its pair while the pair keeps nothing of its
+projection, and only the public pair constructor checks orthogonality;
+the connectives' pairs are orthogonal by construction."""
 
+import gc
 from contextlib import nullcontext
 
 import pytest
@@ -14,18 +15,37 @@ from orthoql import laws, subspace
 from orthoql.errors import AmbientMismatch
 from orthoql.generators import (
     commuting_pairs,
+    non_ordered_ortho_pairs,
+    ordered_ortho_pairs,
+    orthogonal_total_pair,
     random_ortho,
     random_partial_operator,
     random_subspace,
     rng_from,
 )
-from orthoql.ortho import OrthoSubspace, o_join, o_meet, o_neg
+from orthoql.ortho import (
+    OrthoSubspace,
+    o_iff,
+    o_implies,
+    o_join,
+    o_meet,
+    o_minus,
+    o_neg,
+    o_not,
+    o_perp,
+)
 from orthoql.partial_op import (
     identity_on,
     proj_compl,
+    proj_iff,
+    proj_implies,
     proj_join,
     proj_meet,
+    proj_minus,
+    proj_not,
+    proj_orthogonal,
     projection_of,
+    subspaces_of,
     total_zero,
     zero_on,
 )
@@ -207,27 +227,60 @@ def test_connectives_build_their_pairs_unchecked(field, coperp_calls):
     assert len(coperp_calls) == len(built)
 
 
+# Each derived projection connective is one projection of its pair
+# connective, so it builds exactly one projection; orthogonality builds none.
+DERIVED = [
+    (proj_compl, o_neg, 1),
+    (proj_meet, o_meet, 2),
+    (proj_join, o_join, 2),
+    (proj_minus, o_minus, 2),
+    (proj_implies, o_implies, 2),
+    (proj_iff, o_iff, 2),
+    (proj_not, o_not, 1),
+]
+
+
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
-def test_a_run_builds_each_projection_once(field, projection_builds):
+def test_every_projection_call_builds_one_projection(field, projection_builds):
     _, (pair, other, *_) = spaces_and_pairs(field, 47)
     with _shared_results():
+        p, again = projection_of(pair), projection_of(pair)
+        # The projection keeps its pair, and the pair keeps nothing of it.
+        assert again == p and again is not p and len(projection_builds) == 2
+        assert subspaces_of(p) is pair and subspaces_of(again) is pair
+        q, c = projection_of(other), proj_compl(p)
+        for proj_f, pair_f, arity in DERIVED:
+            del projection_builds[:]
+            got = proj_f(*(p, q)[:arity])
+            assert projection_builds == [got], proj_f.__name__
+            assert got.pair == pair_f(*(pair, other)[:arity]), proj_f.__name__
+        del projection_builds[:]
+        assert [proj_orthogonal(p, c), proj_orthogonal(p, q)] == [True, o_perp(pair, other)]
+        assert projection_builds == []
+    # Outside a run each call builds its projection too.
+    assert projection_of(pair) == p and len(projection_builds) == 1
+
+
+def test_pairs_and_projections_leave_no_cyclic_garbage():
+    # A pair that kept its projection, which keeps the pair, was freed
+    # only by the cycle collector: 64 objects for one drawn pair.
+    gc.collect()
+    gc.disable()
+    try:
+        pair = random_ortho(rng_from(3), Field.Q, 3)
         p = projection_of(pair)
-        assert projection_of(pair) is p and len(projection_builds) == 1
-        # An equal pair is another object and keeps its own projection.
-        twin = copy_pair(pair)
-        assert projection_of(twin) == p and projection_of(twin) is not p
-        assert projection_of(twin) is projection_of(twin) and len(projection_builds) == 2
-        q = projection_of(other)
         c = proj_compl(p)
-        assert projection_of(c.pair) is c and len(projection_builds) == 4
-        meet, join = proj_meet(p, q), proj_join(p, q)
-        assert projection_of(meet.pair) is meet and projection_of(join.pair) is join
-        assert len(projection_builds) == 6
-    # Outside a run the pair still keeps its projection.
-    assert projection_of(pair) is p and projection_of(other) is q
-    assert len(projection_builds) == 6
-    fresh = copy_pair(pair)
-    assert projection_of(fresh) is projection_of(fresh) == p and len(projection_builds) == 7
+        # The order and comm suites, on operands drawn as check --random draws them.
+        rng = rng_from(7)
+        ordered = ordered_ortho_pairs(rng, Field.Q, 3, 2) + non_ordered_ortho_pairs(rng, Field.Q, 3, 2)
+        laws.check_lescomp(ordered)
+        rng = rng_from(7)
+        commuting = commuting_pairs(rng, Field.Q, 3, 4)
+        laws.check_comm(commuting, [orthogonal_total_pair(rng, Field.Q, 3) for _ in range(4)])
+        del pair, p, c, ordered, commuting
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -239,8 +292,9 @@ def test_identity_and_zero_maps_check_their_pair_and_reduce_nothing(
     maps = [identity_on(dom), zero_on(dom), total_zero(field, 3)]
     # Each pair comes through the checked constructor and is built once.
     assert len(coperp_calls) == 3 and len(projection_builds) == 3
-    assert all(projection_of(m.pair) is m for m in maps)
-    assert len(projection_builds) == 3
+    # Each call builds the map again from the pair it keeps.
+    assert all(projection_of(m.pair) == m and subspaces_of(m) is m.pair for m in maps)
+    assert len(projection_builds) == 6
     # A zero part is read off the rank, and the full space is the identity.
     assert maps[2].dom.is_full and rref_calls == []
 

@@ -227,9 +227,10 @@ def test_connectives_build_their_pairs_unchecked(field, coperp_calls):
     assert len(coperp_calls) == len(built)
 
 
-# Each derived projection connective is one projection of its pair
-# connective, so it builds exactly one projection; orthogonality builds none.
-DERIVED = [
+# Each projection connective is the projection of its pair connective,
+# taking 1 or 2 operands, so it builds exactly one projection;
+# orthogonality builds none.
+CONNECTIVES = [
     (proj_compl, o_neg, 1),
     (proj_meet, o_meet, 2),
     (proj_join, o_join, 2),
@@ -249,7 +250,7 @@ def test_every_projection_call_builds_one_projection(field, projection_builds):
         assert again == p and again is not p and len(projection_builds) == 2
         assert subspaces_of(p) is pair and subspaces_of(again) is pair
         q, c = projection_of(other), proj_compl(p)
-        for proj_f, pair_f, arity in DERIVED:
+        for proj_f, pair_f, arity in CONNECTIVES:
             del projection_builds[:]
             got = proj_f(*(p, q)[:arity])
             assert projection_builds == [got], proj_f.__name__

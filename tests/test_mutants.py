@@ -1,0 +1,167 @@
+"""The standing mutation suite: every named mutant stays killed.
+
+Each row of ``MUTANTS`` is a one-place edit of a private function's
+source, paired with the smallest fast probe known to catch it.  The
+edit is compiled from the function's current source and swapped in as
+the function's code, so every binding site sees it at once: ``linalg``
+and ``subspace`` for ``_kernel_rows``, and the saved references through
+which the contract fixtures of ``conftest`` call the real code.  The
+contract fixtures stay on, and a probe may count a contract assertion as
+its kill.  Each probe must pass under an unchanged recompiled copy of
+its function, so that it cannot pass here by failing for another reason,
+and must fail with an ``AssertionError`` under its mutant.  A row whose
+text no longer occurs in the source fails, and is then rewritten against
+the new code rather than dropped."""
+
+import inspect
+import textwrap
+from fractions import Fraction
+from types import CodeType
+
+import pytest
+
+from orthoql import linalg, ortho, partial_op, subspace
+from orthoql.laws import check_catalog, check_complql
+from orthoql.linalg import Matrix
+from orthoql.ortho import OrthoSubspace
+from orthoql.partial_op import PartialProjection
+from orthoql.scalars import Field
+from orthoql.subspace import Subspace
+
+
+def q(n, *rows):
+    return Subspace(Field.Q, n, rows)
+
+
+# --- probes ----------------------------------------------------------------
+
+def modular_search():
+    # A real meet never breaks the modular law; check_catalog runs the
+    # search through the law-suite runner.
+    assert check_catalog("modularity", 3, Field.Q).results["modularity"].passed
+
+
+def complql_suite():
+    l = OrthoSubspace(q(3, [1, 0, 0]), q(3, [0, 1, 0]))
+    m = OrthoSubspace(q(3, [0, 1, 0]), q(3, [0, 0, 1]))
+    n = OrthoSubspace(q(3, [1, 1, 0]), q(3, [0, 0, 1]))
+    assert check_complql([(l, m, n), (m, n, l)]).ok
+
+
+def products():
+    a = Matrix(Field.Q, 1, 2, [Fraction(1, 2), Fraction(1, 3)])
+    b = Matrix(Field.Q, 2, 1, [Fraction(1, 5), Fraction(1, 7)])
+    assert (a @ b).entries == (Fraction(31, 210),)
+    # Integer operands: every entry must still be a Fraction.
+    assert (Matrix(Field.Q, 1, 1, [2]) @ Matrix(Field.Q, 1, 1, [3])).entries == (6,)
+
+
+def reduced_row():
+    assert q(2, [2, 3]).basis.entries == (1, Fraction(3, 2))
+
+
+def zero_matrix():
+    assert Matrix.zero(Field.Q, 1, 2).entries == (0, 0)
+
+
+def orthocomplement():
+    assert q(2, [1, 0]).perp() == q(2, [0, 1])
+
+
+def projection():
+    # Both parts nonzero, so the images come from a projector: e1 and e2
+    # go to 1/5 and 2/5 of (1, 2, 0).
+    p = PartialProjection(OrthoSubspace(q(3, [1, 2, 0]), q(3, [2, -1, 0])))
+    fifth = Fraction(1, 5)
+    assert p.images == Matrix(Field.Q, 2, 3, [fifth, 2 * fifth, 0, 2 * fifth, 4 * fifth, 0])
+
+
+# --- the table -------------------------------------------------------------
+
+# name -> (function, source text, mutated text, probe).  The functions
+# are read at import, before the contract fixtures wrap any of them.
+MUTANTS = {
+    "meet-of-incomparables-is-zero": (
+        subspace.Subspace._meet,
+        "r, k = self.rank, self.rank + other.rank",
+        "if not (self.leq(other) or other.leq(self)):\n"
+        "        return Subspace.zero(self.field, self.ambient_dim)\n"
+        "    r, k = self.rank, self.rank + other.rank",
+        modular_search,
+    ),
+    "cleared-takes-max-for-lcm": (
+        linalg._cleared,
+        "den = lcm(",
+        "den = max(",
+        products,
+    ),
+    "leading-one-divides-by-the-next-column": (
+        linalg._leading_one_row,
+        "piv = row[2 * c]",
+        "piv = row[2 * c + 2]",
+        reduced_row,
+    ),
+    "product-drops-dy": (
+        linalg._product,
+        "Fraction(sum(map(mul, x, y)), dx * dy)",
+        "Fraction(sum(map(mul, x, y)), dx)",
+        products,
+    ),
+    "product-returns-a-bare-int": (
+        linalg._product,
+        "Fraction(sum(map(mul, x, y)), dx * dy)",
+        "(sum(map(mul, x, y)) if dx * dy == 1 else Fraction(sum(map(mul, x, y)), dx * dy))",
+        products,
+    ),
+    "join-zero-part-is-a-join": (
+        ortho.o_join,
+        "a.zero & b.zero",
+        "a.zero | b.zero",
+        complql_suite,
+    ),
+    "zero-matrix-of-int-zeros": (
+        linalg.Matrix.zero.__func__,
+        "[field.zero] * (nrows * ncols)",
+        "[0] * (nrows * ncols)",
+        zero_matrix,
+    ),
+    "kernel-row-writes-an-int-one": (
+        linalg._kernel_rows,
+        "v[f] = field.one",
+        "v[f] = 1",
+        orthocomplement,
+    ),
+    "projection-images-from-the-zero-part": (
+        partial_op.PartialProjection.__init__,
+        "pair.one.projector",
+        "pair.zero.projector",
+        projection,
+    ),
+}
+
+
+def _swap(monkeypatch, fn, old: str, new: str) -> None:
+    """Give ``fn`` the code compiled from its source with ``old``, which
+    must occur exactly once, replaced by ``new``.  The source is compiled
+    inside a function that owns a ``__class__`` cell, so that a method
+    calling ``super()`` keeps the same free variables."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__qualname__} no longer contains {old!r}"
+    body = textwrap.indent(source.replace(old, new), "    ")
+    module = compile("def _outer():\n    __class__ = None\n" + body, fn.__code__.co_filename, "exec")
+    (outer,) = (c for c in module.co_consts if isinstance(c, CodeType))
+    (code,) = (c for c in outer.co_consts if isinstance(c, CodeType) and c.co_name == fn.__name__)
+    monkeypatch.setattr(fn, "__code__", code)
+
+
+@pytest.mark.parametrize("fn, old, new, probe", MUTANTS.values(), ids=MUTANTS)
+def test_probe_passes_on_an_unchanged_recompiled_copy(monkeypatch, fn, old, new, probe):
+    _swap(monkeypatch, fn, old, old)
+    probe()
+
+
+@pytest.mark.parametrize("fn, old, new, probe", MUTANTS.values(), ids=MUTANTS)
+def test_mutant_is_killed(monkeypatch, fn, old, new, probe):
+    _swap(monkeypatch, fn, old, new)
+    with pytest.raises(AssertionError):
+        probe()

@@ -8,25 +8,35 @@ instance by instance with exact arithmetic, so a "holds" verdict is a
 finite proof for the tested operands and a violation comes with a
 concrete witness.  Conditional laws first decide their hypothesis;
 instances where it fails are counted as hypothesis-not-met, never as
-passes, so coverage is visible in the report.  The clause calculi of
-``partial_op`` (the order characterization, commuting projections and
-Cor. 7) return plain {clause: (applicable, holds, detail)} maps, which
-``check_lescomp`` and ``check_comm`` tally clause by clause.  A small
-catalog of classical counterexamples (distributivity and the Heyting
-adjunction) is kept separate: those laws are expected to fail, and the
-finder must reproduce the standard witnesses.  ``check_catalog`` also
-searches modularity, which holds at finite dimension, and it tags all
-three laws expected-fail, modularity included: a modularity violation
-would be reported but would not count towards the exit status.  Each
-``check_*`` runs inside one ``subspace._shared_results`` block, so
-equal operands share their meets, joins and orders for the length of
-the run and no longer; a subspace keeps its own orthocomplement and
-projector, and a pair keeps nothing of its projection, which is built
-anew wherever a suite asks for it.
+passes, so coverage is visible in the report.
+
+A suite is written as a generator of verdicts ``(law, applicable,
+holds, operands[, witness])``, one per law and instance, and ``_suite``
+turns it into the public function: it lists the suite's laws, so each
+gets its line even with nothing to check, runs the generator inside one
+``subspace._shared_results`` block and records every verdict before it
+returns.  So equal operands share their meets, joins and orders for the
+length of the run and no longer; a subspace keeps its own
+orthocomplement and projector, and a pair keeps nothing of its
+projection, which is built anew wherever a suite asks for it.  The
+clause calculi of ``partial_op`` (the order characterization, commuting
+projections and Cor. 7) return plain {clause: (applicable, holds,
+detail)} maps, whose entries ``check_lescomp`` and ``check_comm`` pass
+on as verdicts.
+
+A small catalog of classical counterexamples (distributivity and the
+Heyting adjunction, one standard witness each) is kept separate: those
+laws are expected to fail, and the finder must reproduce the witnesses.
+``check_catalog`` also searches modularity, which holds at finite
+dimension.  Whether a law is expected to fail is decided by its name
+alone (``LawResult.expected_fail``: it is in ``FAILING_LAWS``), so
+modularity is tagged expected-fail too: a modularity violation would be
+reported but would not count towards the exit status.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -92,7 +102,6 @@ class Violation:
 @dataclass
 class LawResult:
     law: str
-    expected_fail: bool = False
     instances: int = 0
     hypothesis_met: int = 0
     violations: list = dc_field(default_factory=list)
@@ -103,6 +112,10 @@ class LawResult:
             self.hypothesis_met += 1
             if not holds:
                 self.violations.append(Violation(operands, witness))
+
+    @property
+    def expected_fail(self) -> bool:
+        return self.law in FAILING_LAWS
 
     @property
     def passed(self) -> bool:
@@ -120,14 +133,14 @@ class LawResult:
 class LawReport:
     results: dict = dc_field(default_factory=dict)
 
-    def result(self, law: str, expected_fail: bool = False) -> LawResult:
+    def result(self, law: str) -> LawResult:
         if law not in self.results:
-            self.results[law] = LawResult(law, expected_fail)
+            self.results[law] = LawResult(law)
         return self.results[law]
 
     def merge(self, other: "LawReport") -> "LawReport":
         for law, res in other.results.items():
-            mine = self.result(law, res.expected_fail)
+            mine = self.result(law)
             mine.instances += res.instances
             mine.hypothesis_met += res.hypothesis_met
             mine.violations.extend(res.violations)
@@ -216,14 +229,34 @@ PLS_LAWS = (
 FAILING_LAWS = ("distributivity", "modularity", "heyting_adjunction")
 
 
+def _suite(names: Sequence[str]):
+    """Turn a generator of verdicts ``(law, applicable, holds, operands[,
+    witness])`` into a suite that returns their ``LawReport``.  Each law
+    in ``names`` is listed even when no verdict names it, and the whole
+    run shares one ``_shared_results`` table.  The verdicts are recorded
+    before the suite returns, so a refusal raises when it is called."""
+
+    def decorate(verdicts):
+        @functools.wraps(verdicts)
+        def suite(*args, **kwargs) -> LawReport:
+            report = LawReport()
+            for law in names:
+                report.result(law)
+            with _shared_results():
+                for law, applicable, holds, *where in verdicts(*args, **kwargs):
+                    report.result(law).record(applicable, holds, *where)
+            return report
+
+        return suite
+
+    return decorate
+
+
 # --- the subspace lattice ------------------------------------------------
 
-@_shared_results()
-def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawReport:
+@_suite(CLQL_LAWS)
+def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]):
     """Evaluate the lattice laws on triples of plain subspaces."""
-    report = LawReport()
-    for law in CLQL_LAWS:
-        report.result(law)
     for l, m, n in instances:
         # A triple over two spaces, or with no space, is refused before any law runs.
         Subspace._check_ambient(l, m)
@@ -232,9 +265,7 @@ def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawR
         first = instances[0][0]
         bottom = Subspace.zero(first.field, first.ambient_dim)
         top = Subspace.full(first.field, first.ambient_dim)
-        report.result("clql0").record(
-            first.ambient_dim >= 1, bottom != top, "ambient", ""
-        )
+        yield "clql0", first.ambient_dim >= 1, bottom != top, "ambient"
     for l, m, n in instances:
         ops = f"L={l!r} M={m!r} N={n!r}"
         top = Subspace.full(l.field, l.ambient_dim)
@@ -252,85 +283,70 @@ def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]) -> LawR
             and m.leq(join)
             and (not (l.leq(n) and m.leq(n)) or join.leq(n))
         )
-        report.result("clql1").record(True, glb and lub, ops)
-
-        report.result("clql2").record(True, bottom.leq(l) and l.leq(top), ops)
-
-        report.result("clql3").record(
-            True, l.leq(m) == m.perp().leq(l.perp()), ops
-        )
-
-        report.result("clql4").record(True, l == l.perp().perp(), ops)
-        report.result("clql5").record(True, l.meet(l.perp()) == bottom, ops)
-        report.result("clql6").record(True, l.join(l.perp()) == top, ops)
+        yield "clql1", True, glb and lub, ops
+        yield "clql2", True, bottom.leq(l) and l.leq(top), ops
+        yield "clql3", True, l.leq(m) == m.perp().leq(l.perp()), ops
+        yield "clql4", True, l == l.perp().perp(), ops
+        yield "clql5", True, l.meet(l.perp()) == bottom, ops
+        yield "clql6", True, l.join(l.perp()) == top, ops
 
         # Orthomodular law.  The pair (l, l v m) always satisfies the
         # hypothesis, so every instance contributes a real check; the raw
         # pair contributes a second one whenever it happens to be ordered.
-        big = join
-        report.result("clql7").record(
-            True, big == l.join(big.meet(l.perp())), ops
-        )
-        report.result("clql7").record(
-            l.leq(m), not l.leq(m) or m == l.join(m.meet(l.perp())), ops
-        )
+        yield "clql7", True, join == l.join(join.meet(l.perp())), ops
+        yield "clql7", l.leq(m), not l.leq(m) or m == l.join(m.meet(l.perp())), ops
 
         semi = (
             l.join(m.meet(n)).leq(l.join(m).meet(l.join(n)))
             and l.meet(m).join(l.meet(n)).leq(l.meet(m.join(n)))
         )
-        report.result("semidistributive").record(True, semi, ops)
+        yield "semidistributive", True, semi, ops
 
         # Modularity needs its smaller operand below the outer one; n ^ l
         # always qualifies, the raw n adds a second check when ordered.
         small = n.meet(l)
-        report.result("modular_closed").record(
-            True, l.meet(m.join(small)) == l.meet(m).join(small), ops
-        )
-        report.result("modular_closed").record(
-            n.leq(l), not n.leq(l) or l.meet(m.join(n)) == l.meet(m).join(n), ops
-        )
-
-        report.result("demorgan_join").record(
-            True, join.perp() == l.perp().meet(m.perp()), ops
-        )
-        report.result("demorgan_meet_geq").record(
-            True, l.perp().join(m.perp()).leq(meet.perp()), ops
-        )
-        report.result("demorgan_meet_eq").record(
-            True, meet.perp() == l.perp().join(m.perp()), ops
+        yield "modular_closed", True, l.meet(m.join(small)) == l.meet(m).join(small), ops
+        yield (
+            "modular_closed",
+            n.leq(l),
+            not n.leq(l) or l.meet(m.join(n)) == l.meet(m).join(n),
+            ops,
         )
 
-        report.result("located").record(True, l.is_located_total(), ops)
-    return report
+        yield "demorgan_join", True, join.perp() == l.perp().meet(m.perp()), ops
+        yield "demorgan_meet_geq", True, l.perp().join(m.perp()).leq(meet.perp()), ops
+        yield "demorgan_meet_eq", True, meet.perp() == l.perp().join(m.perp()), ops
+        yield "located", True, l.is_located_total(), ops
 
 
 # --- the orthocomplemented lattice ---------------------------------------
 
-@_shared_results()
+@_suite(COMPLQL_LAWS)
 def check_complql(
     instances: Sequence[tuple[OrthoSubspace, OrthoSubspace, OrthoSubspace]],
-) -> LawReport:
+):
     """Evaluate the complemented-lattice laws on triples of orthogonal pairs."""
-    report = LawReport()
-    for law in COMPLQL_LAWS:
-        report.result(law)
     if instances:
         first = instances[0][0]
         field, n = first.field, first.ambient_dim
         bottom = OrthoSubspace.bottom(field, n)
         top = OrthoSubspace.top(field, n)
         apart, witness = o_neq(bottom, top) if n >= 1 else (False, None)
-        report.result("complql0").record(
+        yield (
+            "complql0",
             n >= 1,
             bottom.is_total and top.is_total and apart,
             "ambient",
             repr(witness),
         )
-        report.result("corcomplql_iii").record(
-            True, o_eq(o_neg(top), bottom) and o_eq(o_neg(bottom), top), "ambient"
+        yield (
+            "corcomplql_iii",
+            True,
+            o_eq(o_neg(top), bottom) and o_eq(o_neg(bottom), top),
+            "ambient",
         )
-        report.result("swapalg1_iii").record(
+        yield (
+            "swapalg1_iii",
             True,
             o_eq(bottom.local_zero(), bottom) and o_eq(top.local_one(), top),
             "ambient",
@@ -369,93 +385,65 @@ def check_complql(
         parts["complql7"] = (hyp7, (not hyp7) or join.is_total)
 
         for law, (applicable, holds) in parts.items():
-            report.result(law).record(applicable, holds, ops)
+            yield law, applicable, holds, ops
 
         hyp8 = l.is_total and o_leq(l, m)
-        report.result("complql8").record(
-            hyp8, (not hyp8) or o_eq(m, o_join(l, o_minus(m, l))), ops
-        )
+        yield "complql8", hyp8, (not hyp8) or o_eq(m, o_join(l, o_minus(m, l))), ops
 
         hyp_ci = l.is_total and o_leq(l, m) and o_eq(o_minus(m, l), bottom)
-        report.result("corcomplql_i").record(
-            hyp_ci, (not hyp_ci) or o_eq(l, m), ops
-        )
+        yield "corcomplql_i", hyp_ci, (not hyp_ci) or o_eq(l, m), ops
 
-        report.result("corcomplql_ii").record(
+        yield (
+            "corcomplql_ii",
             True,
             all((not applicable) or holds for applicable, holds in parts.values()),
             ops,
         )
 
-        report.result("corcomplql_iv").record(
-            True, o_eq(o_neg(join), o_meet(o_neg(l), o_neg(m))), ops
-        )
-        report.result("corcomplql_v").record(
-            True, o_eq(o_neg(meet), o_join(o_neg(l), o_neg(m))), ops
-        )
+        yield "corcomplql_iv", True, o_eq(o_neg(join), o_meet(o_neg(l), o_neg(m))), ops
+        yield "corcomplql_v", True, o_eq(o_neg(meet), o_join(o_neg(l), o_neg(m))), ops
 
         both_total = l.is_total and m.is_total
         hyp_cvi = both_total and o_leq(l, m)
-        report.result("corcomplql_vi").record(
-            hyp_cvi, (not hyp_cvi) or o_minus(m, l).is_total, ops
-        )
+        yield "corcomplql_vi", hyp_cvi, (not hyp_cvi) or o_minus(m, l).is_total, ops
         hyp_cvii = both_total and o_perp(l, m)
-        report.result("corcomplql_vii").record(
-            hyp_cvii, (not hyp_cvii) or o_eq(m, o_minus(join, l)), ops
-        )
+        yield "corcomplql_vii", hyp_cvii, (not hyp_cvii) or o_eq(m, o_minus(join, l)), ops
         hyp_cviii = both_total and o_eq(o_neg(l), o_neg(m))
-        report.result("corcomplql_viii").record(
-            hyp_cviii, (not hyp_cviii) or o_eq(l, m), ops
-        )
+        yield "corcomplql_viii", hyp_cviii, (not hyp_cviii) or o_eq(l, m), ops
 
         hyp_wt = both_total and o_leq(o_neg(m), l)
-        report.result("wedgetotal").record(
-            hyp_wt, (not hyp_wt) or meet.is_total, ops
-        )
+        yield "wedgetotal", hyp_wt, (not hyp_wt) or meet.is_total, ops
 
         zl, ol = l.local_zero(), l.local_one()
-        report.result("swapalg1_i").record(True, o_eq(o_neg(zl), ol), ops)
-        report.result("swapalg1_ii").record(
-            True, o_eq(o_neg(l).local_zero(), zl), ops
-        )
-        report.result("swapalg1_iv").record(
-            True,
-            o_eq(zl.local_zero(), zl) and o_eq(ol.local_zero(), zl),
-            ops,
-        )
-        report.result("swapalg1_v").record(True, o_eq(o_join(bottom, l), l), ops)
-        report.result("swapalg1_vi").record(True, o_eq(o_meet(zl, l), zl), ops)
-        report.result("swapalg1_vii").record(
-            True, o_eq(o_meet(top, l), l) and o_eq(o_meet(ol, l), l), ops
-        )
-        report.result("swapalg1_viii").record(True, o_eq(o_join(ol, l), ol), ops)
+        yield "swapalg1_i", True, o_eq(o_neg(zl), ol), ops
+        yield "swapalg1_ii", True, o_eq(o_neg(l).local_zero(), zl), ops
+        yield "swapalg1_iv", True, o_eq(zl.local_zero(), zl) and o_eq(ol.local_zero(), zl), ops
+        yield "swapalg1_v", True, o_eq(o_join(bottom, l), l), ops
+        yield "swapalg1_vi", True, o_eq(o_meet(zl, l), zl), ops
+        yield "swapalg1_vii", True, o_eq(o_meet(top, l), l) and o_eq(o_meet(ol, l), l), ops
+        yield "swapalg1_viii", True, o_eq(o_join(ol, l), ol), ops
 
-        report.result("perp2_i").record(
+        yield (
+            "perp2_i",
             both_total,
             (not both_total) or (o_perp(l, m) == perp_rel(l.one, m.one)),
             ops,
         )
-        report.result("perp2_ii").record(
-            True, o_perp(l, m) == o_perp(m, l), ops
-        )
+        yield "perp2_ii", True, o_perp(l, m) == o_perp(m, l), ops
         hyp_p3 = o_perp(l, m) and o_leq(n_pair, l)
-        report.result("perp2_iii").record(
-            hyp_p3, (not hyp_p3) or o_perp(n_pair, m), ops
-        )
-        report.result("perp2_iv").record(
+        yield "perp2_iii", hyp_p3, (not hyp_p3) or o_perp(n_pair, m), ops
+        yield (
+            "perp2_iv",
             True,
             o_perp(l, o_join(m, n_pair)) == (o_perp(l, m) and o_perp(l, n_pair)),
             ops,
         )
-    return report
 
 
 # --- the partial linear space of operators --------------------------------
 
-@_shared_results()
-def check_pls(
-    ops: Sequence[PartialOperator], ks: Sequence[Scalar]
-) -> LawReport:
+@_suite(PLS_LAWS)
+def check_pls(ops: Sequence[PartialOperator], ks: Sequence[Scalar]):
     """Evaluate the partial-linear-space laws on a sample of operators.
 
     Each operator is combined with its successors in the list (wrapping
@@ -463,11 +451,8 @@ def check_pls(
     scalar at the same index, so the whole evaluation is a function of
     the sample alone.
     """
-    report = LawReport()
-    for law in PLS_LAWS:
-        report.result(law)
     if not ops:
-        return report
+        return
     if not ks:
         raise ValueError("check_pls needs a nonempty scalar list ks, got []")
     field, dim = ops[0].field, ops[0].ambient_dim
@@ -475,9 +460,7 @@ def check_pls(
     one = field.one
 
     # The zero of the whole structure is its own local zero.
-    report.result("pl3").record(
-        True, op_eq(pls_zero_of(zero_elem), zero_elem), "ambient"
-    )
+    yield "pl3", True, op_eq(pls_zero_of(zero_elem), zero_elem), "ambient"
 
     count = len(ops)
     for idx, t in enumerate(ops):
@@ -495,21 +478,13 @@ def check_pls(
             and op_eq(pls_scale(k, pls_add(t, u)), pls_add(pls_scale(k, t), pls_scale(k, u)))
             and op_eq(pls_scale(k + k2, t), pls_add(pls_scale(k, t), pls_scale(k2, t)))
         )
-        report.result("pl_linear").record(True, linear, opers)
+        yield "pl_linear", True, linear, opers
 
         local = pls_zero_of(t)
         neg = pls_negate(t)
-        report.result("pl1").record(
-            True, op_eq(pls_scale(field.zero, t), local), opers
-        )
-        report.result("pl2").record(
-            True,
-            op_eq(pls_add(t, neg), local) and op_eq(pls_zero_of(neg), local),
-            opers,
-        )
-        report.result("pl4").record(
-            True, op_eq(pls_zero_of(local), local), opers
-        )
+        yield "pl1", True, op_eq(pls_scale(field.zero, t), local), opers
+        yield "pl2", True, op_eq(pls_add(t, neg), local) and op_eq(pls_zero_of(neg), local), opers
+        yield "pl4", True, op_eq(pls_zero_of(local), local), opers
 
         apart_kt, _ = op_neq(pls_scale(k, t), zero_elem)
         if apart_kt:
@@ -518,11 +493,9 @@ def check_pls(
             concl = apart_local or (bool(k) and apart_t)
         else:
             concl = True
-        report.result("pl5").record(apart_kt, concl, opers)
+        yield "pl5", apart_kt, concl, opers
 
-        report.result("cor_pls1_i").record(
-            True, op_eq(pls_add(t, local), t), opers
-        )
+        yield "cor_pls1_i", True, op_eq(pls_add(t, local), t), opers
 
         # Uniqueness of the partial additive inverse: any candidate that
         # satisfies both defining equations must already equal -T.
@@ -533,18 +506,18 @@ def check_pls(
             )
             if defining and not op_eq(cand, neg):
                 unique = False
-        report.result("cor_pls1_ii").record(True, unique, opers)
+        yield "cor_pls1_ii", True, unique, opers
 
-        report.result("cor_pls1_iii").record(
-            True, op_eq(pls_scale(-one, t), neg), opers
-        )
-        report.result("cor_pls1_iv").record(
+        yield "cor_pls1_iii", True, op_eq(pls_scale(-one, t), neg), opers
+        yield (
+            "cor_pls1_iv",
             True,
             op_eq(pls_zero_of(pls_scale(k, t)), local)
             and op_eq(pls_scale(k, local), local),
             opers,
         )
-        report.result("cor_pls1_v").record(
+        yield (
+            "cor_pls1_v",
             True,
             op_eq(pls_add(local, pls_zero_of(u)), pls_zero_of(pls_add(t, u))),
             opers,
@@ -558,7 +531,7 @@ def check_pls(
             and op_eq(local, zero_elem)
             and op_eq(pls_add(t, neg), zero_elem)
         )
-        report.result("cor_pls1_vi").record(both_total, closed, opers)
+        yield "cor_pls1_vi", both_total, closed, opers
 
     # A p-linear map between operator spaces is total exactly when its
     # values are all total; probe with one total map and two partial
@@ -582,46 +555,31 @@ def check_pls(
         # definition, so the conclusion cannot fail on its own; what the
         # probe can falsify is p-linearity of the candidate.
         values_total = all(op_eq(pls_zero_of(phi(t)), zero_elem) for t in ops)
-        report.result("prp_pls1_iv").record(values_total, plinear, f"phi={name}")
-    return report
+        yield "prp_pls1_iv", values_total, plinear, f"phi={name}"
 
 
 # --- the clause calculi of ordered pairs and commuting projections ---------
 
-def _record_clauses(report: LawReport, clauses: dict, operands: str) -> None:
-    for clause, (applicable, holds, detail) in clauses.items():
-        report.result(clause).record(applicable, holds, operands, detail)
-
-
-@_shared_results()
-def check_lescomp(
-    pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
-) -> LawReport:
+@_suite(ORDER_CLAUSES)
+def check_lescomp(pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]]):
     """Evaluate the composite characterization of the order
     (``partial_op.check_order``) on pairs of orthogonal pairs."""
-    report = LawReport()
-    for law in ORDER_CLAUSES:
-        report.result(law)
     for i, (l, m) in enumerate(pairs):
-        _record_clauses(report, check_order(l, m), f"pair #{i}")
-    return report
+        for clause, (applicable, holds, detail) in check_order(l, m).items():
+            yield clause, applicable, holds, f"pair #{i}", detail
 
 
-@_shared_results()
+@_suite(COMM_CLAUSES + COR7_CLAUSES)
 def check_comm(
     proj_pairs: Sequence[tuple[PartialProjection, PartialProjection]],
     total_pairs: Sequence[tuple[OrthoSubspace, OrthoSubspace]],
-) -> LawReport:
+):
     """Evaluate the commuting-projection calculus on pairs of projections
     and Cor. 7 on pairs of orthogonal pairs."""
-    report = LawReport()
-    for law in COMM_CLAUSES + COR7_CLAUSES:
-        report.result(law)
-    for i, (p, q) in enumerate(proj_pairs):
-        _record_clauses(report, commuting_calculus(p, q), f"pair #{i}")
-    for i, (l, m) in enumerate(total_pairs):
-        _record_clauses(report, cor7_calculus(l, m), f"pair #{i}")
-    return report
+    for calculus, pairs in ((commuting_calculus, proj_pairs), (cor7_calculus, total_pairs)):
+        for i, (a, b) in enumerate(pairs):
+            for clause, (applicable, holds, detail) in calculus(a, b).items():
+                yield clause, applicable, holds, f"pair #{i}", detail
 
 
 # --- counterexample catalog -----------------------------------------------
@@ -640,8 +598,12 @@ class Counterexample:
         return f"{text} ({self.note})" if self.note else text
 
 
-def _padded(field: Field, dim: int, *entries: int) -> list:
-    return [field.coerce(e) for e in entries] + [field.zero] * (dim - len(entries))
+# The standard two-dimensional witnesses: each operand is the span of
+# its integer rows, padded with zeros to the dimension.
+_WITNESSES = {
+    "distributivity": (((1, 0),), ((0, 1),), ((1, 1),)),
+    "heyting_adjunction": (((1, 0),), ((1, 1),), ()),
+}
 
 
 def _distributivity_gap(l: Subspace, m: Subspace, n: Subspace) -> Optional[Counterexample]:
@@ -689,18 +651,17 @@ def find_counterexample(
     dim: int,
     field: Field = Field.Q,
     budget: int = 32,
-    seed: int = 0,
 ) -> Optional[Counterexample]:
     """Search for a violating instance; None when none is found.
 
-    Distributivity and the Heyting adjunction are tried on the standard
-    two-dimensional witnesses, padded with zeros, which refute both in
-    every dimension from 2 on; below 2 neither can fail.
+    Distributivity and the Heyting adjunction are each tried on one
+    standard two-dimensional witness, padded with zeros, which refutes
+    the law in every dimension from 2 on; below 2 neither can fail.
 
     Modularity holds at finite dimension (sums of subspaces are closed),
     so its search is expected to come back empty, but it is a real one:
-    it tries ``budget`` triples (L, M, N) drawn from ``seed`` with
-    0 < N < L < H, 0 < M < H and M comparable with neither L nor N.
+    it tries ``budget`` triples (L, M, N), drawn from the fixed seed 0,
+    with 0 < N < L < H, 0 < M < H and M comparable with neither L nor N.
     Any other triple misses the hypothesis N <= L or is settled by the
     lattice axioms alone, so it could not expose a wrong ``meet`` or
     ``join``.  Such a triple needs three dimensions: at ``dim <= 2``
@@ -720,32 +681,11 @@ def find_counterexample(
         "heyting_adjunction": _heyting_gap,
         "modularity": _modularity_gap,
     }[law]
-    catalog = []
-    if law == "distributivity":
-        catalog.append(
-            (
-                Subspace(field, dim, [_padded(field, dim, 1, 0)]),
-                Subspace(field, dim, [_padded(field, dim, 0, 1)]),
-                Subspace(field, dim, [_padded(field, dim, 1, 1)]),
-            )
-        )
-    elif law == "heyting_adjunction":
-        catalog.append(
-            (
-                Subspace(field, dim, [_padded(field, dim, 1, 0)]),
-                Subspace(field, dim, [_padded(field, dim, 1, 1)]),
-                Subspace.zero(field, dim),
-            )
-        )
-        catalog.append(
-            (
-                Subspace(field, dim, [_padded(field, dim, 1, 0)]),
-                Subspace(field, dim, [_padded(field, dim, 1, 0)]),
-                Subspace(field, dim, [_padded(field, dim, 1, 1)]),
-            )
-        )
+    if law == "modularity":
+        catalog = _modular_triples(random.Random(0), field, dim, budget)
     else:
-        catalog = _modular_triples(random.Random(seed), field, dim, budget)
+        pad = (0,) * (dim - 2)
+        catalog = [[Subspace(field, dim, [row + pad for row in rows]) for rows in _WITNESSES[law]]]
     for triple in catalog:
         found = gap(*triple)
         if found is not None:
@@ -753,17 +693,14 @@ def find_counterexample(
     return None
 
 
-@_shared_results()
-def check_catalog(law: str, dim: int, field: Field) -> LawReport:
+@_suite(())
+def check_catalog(law: str, dim: int, field: Field):
     """Search for a violation of one ``FAILING_LAWS`` entry in dimension
     ``max(dim, 2)`` and report it as an expected failure."""
     _check_size(dim)
-    report = LawReport()
-    res = report.result(law, expected_fail=True)
     found = find_counterexample(law, max(dim, 2), field)
     if found is None:
-        res.record(True, True, "no violating instance found")
+        yield law, True, True, "no violating instance found"
     else:
         binds = ", ".join(f"{k}={v!r}" for k, v in found.operands.items())
-        res.record(True, False, binds, f"lhs={found.lhs!r} rhs={found.rhs!r}")
-    return report
+        yield law, True, False, binds, f"lhs={found.lhs!r} rhs={found.rhs!r}"

@@ -170,13 +170,21 @@ def test_check_json_payload(capsys):
     [
         ("order", ["lescomp1_i", "lescomp1_iia", "lescomp1_iiia", "lescomp1_iva", "lescomp1_meet"]),
         ("comm", ["comm1_i", "comm1_ii", "comm1_iii", "comm1_iv", "cor7_i", "cor7_ii", "cor7_iii"]),
+        ("clql", sorted(laws.CLQL_LAWS)),
+        ("complql", sorted(laws.COMPLQL_LAWS)),
+        ("pls", sorted(laws.PLS_LAWS)),
     ],
 )
 def test_order_and_comm_list_their_clauses_without_pairs(tmp_path, capsys, laws, clauses):
     # Like every other suite, with nothing to check each law still gets
-    # its line.
-    path = tmp_path / "no-pairs.json"
-    path.write_text(json.dumps({**GOOD, "ortho": {}}))
+    # its line, from a draw of none and from a file whose section is empty.
+    if laws == "clql":
+        # Pairs and operators name subspaces, so they go too.
+        document = {"field": "Q", "ambient_dim": 3, "subspaces": {}}
+    else:
+        document = {**GOOD, "operators" if laws == "pls" else "ortho": {}}
+    path = tmp_path / "empty-section.json"
+    path.write_text(json.dumps(document))
     for where in (["--random", "3", "0", "5"], ["--file", str(path)]):
         code, out = run(capsys, "check", *where, "--laws", laws)
         assert code == 0

@@ -39,7 +39,6 @@ __all__ = [
     "random_partial_operator",
     "random_partial_projection",
     "cayley_unitary",
-    "conjugated",
     "commuting_pairs",
     "quotient_samples",
 ]
@@ -248,12 +247,6 @@ def cayley_unitary(rng: random.Random, field: Field, dim: int) -> Matrix:
     a = Matrix.from_rows(field, entries)
     eye = Matrix.identity(field, dim)
     return (eye - a) @ matrix_inverse(eye + a)
-
-
-def conjugated(p: PartialProjection, u: Matrix) -> PartialProjection:
-    """The projection seen through the unitary change of coordinates u."""
-    dom = Subspace(p.field, p.ambient_dim, p.dom.basis @ u.transpose())
-    return PartialProjection.from_matrix(dom, u @ p.matrix @ u.conj_transpose())
 
 
 def _axis_projection(cols: Matrix, support: set[int], fixed: set[int]) -> PartialProjection:

@@ -29,10 +29,11 @@ Validity is checked once, where entries enter.  The public ``Vector``,
 the other field and coerce every entry; ``identity`` and ``zero`` check
 their sizes.  Arithmetic results (sums, differences, negations,
 ``scaled``, which coerces its one factor, products, transposes,
-conjugates, kernel rows and solutions) are already exact scalars of
-their field and are built with the private ``Matrix._of`` and
-``Vector._of``, which store them with no check.  ``rref``'s output and
-``row`` still go through the public constructors.
+conjugates, kernel rows, the ``[a | b]`` block that ``_solve_block``
+reduces, and solutions) are already exact scalars of their field and
+are built with the private ``Matrix._of`` and ``Vector._of``, which
+store them with no check.  ``rref``'s output and ``row`` still go
+through the public constructors.
 """
 
 from __future__ import annotations
@@ -450,7 +451,7 @@ def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
     for i in range(a.nrows):
         aug += a.entries[i * n : (i + 1) * n]
         aug += b.entries[i * p : (i + 1) * p]
-    basis, pivots = rref(Matrix(a.field, a.nrows, w, aug))
+    basis, pivots = rref(Matrix._of(a.field, a.nrows, w, aug))
     rank = sum(1 for c in pivots if c < n)
     if rank < len(pivots):
         return None, rank

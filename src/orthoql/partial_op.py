@@ -1,16 +1,24 @@
 """Partial linear operators and partial projections.
 
 An operator acts only on the vectors of its domain subspace; values
-elsewhere are deliberately meaningless.  It is built from, and stored
-as, its domain and the images of the domain's canonical (RREF) basis
-rows: ``PartialOperator(dom, images)``, images a rank x n matrix.  An
-ambient n x n matrix M enters only through ``from_matrix``, as
-``basis @ M^T``.  Equality is literal equality of (domain, images), and
-no projector onto a domain is needed: y lies in the domain exactly when
-``y == y[pivots] @ basis``, and rows go to ``rows[:, pivots] @ images``,
-which is ``rows @ matrix^T`` exactly, for any rows, in the domain or
-not.  So the partial linear structure and composition act on images
-alone.
+elsewhere are deliberately meaningless.  It is built from its domain
+and the images of the domain's canonical (RREF) basis rows:
+``PartialOperator(dom, images)``, images a rank x n matrix.  An ambient
+n x n matrix M enters only through ``from_matrix``, as ``basis @ M^T``.
+The images are stored as one integer matrix over one denominator,
+``(den, nums)``: a positive int and a flat tuple of int numerators,
+real and imaginary parts side by side over Q(i), as in ``rref_gauss``
+rows.  The form is kept primitive (``gcd(den, *nums) == 1``), which
+makes it unique per operator, so equality is literal equality of
+(domain, den, nums) and compares ints.  ``images`` and ``matrix`` are
+built from the form on each read, for the readers at the boundary.
+No projector onto a domain is needed: y lies in the domain exactly
+when ``y == y[pivots] @ basis``, and rows go to ``rows[:, pivots] @
+images``, which is ``rows @ matrix^T`` exactly, for any rows, in the
+domain or not.  So the partial linear structure, composition and the
+order calculus's sample values act on the integer forms alone, and
+the private ``PartialOperator._of`` stores each result with its gcd
+divided out once.
 
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
@@ -43,13 +51,16 @@ maps into law reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from math import gcd
+from operator import mul
+from typing import Optional, Sequence
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, _check_field, _solve_block, inner, norm_sq, null_space
+from orthoql.linalg import Matrix, Vector, _check_field, _cleared, _cleared_parts, _solve_block
+from orthoql.linalg import null_space
 from orthoql.ortho import OrthoSubspace, o_iff, o_implies, o_join, o_leq, o_meet, o_minus
 from orthoql.ortho import o_neg, o_not, o_perp
-from orthoql.scalars import Field, GaussianRational, Scalar
+from orthoql.scalars import Field, Scalar, _gaussian
 from orthoql.subspace import Subspace, _stacked, perp_rel
 
 __all__ = [
@@ -89,9 +100,16 @@ __all__ = [
 
 
 class PartialOperator:
-    """A linear map defined on a subspace of the ambient space."""
+    """A linear map defined on a subspace of the ambient space.
 
-    __slots__ = ("dom", "images")
+    Its images are held as one integer matrix over one denominator:
+    image entry k is ``nums[k] / den`` over Q, and ``(nums[2k] +
+    nums[2k+1] i) / den`` over Q(i), row-major, row i the image of the
+    domain's i-th basis row.  The form is primitive, ``den > 0`` and
+    ``gcd(den, *nums) == 1``, so it is unique per operator value.
+    ``images`` and ``matrix`` are built from it on each read."""
+
+    __slots__ = ("dom", "den", "nums")
 
     def __init__(self, dom: Subspace, images: Matrix):
         _check_operands(dom, images)
@@ -101,8 +119,21 @@ class PartialOperator:
                 f" {dom.rank} {dom.field.value} domain in ambient dimension {dom.ambient_dim}"
             )
         self.dom = dom
-        # Row i is the image of the domain's i-th basis row.
-        self.images = images
+        # Entries in lowest terms over their least common denominator
+        # leave the form primitive: a prime of the denominator divides
+        # no numerator of an entry where it reaches its highest power.
+        den, nums = _form(dom.field, images.entries)
+        self.den, self.nums = den, tuple(nums)
+
+    @classmethod
+    def _of(cls, dom: Subspace, den: int, nums: Sequence[int]) -> "PartialOperator":
+        """The operator on ``dom`` whose images are ``nums / den``, exact
+        ints with ``den > 0`` laid out as the stored form, which is
+        stored with their gcd divided out and no check."""
+        t = object.__new__(cls)
+        g = gcd(den, *nums)
+        t.dom, t.den, t.nums = dom, den // g, tuple(x // g for x in nums)
+        return t
 
     @classmethod
     def from_matrix(cls, dom: Subspace, matrix: Matrix):
@@ -117,14 +148,21 @@ class PartialOperator:
         return cls(dom, dom.basis @ matrix.transpose())
 
     @property
+    def images(self) -> Matrix:
+        """The rank x n matrix of images, row i that of the domain's
+        i-th basis row, built from the integer form."""
+        entries = _scalars(self.field, self.den, self.nums)
+        return Matrix._of(self.field, self.dom.rank, self.ambient_dim, entries)
+
+    @property
     def matrix(self) -> Matrix:
         """The canonical ambient matrix: image i in the column of the
         domain's i-th pivot, zeros elsewhere.  It agrees with the operator
         on the domain; off the domain its values mean nothing."""
-        n = self.ambient_dim
+        n, images = self.ambient_dim, self.images.entries
         entries = [self.field.zero] * (n * n)
         for i, c in enumerate(self.dom.pivots):
-            entries[c::n] = self.images.entries[i * n : (i + 1) * n]
+            entries[c::n] = images[i * n : (i + 1) * n]
         return Matrix._of(self.field, n, n, entries)
 
     @property
@@ -142,17 +180,18 @@ class PartialOperator:
     def __call__(self, x: Vector) -> Vector:
         if not self.dom.contains(x):
             raise NotInDomain(f"{x!r} is outside the domain")
-        return _apply(self, Matrix(self.field, 1, x.dim, x.entries)).row(0)
+        den, nums = _apply(self, _form(self.field, x.entries))
+        return Vector._of(self.field, _scalars(self.field, den, nums))
 
     def __eq__(self, other):
         # Like ``__hash__``, and unlike ``op_eq``, operators on different
         # ambient spaces compare unequal instead of raising.
         if not isinstance(other, PartialOperator):
             return NotImplemented
-        return self.dom == other.dom and self.images == other.images
+        return self.dom == other.dom and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.dom, self.images))
+        return hash((self.dom, self.den, self.nums))
 
     def __repr__(self):
         kind = type(self).__name__
@@ -175,14 +214,20 @@ class PartialProjection(PartialOperator):
 
     def __init__(self, pair: OrthoSubspace):
         dom = pair.dom
+        field, n = dom.field, dom.ambient_dim
         if pair.zero.rank == 0:
-            images = dom.basis
+            den, nums = _form(field, dom.basis.entries)
         elif pair.one.rank == 0:
-            images = Matrix.zero(dom.field, dom.rank, dom.ambient_dim)
+            den, nums = 1, (0,) * (len(dom.basis.entries) * _width(field))
         else:
-            images = dom.basis @ pair.one.projector.transpose()
-        super().__init__(dom, images)
-        self.pair = pair
+            # Entry (i, j) of basis @ P^T is the dot product of basis row i
+            # with row j of the projector P, over one denominator each.
+            db, basis = _form(field, dom.basis.entries)
+            dp, projector = _form(field, pair.one.projector.entries)
+            nums = _products(field, _rows(field, basis, n), _rows(field, projector, n))
+            den = db * dp
+        form = PartialOperator._of(dom, den, nums)
+        self.dom, self.den, self.nums, self.pair = dom, form.den, form.nums, pair
 
     @classmethod
     def from_matrix(cls, dom: Subspace, matrix: Matrix):
@@ -225,11 +270,81 @@ def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
     return Matrix._of(rows.field, rows.nrows, sub.rank, entries)
 
 
-def _apply(t: PartialOperator, rows: Matrix) -> Matrix:
-    """``rows @ t.matrix.transpose()``, read off the images: ``t.matrix``
-    holds image i in the column of pivot i and zeros elsewhere, so each
-    row's value is its pivot entries times the images."""
-    return _at_pivots(rows, t.dom) @ t.images
+# --- integer forms ---------------------------------------------------------
+#
+# An integer form (den, nums) holds exact scalars as nums / den: one int
+# per entry over Q, and over Q(i) the real and imaginary parts of each
+# entry side by side, as in ``rref_gauss`` rows.
+
+def _width(field: Field) -> int:
+    """The ints per entry of an integer form over ``field``."""
+    return 1 if field is Field.Q else 2
+
+
+def _form(field: Field, entries: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """The integer form of ``entries`` over their least common denominator."""
+    if field is Field.Q:
+        return _cleared(entries)
+    den, re, im = _cleared_parts(entries)
+    nums = [0] * (2 * len(re))
+    nums[0::2], nums[1::2] = re, im
+    return den, nums
+
+
+def _scalars(field: Field, den: int, nums: Sequence[int]) -> list[Scalar]:
+    """The exact scalars that the integer form ``(den, nums)`` holds."""
+    if field is Field.Q:
+        return [Fraction(x, den) for x in nums]
+    return [_gaussian(a, b, den) for a, b in zip(nums[0::2], nums[1::2])]
+
+
+def _rows(field: Field, nums: Sequence[int], n: int, cols: Optional[Sequence[int]] = None) -> list:
+    """The rows of width ``n`` of the integer numerators ``nums``, each
+    cut down to the columns ``cols`` when they are given: over Q each a
+    list of ints, over Q(i) each a pair (real parts, imaginary parts)."""
+    w = _width(field) * n
+    rows = [nums[i : i + w] for i in range(0, len(nums), w)] if w else []
+    if field is Field.Q:
+        return rows if cols is None else [[x[c] for c in cols] for x in rows]
+    if cols is None:
+        return [(x[0::2], x[1::2]) for x in rows]
+    return [([x[2 * c] for c in cols], [x[2 * c + 1] for c in cols]) for x in rows]
+
+
+def _products(field: Field, rows: Sequence, cols: Sequence) -> list[int]:
+    """The dot product of each row with each column, row-major, in
+    integer arithmetic, rows and columns shaped as ``_rows`` gives them."""
+    if field is Field.Q:
+        return [sum(map(mul, x, y)) for x in rows for y in cols]
+    out = []
+    for xr, xi in rows:
+        for yr, yi in cols:
+            out += (
+                sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+            )
+    return out
+
+
+def _times(
+    field: Field, n: int, rows: Sequence[int], pivots: Sequence[int], images: Sequence[int]
+) -> list[int]:
+    """The numerators of ``rows[:, pivots] @ images`` in integer
+    arithmetic, for rows and images of width ``n`` and one image per pivot."""
+    if field is Field.Q:
+        cols = [images[j::n] for j in range(n)]
+    else:
+        cols = [(images[2 * j :: 2 * n], images[2 * j + 1 :: 2 * n]) for j in range(n)]
+    return _products(field, _rows(field, rows, n, pivots), cols)
+
+
+def _apply(t: PartialOperator, rows: tuple[int, Sequence[int]]) -> tuple[int, list[int]]:
+    """The values of ``t`` at the rows of the integer form ``rows``, as
+    an integer form over ``rows``' denominator times ``t.den``: each
+    row's entries at the domain's pivots times the images, which is
+    ``rows @ t.matrix.transpose()``, for any rows, in the domain or not."""
+    den, nums = rows
+    return den * t.den, _times(t.field, t.ambient_dim, nums, t.dom.pivots, t.nums)
 
 
 # --- constructors ------------------------------------------------------
@@ -282,7 +397,7 @@ def op_eq(t: PartialOperator, u: PartialOperator) -> bool:
     """Same domain and same values on it (canonical forms make this a
     literal comparison)."""
     t.dom._check_ambient(u.dom)
-    return t.dom == u.dom and t.images == u.images
+    return t.dom == u.dom and t.den == u.den and t.nums == u.nums
 
 
 def _first_difference(
@@ -290,9 +405,12 @@ def _first_difference(
 ) -> Optional[Vector]:
     """The first basis row that ``t`` and ``u`` map to different
     vectors, or None when they agree on the span of ``basis``."""
-    tv, uv, n = _apply(t, basis).entries, _apply(u, basis).entries, basis.ncols
+    rows = _form(basis.field, basis.entries)
+    (_, tv), (_, uv) = _apply(t, rows), _apply(u, rows)
+    # Both values share the rows' denominator: compare tv / t.den with uv / u.den.
+    dt, du, w = t.den, u.den, _width(basis.field) * basis.ncols
     for j in range(basis.nrows):
-        if tv[j * n : (j + 1) * n] != uv[j * n : (j + 1) * n]:
+        if any(x * du != y * dt for x, y in zip(tv[j * w : (j + 1) * w], uv[j * w : (j + 1) * w])):
             return basis.row(j)
     return None
 
@@ -341,15 +459,23 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
     For x = c @ basis, p(x) = c @ images lies in dom(q) exactly when
     c @ residual = 0, with residual = images - images[:, pivots of
     dom(q)] @ basis of dom(q), so the domain is the image of a kernel.
-    A total outer domain keeps the inner one: every image lies in it.
+    When the residual is zero, as under a total outer domain, every
+    image lies in dom(q) and the inner domain is kept.
     """
     q.dom._check_ambient(p.dom)
-    if q.dom.is_full:
-        return PartialOperator(p.dom, _apply(q, p.images))
-    residual = p.images - _at_pivots(p.images, q.dom) @ q.dom.basis
-    ker = null_space(residual.transpose())
-    dom = Subspace(p.field, p.ambient_dim, ker @ p.dom.basis)
-    return PartialOperator(dom, _apply(q, _apply(p, dom.basis)))
+    field, n = p.field, p.ambient_dim
+    if not q.dom.is_full:
+        # In integers: the images are p.nums / p.den and dom(q)'s basis is
+        # basis / db, so the residual is this integer matrix over p.den * db,
+        # and a positive multiple of it has the same kernel.
+        db, basis = _form(field, q.dom.basis.entries)
+        inside = _times(field, n, p.nums, q.dom.pivots, basis)
+        residual = [x * db - y for x, y in zip(p.nums, inside)]
+        if any(residual):
+            rows = Matrix._of(field, p.dom.rank, n, _scalars(field, 1, residual))
+            dom = Subspace(field, n, null_space(rows.transpose()) @ p.dom.basis)
+            return PartialOperator._of(dom, *_apply(q, _apply(p, _form(field, dom.basis.entries))))
+    return PartialOperator._of(p.dom, *_apply(q, (p.den, p.nums)))
 
 
 # --- logical operations on projections ------------------------------------
@@ -398,23 +524,34 @@ def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
     """Pointwise sum on the meet of the domains."""
     t.dom._check_ambient(u.dom)
     if t.dom == u.dom:
-        return PartialOperator(t.dom, t.images + u.images)
-    dom = t.dom.meet(u.dom)
-    return PartialOperator(dom, _apply(t, dom.basis) + _apply(u, dom.basis))
+        dom, (dt, tv), (du, uv) = t.dom, (t.den, t.nums), (u.den, u.nums)
+    else:
+        dom = t.dom.meet(u.dom)
+        rows = _form(dom.field, dom.basis.entries)
+        (dt, tv), (du, uv) = _apply(t, rows), _apply(u, rows)
+    return PartialOperator._of(dom, dt * du, [x * du + y * dt for x, y in zip(tv, uv)])
 
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    return PartialOperator(t.dom, t.images.scaled(k))
+    k = t.field.coerce(k)
+    if t.field is Field.Q:
+        return PartialOperator._of(t.dom, t.den * k.denominator, [k.numerator * x for x in t.nums])
+    # (x + y i)(a + b i) = (ax - by) + (ay + bx) i, over d times the denominator.
+    a, b, nums = k._a, k._b, [0] * len(t.nums)
+    xs, ys = t.nums[0::2], t.nums[1::2]
+    nums[0::2] = [a * x - b * y for x, y in zip(xs, ys)]
+    nums[1::2] = [a * y + b * x for x, y in zip(xs, ys)]
+    return PartialOperator._of(t.dom, t.den * k._d, nums)
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:
-    return PartialOperator(t.dom, -t.images)
+    return PartialOperator._of(t.dom, t.den, [-x for x in t.nums])
 
 
 def pls_zero_of(t: PartialOperator) -> PartialOperator:
     """The zero map carried by the domain of t."""
-    return PartialOperator(t.dom, Matrix.zero(t.field, t.dom.rank, t.ambient_dim))
+    return PartialOperator._of(t.dom, 1, (0,) * len(t.nums))
 
 
 def pls_sub(t: PartialOperator, u: PartialOperator) -> PartialOperator:
@@ -455,12 +592,6 @@ def _spanning_samples(sub: Subspace) -> Matrix:
     rows = [sub.basis.entries[i * n : (i + 1) * n] for i in range(sub.rank)]
     rows += [tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
     return Matrix._of(sub.field, len(rows), n, [e for x in rows for e in x])
-
-
-def _real_or_none(v: Scalar) -> Optional[Fraction]:
-    if isinstance(v, GaussianRational):
-        return v.re if v.im == 0 else None
-    return v
 
 
 def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
@@ -514,26 +645,42 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     clauses["lescomp1_meet"] = (True, split_ok, "")
 
     samples = _spanning_samples(meet)
-    # Per sample x: (p_l1(x), p_m1(x), p_m0(x), p_l0(x)).
-    values = list(zip(*(_apply(t, samples).rows() for t in (p_l1, p_m1, p_m0, p_l0))))
+    ds, xs = _form(meet.field, samples.entries)
+    ops = (p_l1, p_m1, p_m0, p_l0)
+    values = [_apply(t, (ds, xs))[1] for t in ops]
+    dl1, dm1, dm0, dl0 = (t.den for t in ops)
+    # Sample j is x / ds for its integer row x, and t maps it to
+    # v / (ds * t.den) for its integer row v.  So |t(x)|^2 is v.v over
+    # (ds * t.den)^2 and Re <t(x), x> is v.x over ds^2 * t.den, both for
+    # interleaved Q(i) rows too; the comparisons cross-multiply the dens.
+    w = _width(meet.field) * meet.ambient_dim
+    per_sample = [
+        (xs[j * w : (j + 1) * w], [v[j * w : (j + 1) * w] for v in values])
+        for j in range(samples.nrows)
+    ]
     norm_ok = True
     norm_detail = ""
-    for x, (l1, m1, m0, l0) in zip(samples.rows(), values):
-        up = norm_sq(l1) <= norm_sq(m1)
-        down = norm_sq(m0) <= norm_sq(l0)
+    for j, (_, vs) in enumerate(per_sample):
+        l1, m1, m0, l0 = (sum(map(mul, v, v)) for v in vs)
+        up = l1 * dm1 * dm1 <= m1 * dl1 * dl1
+        down = m0 * dl0 * dl0 <= l0 * dm0 * dm0
         if not (up and down):
             norm_ok = False
-            norm_detail = f"sample {x!r}"
+            norm_detail = f"sample {samples.row(j)!r}"
             break
     clauses["lescomp1_iiia"] = (True, norm_ok, norm_detail)
 
     inner_ok = True
     inner_detail = ""
-    for x, images in zip(samples.rows(), values):
-        vals = [_real_or_none(inner(y, x)) for y in images]
-        if any(v is None for v in vals) or not (vals[0] <= vals[1] and vals[2] <= vals[3]):
+    for j, (x, vs) in enumerate(per_sample):
+        l1, m1, m0, l0 = (sum(map(mul, v, x)) for v in vs)
+        # Im <t(x), x> is v_im . x_re - v_re . x_im over Q(i).
+        real = meet.field is Field.Q or all(
+            sum(map(mul, v[1::2], x[0::2])) == sum(map(mul, v[0::2], x[1::2])) for v in vs
+        )
+        if not (real and l1 * dm1 <= m1 * dl1 and m0 * dl0 <= l0 * dm0):
             inner_ok = False
-            inner_detail = f"sample {x!r}"
+            inner_detail = f"sample {samples.row(j)!r}"
             break
     clauses["lescomp1_iva"] = (True, inner_ok, inner_detail)
     return clauses

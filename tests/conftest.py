@@ -1,4 +1,5 @@
-"""Shared test plumbing: oracle bridging and acceptance-line reporting."""
+"""Shared test plumbing: oracle bridging, the session-wide contracts,
+acceptance-line reporting and a few shared builders."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ import oracle
 from orthoql import linalg, subspace
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
-from orthoql.partial_op import PartialProjection
+from orthoql.partial_op import PartialOperator, PartialProjection
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
 
@@ -107,6 +108,65 @@ def projection_contract():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PartialProjection, "__init__", checked)
+        yield
+
+
+def form_values(field, den, nums):
+    """The values that the integer form ``(den, nums)`` of an operator's
+    images holds, in the oracle's representation: one (re, im) pair of
+    fractions per entry, the parts interleaved in ``nums`` over Q(i)."""
+    if field is Field.Q:
+        return tuple((Fraction(x, den), Fraction(0)) for x in nums)
+    return tuple((Fraction(a, den), Fraction(b, den)) for a, b in zip(nums[0::2], nums[1::2]))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def operator_contract():
+    """Every operator, built with the public ``PartialOperator(dom,
+    images)`` or unchecked with ``PartialOperator._of`` (the linear
+    structure, composition and every projection), stores its images as
+    a primitive integer form: ``den`` a positive int, ``nums`` a tuple of
+    ``rank * n`` ints (twice that over Q(i)), none a bool, with ``gcd(den,
+    *nums) == 1``, and ``images`` reads back as exact scalars of those
+    values.  ``_of`` keeps the value it is given, and the public path the
+    images it is given.  Asserted in the oracle's arithmetic once per
+    distinct value, for the whole session."""
+    build, init = PartialOperator._of, PartialOperator.__init__
+    seen = set()
+
+    def first_sight(t):
+        key = (t.dom, t.den, t.nums)
+        if key in seen:
+            return False
+        seen.add(key)
+        den, nums, width = t.den, t.nums, 1 if t.field is Field.Q else 2
+        assert type(den) is int and den > 0, f"denominator of {t!r}"
+        assert type(nums) is tuple and all(type(x) is int for x in nums), f"numerators of {t!r}"
+        assert len(nums) == width * t.dom.rank * t.ambient_dim, f"numerator count of {t!r}"
+        assert gcd(den, *nums) == 1, f"not primitive: {den}, {nums}"
+        images = t.images.entries
+        assert exact_entries(t.field, images), f"images of {t!r}"
+        assert tuple(map(to_num, images)) == form_values(t.field, den, nums), f"images of {t!r}"
+        return True
+
+    def of(cls, dom, den, nums):
+        nums = tuple(nums)
+        t = build(dom, den, nums)
+        first_sight(t)
+        # Dividing out the gcd keeps each value: nums[k] / den == t.nums[k] / t.den.
+        assert len(t.nums) == len(nums) and all(
+            x * t.den == y * den for x, y in zip(nums, t.nums)
+        ), f"{t!r} built from {den}, {nums}"
+        return t
+
+    def checked(self, dom, images):
+        init(self, dom, images)
+        if first_sight(self):
+            assert to_mat(self.images) == to_mat(images), f"{self!r} built from {images!r}"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PartialOperator, "_of", classmethod(of))
+        patch.setattr(PartialOperator, "__init__", checked)
         yield
 
 
@@ -231,6 +291,12 @@ def projection_builds(monkeypatch):
 
     monkeypatch.setattr(PartialProjection, "__init__", counted)
     return built
+
+
+def conjugated(p: PartialProjection, u: Matrix) -> PartialProjection:
+    """The projection seen through the unitary change of coordinates u."""
+    dom = Subspace(p.field, p.ambient_dim, p.dom.basis @ u.transpose())
+    return PartialProjection.from_matrix(dom, u @ p.matrix @ u.conj_transpose())
 
 
 def sub_to_oracle(sub: Subspace):

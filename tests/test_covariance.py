@@ -16,9 +16,9 @@ wrong slot, so every Q(i) unitary drawn here has a non-real entry.
 
 import pytest
 
+from conftest import conjugated
 from orthoql.generators import (
     cayley_unitary,
-    conjugated,
     random_member,
     random_ortho,
     random_partial_operator,

@@ -3,12 +3,12 @@ what they emit, and coverage of the hypotheses the law suites gate on."""
 
 import pytest
 
+from conftest import conjugated
 from orthoql.generators import (
     cayley_unitary,
     clql_triples,
     commuting_pairs,
     complql_triples,
-    conjugated,
     non_ordered_ortho_pairs,
     ordered_ortho_pairs,
     orthogonal_total_pair,

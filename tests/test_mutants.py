@@ -20,11 +20,13 @@ from types import CodeType
 
 import pytest
 
+import oracle
+from conftest import to_num
 from orthoql import linalg, ortho, partial_op, subspace
 from orthoql.laws import check_catalog, check_complql
-from orthoql.linalg import Matrix
+from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
-from orthoql.partial_op import PartialProjection
+from orthoql.partial_op import PartialProjection, check_order, pls_add, pls_scale
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace
 
@@ -68,12 +70,42 @@ def orthocomplement():
     assert q(2, [1, 0]).perp() == q(2, [0, 1])
 
 
-def projection():
+def fifths():
     # Both parts nonzero, so the images come from a projector: e1 and e2
     # go to 1/5 and 2/5 of (1, 2, 0).
-    p = PartialProjection(OrthoSubspace(q(3, [1, 2, 0]), q(3, [2, -1, 0])))
+    return PartialProjection(OrthoSubspace(q(3, [1, 2, 0]), q(3, [2, -1, 0])))
+
+
+def projection():
     fifth = Fraction(1, 5)
-    assert p.images == Matrix(Field.Q, 2, 3, [fifth, 2 * fifth, 0, 2 * fifth, 4 * fifth, 0])
+    assert fifths().images == Matrix(Field.Q, 2, 3, [fifth, 2 * fifth, 0, 2 * fifth, 4 * fifth, 0])
+
+
+def one_form():
+    # A sum with a scaled-away copy holds p's values over p.den squared
+    # until the gcd is divided out; then its form is p's own.
+    p = fifths()
+    t = pls_add(p, pls_scale(0, p))
+    assert (t.den, t.nums) == (p.den, p.nums)
+
+
+def scaled_values():
+    p, k = fifths(), Fraction(2, 3)
+    want = tuple(oracle.cmul((k, Fraction(0)), to_num(e)) for e in p.images.entries)
+    assert tuple(map(to_num, pls_scale(k, p).images.entries)) == want
+
+
+def ordered_norms():
+    # p_l1 maps (1, 0) to (1/2, -1/2), of squared norm 1/2, which the
+    # total identity m1 keeps at 1: the clause compares 2/4 with 1/1.
+    l = OrthoSubspace(q(2, [1, -1]), q(2, [1, 1]))
+    m = OrthoSubspace(Subspace.full(Field.Q, 2), Subspace.zero(Field.Q, 2))
+    assert check_order(l, m)["lescomp1_iiia"] == (True, True, "")
+
+
+def values():
+    fifth = Fraction(1, 5)
+    assert fifths()(Vector(Field.Q, [1, 0, 0])) == Vector(Field.Q, [fifth, 2 * fifth, 0])
 
 
 # --- the table -------------------------------------------------------------
@@ -136,6 +168,30 @@ MUTANTS = {
         "pair.one.projector",
         "pair.zero.projector",
         projection,
+    ),
+    "operator-form-keeps-its-gcd": (
+        partial_op.PartialOperator._of.__func__,
+        "g = gcd(den, *nums)",
+        "g = 1",
+        one_form,
+    ),
+    "scale-multiplies-den-by-the-numerator": (
+        partial_op.pls_scale,
+        "t.den * k.denominator",
+        "t.den * k.numerator",
+        scaled_values,
+    ),
+    "apply-drops-the-operator-denominator": (
+        partial_op._apply,
+        "return den * t.den,",
+        "return den,",
+        values,
+    ),
+    "order-norms-drop-the-denominators": (
+        partial_op.check_order,
+        "up = l1 * dm1 * dm1 <= m1 * dl1 * dl1",
+        "up = l1 <= m1",
+        ordered_norms,
     ),
 }
 

@@ -2,17 +2,17 @@
 order, commutation, and the operator algebra."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from conftest import sub_to_oracle, to_mat, to_vec
+from conftest import conjugated, form_values, sub_to_oracle, to_mat, to_num, to_vec
 from orthoql.errors import AmbientMismatch, NotInDomain
 from orthoql.generators import (
     cayley_unitary,
     commuting_pairs,
-    conjugated,
     ordered_ortho_pairs,
     orthogonal_total_pair,
     random_ortho,
@@ -492,18 +492,61 @@ def test_linear_structure_constructors_match_the_general_path(field):
                 assert_same_operator(pls_add(t, u), general(dom.meet(other), t.matrix + u.matrix))
 
 
+def int_form(field, rows):
+    """An integer form of the entries of ``rows``: their numerators over
+    twice a common denominator, so that the form is not primitive."""
+    parts = [part for e in rows.entries for part in to_num(e)[: 1 if field is Field.Q else 2]]
+    den = 2 * lcm(*(part.denominator for part in parts))
+    return den, [part.numerator * (den // part.denominator) for part in parts]
+
+
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_values_read_off_images_match_the_matrix(field):
-    # Rows in the domain, rows off it, and no rows at all.
+    # ``_apply`` takes rows as an integer form and gives their values as
+    # one.  Rows in the domain, rows off it, and no rows at all: the
+    # values are those of the ambient matrix.
     rng = rng_from(83)
     for dom in domains(field):
         ops = [PartialOperator.from_matrix(dom, random_matrix(rng, field))]
         ops += [projection_of(pair) for pair in pairs_on(dom)]
         for t in ops:
             for rows in (dom.basis, random_matrix(rng, field), Matrix(field, 0, 3, [])):
-                assert _apply(t, rows) == rows @ t.matrix.transpose()
+                want = tuple(map(to_num, (rows @ t.matrix.transpose()).entries))
+                assert form_values(field, *_apply(t, int_form(field, rows))) == want
             for x in dom.basis.rows():
                 assert t(x) == t.matrix @ x
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_every_route_to_an_operator_stores_one_primitive_form(field):
+    # The same operator reached by different routes: the general and
+    # public constructors, the linear structure, composition with an
+    # identity, and projections of equal pairs.  Composition and a sum
+    # with a scaled-away copy build non-primitive forms first.
+    k = I if field is Field.Qi else F(2, 3)
+    for dom in domains(field):
+        for pair in pairs_on(dom):
+            p = projection_of(pair)
+            routes = [
+                PartialOperator.from_matrix(dom, pair.one.projector),
+                PartialProjection.from_matrix(dom, pair.one.projector),
+                PartialOperator(dom, p.images),
+                projection_of(OrthoSubspace(pair.one, pair.zero)),
+                pls_add(p, zero_on(dom)),
+                pls_add(p, pls_scale(0, p)),
+                pls_scale(1, p),
+                pls_scale(1 / k, pls_scale(k, p)),
+                pls_negate(pls_negate(p)),
+                compose(identity_on(dom), p),
+                compose(p, identity_on(dom)),
+                compose(total_identity(field, 3), p),
+            ]
+            for t in routes:
+                assert (t.dom, t.den, t.nums) == (p.dom, p.den, p.nums)
+                assert t == p and hash(t) == hash(p)
+                assert t.den > 0 and gcd(t.den, *t.nums) == 1
+            width = 1 if field is Field.Q else 2
+            assert len(p.nums) == width * dom.rank * 3
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

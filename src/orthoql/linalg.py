@@ -3,16 +3,19 @@
 Everything here is an immutable value; operations return fresh
 objects, over the one field of their operands (mixing Q and Q(i) raises
 ``AmbientMismatch``), so no routine dispatches on an entry's type.
-Products clear denominators once per left row and once per right column
-and accumulate every dot product in Python ints.  Row reduction hands
-the integer elimination loop to ``kernel.rref_gauss`` and finishes the
-canonical form (leading ones) by dividing each eliminated integer row
-by its pivot in integer arithmetic (Gaussian integers over Q(i)).  Over
-Q each output entry is one exact fraction; over Q(i) the integer triple
-(real part, imaginary part, denominator) of each product or reduced
-entry goes straight to the scalar's reducing routine, and denominators
-are cleared from the stored triples, so no fraction is built on that
-path.  A given row space always produces the same bits.
+Exact scalars become ints and come back in one place, the integer-form
+section: a form ``(den, nums)`` holds scalars as ``nums / den``, one int
+per entry over Q and the real and imaginary parts side by side over
+Q(i).  Only ``_form`` reads a scalar's parts and only ``_scalars``
+builds scalars back, and ``partial_op`` holds its operator images in the
+same form.  A product clears each operand once with ``_form``, runs
+every dot product on Python ints and builds each output entry once.
+Row reduction clears each row with ``_form``, hands the integer
+elimination loop to ``kernel.rref_gauss`` and finishes the canonical
+form (leading ones) by dividing each eliminated integer row by its
+pivot in integer arithmetic (Gaussian integers over Q(i)), through
+``_scalars``.  Over Q(i) no fraction is built on either path.  A given
+row space always produces the same bits.
 
 Every basis is a row matrix, one basis vector per row: ``rref`` returns
 the canonical basis of a row space (its nonzero reduced rows, one per
@@ -46,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 from orthoql import scalars
 from orthoql.errors import AmbientMismatch, DimensionMismatch, SingularGram
 from orthoql.kernel import rref_gauss
-from orthoql.scalars import Field, GaussianRational, Scalar, _gaussian
+from orthoql.scalars import Field, Scalar, _gaussian
 
 __all__ = [
     "Vector",
@@ -226,14 +229,13 @@ class Matrix:
                 raise DimensionMismatch(
                     f"matrix has {self.ncols} columns, vector has dim {other.dim}"
                 )
-            return Vector._of(self.field, _product(self, [other.entries]))
+            return Vector._of(self.field, _product(self, other.entries, 1))
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         p = other.ncols
-        cols = [other.entries[j::p] for j in range(p)]
-        return Matrix._of(self.field, self.nrows, p, _product(self, cols))
+        return Matrix._of(self.field, self.nrows, p, _product(self, other.entries, p))
 
     def transpose(self) -> "Matrix":
         n, e = self.ncols, self.entries
@@ -305,47 +307,90 @@ def _check_shape(a: Matrix, b: Matrix):
         )
 
 
-# --- exact products on integers -----------------------------------------
+# --- integer forms ----------------------------------------------------------
+#
+# An integer form (den, nums) holds exact scalars as nums / den: one int
+# per entry over Q, and over Q(i) the real and imaginary parts of each
+# entry side by side, as in ``rref_gauss`` rows.  Only ``_form`` reads a
+# scalar's parts and only ``_scalars`` builds scalars back, so products,
+# row reduction and the operator images of ``partial_op`` share one
+# layout.
 
-def _cleared(entries: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """A common denominator of ``entries`` and their numerators over it."""
-    den = lcm(*(e.denominator for e in entries))
-    return den, [e.numerator * (den // e.denominator) for e in entries]
+def _width(field: Field) -> int:
+    """The ints per entry of an integer form over ``field``."""
+    return 1 if field is Field.Q else 2
 
 
-def _cleared_parts(entries: Sequence[GaussianRational]) -> tuple[int, list[int], list[int]]:
-    """A common denominator of the Q(i) ``entries`` and the numerators
-    of their real and imaginary parts over it."""
+def _form(field: Field, entries: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """The integer form of ``entries`` over their least common denominator."""
+    if field is Field.Q:
+        den = lcm(*(e.denominator for e in entries))
+        return den, [e.numerator * (den // e.denominator) for e in entries]
     den = lcm(*(e._d for e in entries))
-    return den, [e._a * (den // e._d) for e in entries], [e._b * (den // e._d) for e in entries]
+    nums = []
+    for e in entries:
+        k = den // e._d
+        nums += (e._a * k, e._b * k)
+    return den, nums
 
 
-def _product(a: Matrix, cols: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """Entries of ``a`` times each column in ``cols``, row-major.
+def _scalars(field: Field, den: int, nums: Sequence[int]) -> list[Scalar]:
+    """The exact scalars that the integer form ``(den, nums)`` holds."""
+    if field is Field.Q:
+        return [Fraction(x, den) for x in nums]
+    return [_gaussian(a, b, den) for a, b in zip(nums[0::2], nums[1::2])]
 
-    Every left row and every right column is brought to one denominator
-    once; each dot product then runs on Python ints and the exact result
-    is built once per output part.
+
+def _rows(field: Field, nums: Sequence[int], n: int, cols: Optional[Sequence[int]] = None) -> list:
+    """The rows of width ``n`` of the integer numerators ``nums``, each
+    cut down to the columns ``cols`` when they are given: over Q each a
+    list of ints, over Q(i) each a pair (real parts, imaginary parts)."""
+    w = _width(field) * n
+    rows = [nums[i : i + w] for i in range(0, len(nums), w)] if w else []
+    if field is Field.Q:
+        return rows if cols is None else [[x[c] for c in cols] for x in rows]
+    if cols is None:
+        return [(x[0::2], x[1::2]) for x in rows]
+    return [([x[2 * c] for c in cols], [x[2 * c + 1] for c in cols]) for x in rows]
+
+
+def _columns(field: Field, nums: Sequence[int], p: int) -> list:
+    """The columns of the integer numerators ``nums`` of a matrix with
+    ``p`` columns, shaped as ``_rows`` shapes rows."""
+    if field is Field.Q:
+        return [nums[j::p] for j in range(p)]
+    return [(nums[2 * j :: 2 * p], nums[2 * j + 1 :: 2 * p]) for j in range(p)]
+
+
+def _products(field: Field, rows: Sequence, cols: Sequence) -> list[int]:
+    """The dot product of each row with each column, row-major, in
+    integer arithmetic, rows and columns shaped as ``_rows`` gives them."""
+    if field is Field.Q:
+        return [sum(map(mul, x, y)) for x in rows for y in cols]
+    out = []
+    for xr, xi in rows:
+        for yr, yi in cols:
+            out += (
+                sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+            )
+    return out
+
+
+def _product(a: Matrix, b: Sequence[Scalar], p: int) -> list[Scalar]:
+    """Entries of ``a`` times the ``a.ncols`` x ``p`` matrix of entries
+    ``b``, row-major.
+
+    Each operand is brought to one denominator once; each dot product
+    then runs on Python ints and the exact result is built once per
+    output entry.
     """
-    m = a.ncols
-    rows = [a.entries[i * m : (i + 1) * m] for i in range(a.nrows)]
-    if a.field is Field.Q:
-        left = [_cleared(r) for r in rows]
-        right = [_cleared(c) for c in cols]
-        return [
-            Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in left for dy, y in right
-        ]
-    left = [_cleared_parts(r) for r in rows]
-    right = [_cleared_parts(c) for c in cols]
-    return [
-        _gaussian(
-            sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
-            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
-            dx * dy,
-        )
-        for dx, xr, xi in left
-        for dy, yr, yi in right
-    ]
+    field, m = a.field, a.ncols
+    if m == 0:
+        return [field.zero] * (a.nrows * p)
+    dx, x = _form(field, a.entries)
+    dy, y = _form(field, b)
+    return _scalars(field, dx * dy, _products(field, _rows(field, x, m), _columns(field, y, p)))
 
 
 # --- inner product ----------------------------------------------------
@@ -369,17 +414,17 @@ def norm_sq(x: Vector) -> Fraction:
 # --- row reduction ----------------------------------------------------
 
 def _integral_rows(m: Matrix) -> list[list[int]]:
-    """Clear denominators per row.  Row scaling preserves the row space,
-    and the canonical form is unique per row space, so scaling is safe."""
-    data = []
+    """The integer form of each row, with zero imaginary halves over Q.
+    Row scaling preserves the row space, and the canonical form is
+    unique per row space, so clearing each row on its own is safe."""
+    n, data = m.ncols, []
     for i in range(m.nrows):
-        row = m.entries[i * m.ncols : (i + 1) * m.ncols]
-        flat = [0] * (2 * m.ncols)
+        _, nums = _form(m.field, m.entries[i * n : (i + 1) * n])
         if m.field is Field.Q:
-            flat[0::2] = _cleared(row)[1]
-        else:
-            _, flat[0::2], flat[1::2] = _cleared_parts(row)
-        data.append(flat)
+            flat = [0] * (2 * n)
+            flat[0::2] = nums
+            nums = flat
+        data.append(nums)
     return data
 
 
@@ -391,13 +436,12 @@ def _leading_one_row(field: Field, row: list[int], c: int) -> list[Scalar]:
     """
     if field is Field.Q:
         # Real input rows stay real through integer elimination.
-        piv = row[2 * c]
-        return [Fraction(row[j], piv) for j in range(0, len(row), 2)]
+        return _scalars(field, row[2 * c], row[0::2])
     pr, pi = row[2 * c], row[2 * c + 1]
-    d = pr * pr + pi * pi
-    return [
-        _gaussian(er * pr + ei * pi, ei * pr - er * pi, d) for er, ei in zip(row[0::2], row[1::2])
-    ]
+    er, ei, nums = row[0::2], row[1::2], [0] * len(row)
+    nums[0::2] = [a * pr + b * pi for a, b in zip(er, ei)]
+    nums[1::2] = [b * pr - a * pi for a, b in zip(er, ei)]
+    return _scalars(field, pr * pr + pi * pi, nums)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -8,9 +8,12 @@ n x n matrix M enters only through ``from_matrix``, as ``basis @ M^T``.
 The images are stored as one integer matrix over one denominator,
 ``(den, nums)``: a positive int and a flat tuple of int numerators,
 real and imaginary parts side by side over Q(i), as in ``rref_gauss``
-rows.  The form is kept primitive (``gcd(den, *nums) == 1``), which
-makes it unique per operator, so equality is literal equality of
-(domain, den, nums) and compares ints.  ``images`` and ``matrix`` are
+rows.  The forms and the integer products on them come from
+``linalg`` (``_form``, ``_scalars``, ``_rows``, ``_columns`` and
+``_products``), the one place where scalars become ints and back.  The
+form is kept primitive (``gcd(den, *nums) == 1``), which makes it
+unique per operator, so equality is literal equality of (domain, den,
+nums) and compares ints.  ``images`` and ``matrix`` are
 built from the form on each read, for the readers at the boundary.
 No projector onto a domain is needed: y lies in the domain exactly
 when ``y == y[pivots] @ basis``, and rows go to ``rows[:, pivots] @
@@ -50,17 +53,16 @@ maps into law reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, _check_field, _cleared, _cleared_parts, _solve_block
-from orthoql.linalg import null_space
+from orthoql.linalg import Matrix, Vector, _check_field, _columns, _form, _products, _rows
+from orthoql.linalg import _scalars, _solve_block, _width, null_space
 from orthoql.ortho import OrthoSubspace, o_iff, o_implies, o_join, o_leq, o_meet, o_minus
 from orthoql.ortho import o_neg, o_not, o_perp
-from orthoql.scalars import Field, Scalar, _gaussian
+from orthoql.scalars import Field, Scalar
 from orthoql.subspace import Subspace, _stacked, perp_rel
 
 __all__ = [
@@ -234,15 +236,18 @@ class PartialProjection(PartialOperator):
         """The projection on ``dom`` that agrees there with ``matrix``,
         once the images pass the three projection checks; its pair is
         then read off the images, orthogonal by those checks."""
-        images = PartialOperator.from_matrix(dom, matrix).images
-        # An image in the domain has the coordinates C = images[:, pivots]
-        # over its basis, and then C @ images is its image.
-        outside, n = dom._first_outside(images), dom.ambient_dim
-        twice = _at_pivots(images, dom) @ images
+        t = PartialOperator.from_matrix(dom, matrix)
+        images = t.images
+        # An image in the domain has the coordinates images[:, pivots] over
+        # its basis, and then t maps it to those coordinates times the
+        # images: ``_apply`` of the images, over t.den squared.
+        outside, w = dom._first_outside(images), _width(dom.field) * dom.ambient_dim
+        _, twice = _apply(t, (t.den, t.nums))
         for j in range(dom.rank):
             if j == outside:
                 raise ValueError("projection must map its domain into itself")
-            if twice.entries[j * n : (j + 1) * n] != images.entries[j * n : (j + 1) * n]:
+            once = t.nums[j * w : (j + 1) * w]
+            if any(x != y * t.den for x, y in zip(twice[j * w : (j + 1) * w], once)):
                 raise ValueError("projection must be idempotent on its domain")
         # S[b][c] = <M b, c>, and <M b, c> = <b, M c> for all b, c iff S = S^H.
         s = images @ dom.basis.conj_transpose()
@@ -263,79 +268,14 @@ def _check_operands(*operands) -> None:
         _check_field(x, x)
 
 
-def _at_pivots(rows: Matrix, sub: Subspace) -> Matrix:
-    """The columns of ``rows`` at the pivots of ``sub``: the coordinates
-    over ``sub.basis`` of each row, when the row lies in ``sub``."""
-    entries = [rows.entry(i, c) for i in range(rows.nrows) for c in sub.pivots]
-    return Matrix._of(rows.field, rows.nrows, sub.rank, entries)
-
-
-# --- integer forms ---------------------------------------------------------
-#
-# An integer form (den, nums) holds exact scalars as nums / den: one int
-# per entry over Q, and over Q(i) the real and imaginary parts of each
-# entry side by side, as in ``rref_gauss`` rows.
-
-def _width(field: Field) -> int:
-    """The ints per entry of an integer form over ``field``."""
-    return 1 if field is Field.Q else 2
-
-
-def _form(field: Field, entries: Sequence[Scalar]) -> tuple[int, list[int]]:
-    """The integer form of ``entries`` over their least common denominator."""
-    if field is Field.Q:
-        return _cleared(entries)
-    den, re, im = _cleared_parts(entries)
-    nums = [0] * (2 * len(re))
-    nums[0::2], nums[1::2] = re, im
-    return den, nums
-
-
-def _scalars(field: Field, den: int, nums: Sequence[int]) -> list[Scalar]:
-    """The exact scalars that the integer form ``(den, nums)`` holds."""
-    if field is Field.Q:
-        return [Fraction(x, den) for x in nums]
-    return [_gaussian(a, b, den) for a, b in zip(nums[0::2], nums[1::2])]
-
-
-def _rows(field: Field, nums: Sequence[int], n: int, cols: Optional[Sequence[int]] = None) -> list:
-    """The rows of width ``n`` of the integer numerators ``nums``, each
-    cut down to the columns ``cols`` when they are given: over Q each a
-    list of ints, over Q(i) each a pair (real parts, imaginary parts)."""
-    w = _width(field) * n
-    rows = [nums[i : i + w] for i in range(0, len(nums), w)] if w else []
-    if field is Field.Q:
-        return rows if cols is None else [[x[c] for c in cols] for x in rows]
-    if cols is None:
-        return [(x[0::2], x[1::2]) for x in rows]
-    return [([x[2 * c] for c in cols], [x[2 * c + 1] for c in cols]) for x in rows]
-
-
-def _products(field: Field, rows: Sequence, cols: Sequence) -> list[int]:
-    """The dot product of each row with each column, row-major, in
-    integer arithmetic, rows and columns shaped as ``_rows`` gives them."""
-    if field is Field.Q:
-        return [sum(map(mul, x, y)) for x in rows for y in cols]
-    out = []
-    for xr, xi in rows:
-        for yr, yi in cols:
-            out += (
-                sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
-                sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
-            )
-    return out
-
+# --- values on integer forms ------------------------------------------------
 
 def _times(
     field: Field, n: int, rows: Sequence[int], pivots: Sequence[int], images: Sequence[int]
 ) -> list[int]:
     """The numerators of ``rows[:, pivots] @ images`` in integer
     arithmetic, for rows and images of width ``n`` and one image per pivot."""
-    if field is Field.Q:
-        cols = [images[j::n] for j in range(n)]
-    else:
-        cols = [(images[2 * j :: 2 * n], images[2 * j + 1 :: 2 * n]) for j in range(n)]
-    return _products(field, _rows(field, rows, n, pivots), cols)
+    return _products(field, _rows(field, rows, n, pivots), _columns(field, images, n))
 
 
 def _apply(t: PartialOperator, rows: tuple[int, Sequence[int]]) -> tuple[int, list[int]]:
@@ -534,15 +474,17 @@ def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
 
 def pls_scale(k: Scalar, t: PartialOperator) -> PartialOperator:
     """Pointwise scaling; the domain is kept even when k is zero."""
-    k = t.field.coerce(k)
-    if t.field is Field.Q:
-        return PartialOperator._of(t.dom, t.den * k.denominator, [k.numerator * x for x in t.nums])
-    # (x + y i)(a + b i) = (ax - by) + (ay + bx) i, over d times the denominator.
-    a, b, nums = k._a, k._b, [0] * len(t.nums)
-    xs, ys = t.nums[0::2], t.nums[1::2]
-    nums[0::2] = [a * x - b * y for x, y in zip(xs, ys)]
-    nums[1::2] = [a * y + b * x for x, y in zip(xs, ys)]
-    return PartialOperator._of(t.dom, t.den * k._d, nums)
+    field = t.field
+    dk, ks = _form(field, [field.coerce(k)])
+    if field is Field.Q:
+        nums = [ks[0] * x for x in t.nums]
+    else:
+        # (x + y i)(a + b i) = (ax - by) + (ay + bx) i, over dk times the denominator.
+        (a, b), nums = ks, [0] * len(t.nums)
+        xs, ys = t.nums[0::2], t.nums[1::2]
+        nums[0::2] = [a * x - b * y for x, y in zip(xs, ys)]
+        nums[1::2] = [a * y + b * x for x, y in zip(xs, ys)]
+    return PartialOperator._of(t.dom, t.den * dk, nums)
 
 
 def pls_negate(t: PartialOperator) -> PartialOperator:

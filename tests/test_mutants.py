@@ -27,7 +27,7 @@ from orthoql.laws import check_catalog, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection, check_order, pls_add, pls_scale
-from orthoql.scalars import Field
+from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
 
 
@@ -56,6 +56,11 @@ def products():
     assert (a @ b).entries == (Fraction(31, 210),)
     # Integer operands: every entry must still be a Fraction.
     assert (Matrix(Field.Q, 1, 1, [2]) @ Matrix(Field.Q, 1, 1, [3])).entries == (6,)
+
+
+def gaussian_products():
+    i = Matrix(Field.Qi, 1, 1, [GaussianRational(0, 1)])
+    assert (i @ i).entries == (-1,)
 
 
 def reduced_row():
@@ -122,28 +127,40 @@ MUTANTS = {
         modular_search,
     ),
     "cleared-takes-max-for-lcm": (
-        linalg._cleared,
-        "den = lcm(",
-        "den = max(",
+        linalg._form,
+        "lcm(*(e.denominator",
+        "max(*(e.denominator",
         products,
     ),
     "leading-one-divides-by-the-next-column": (
         linalg._leading_one_row,
-        "piv = row[2 * c]",
-        "piv = row[2 * c + 2]",
+        "_scalars(field, row[2 * c],",
+        "_scalars(field, row[2 * c + 2],",
         reduced_row,
     ),
     "product-drops-dy": (
         linalg._product,
-        "Fraction(sum(map(mul, x, y)), dx * dy)",
-        "Fraction(sum(map(mul, x, y)), dx)",
+        "_scalars(field, dx * dy,",
+        "_scalars(field, dx,",
         products,
     ),
     "product-returns-a-bare-int": (
-        linalg._product,
-        "Fraction(sum(map(mul, x, y)), dx * dy)",
-        "(sum(map(mul, x, y)) if dx * dy == 1 else Fraction(sum(map(mul, x, y)), dx * dy))",
+        linalg._scalars,
+        "[Fraction(x, den) for x in nums]",
+        "[x if den == 1 else Fraction(x, den) for x in nums]",
         products,
+    ),
+    "products-add-the-real-cross-term": (
+        linalg._products,
+        "sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))",
+        "sum(map(mul, xr, yr)) + sum(map(mul, xi, yi))",
+        gaussian_products,
+    ),
+    "form-writes-the-real-part-twice": (
+        linalg._form,
+        "(e._a * k, e._b * k)",
+        "(e._a * k, e._a * k)",
+        gaussian_products,
     ),
     "join-zero-part-is-a-join": (
         ortho.o_join,
@@ -177,8 +194,8 @@ MUTANTS = {
     ),
     "scale-multiplies-den-by-the-numerator": (
         partial_op.pls_scale,
-        "t.den * k.denominator",
-        "t.den * k.numerator",
+        "t.den * dk",
+        "t.den * ks[0]",
         scaled_values,
     ),
     "apply-drops-the-operator-denominator": (

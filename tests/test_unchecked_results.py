@@ -13,7 +13,7 @@ import pytest
 
 from orthoql.cli import main
 from orthoql.linalg import Matrix, Vector, _kernel_rows, _solve_block, rref
-from orthoql.partial_op import PartialOperator, _at_pivots, _spanning_samples
+from orthoql.partial_op import PartialOperator, _spanning_samples
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
 
@@ -56,7 +56,6 @@ SWITCHED = {
     "identity": (0, lambda o: Matrix.identity(o["a"].field, 3)),
     "zero": (0, lambda o: Matrix.zero(o["a"].field, 2, 3)),
     "_kernel_rows": (0, lambda o: _kernel_rows(*o["reduced"])),
-    "_at_pivots": (0, lambda o: _at_pivots(o["b"], o["plane"])),
     "PartialOperator.matrix": (0, lambda o: o["op"].matrix),
     "_spanning_samples": (0, lambda o: _spanning_samples(o["plane"])),
 }

@@ -29,6 +29,7 @@ from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection, check_order, pls_add, pls_scale
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
+from test_exhaustive import Family, built, clql_slice, order_slice
 
 
 def q(n, *rows):
@@ -41,6 +42,19 @@ def modular_search():
     # A real meet never breaks the modular law; check_catalog runs the
     # search through the law-suite runner.
     assert check_catalog("modularity", 3, Field.Q).results["modularity"].passed
+
+
+def family_lattice():
+    # The first general triples of the Q^3 family, each of three pairwise
+    # incomparable subspaces, through the lattice suite.
+    q3 = built(Field.Q)
+    assert clql_slice(q3, q3.triples[:20]).ok
+
+
+def family_order():
+    # A fresh Q(i)^2 family, so that the code under test builds its
+    # subspaces too, through the order calculus.
+    assert order_slice(Family(Field.Qi)).ok
 
 
 def complql_suite():
@@ -115,17 +129,22 @@ def values():
 
 # --- the table -------------------------------------------------------------
 
+# Two edits that more than one probe kills: (function, source text,
+# mutated text).
+MEET_OF_INCOMPARABLES_IS_ZERO = (
+    subspace.Subspace._meet,
+    "r, k = self.rank, self.rank + other.rank",
+    "if not (self.leq(other) or other.leq(self)):\n"
+    "        return Subspace.zero(self.field, self.ambient_dim)\n"
+    "    r, k = self.rank, self.rank + other.rank",
+)
+PRODUCT_DROPS_DY = (linalg._product, "_scalars(field, dx * dy,", "_scalars(field, dx,")
+
 # name -> (function, source text, mutated text, probe).  The functions
 # are read at import, before the contract fixtures wrap any of them.
 MUTANTS = {
-    "meet-of-incomparables-is-zero": (
-        subspace.Subspace._meet,
-        "r, k = self.rank, self.rank + other.rank",
-        "if not (self.leq(other) or other.leq(self)):\n"
-        "        return Subspace.zero(self.field, self.ambient_dim)\n"
-        "    r, k = self.rank, self.rank + other.rank",
-        modular_search,
-    ),
+    "meet-of-incomparables-is-zero": (*MEET_OF_INCOMPARABLES_IS_ZERO, modular_search),
+    "meet-of-incomparables-is-zero-on-the-family": (*MEET_OF_INCOMPARABLES_IS_ZERO, family_lattice),
     "cleared-takes-max-for-lcm": (
         linalg._form,
         "lcm(*(e.denominator",
@@ -138,12 +157,8 @@ MUTANTS = {
         "_scalars(field, row[2 * c + 2],",
         reduced_row,
     ),
-    "product-drops-dy": (
-        linalg._product,
-        "_scalars(field, dx * dy,",
-        "_scalars(field, dx,",
-        products,
-    ),
+    "product-drops-dy": (*PRODUCT_DROPS_DY, products),
+    "product-drops-dy-on-the-family": (*PRODUCT_DROPS_DY, family_order),
     "product-returns-a-bare-int": (
         linalg._scalars,
         "[Fraction(x, den) for x in nums]",

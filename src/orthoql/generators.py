@@ -6,7 +6,9 @@ whole sample.  Scalar entries are small rationals: numerators in
 shaped generators whose outputs satisfy the hypotheses of the
 conditional laws by construction (ordered pairs, orthogonal total
 pairs, commuting projections); without them the conditional clauses
-would be vacuous on random data.
+would be vacuous on random data.  Drawn scalars are exact by
+construction, so the rows built from them are stored with
+``Matrix._of``, with no coerce.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
 
 
 def _random_rows(rng: random.Random, field: Field, k: int, ncols: int) -> Matrix:
-    return Matrix(field, k, ncols, [random_scalar(rng, field) for _ in range(k * ncols)])
+    return Matrix._of(field, k, ncols, [random_scalar(rng, field) for _ in range(k * ncols)])
 
 
 def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
@@ -71,7 +73,7 @@ def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
 
 def random_member(rng: random.Random, sub: Subspace) -> Vector:
     coeffs = [random_scalar(rng, sub.field) for _ in range(sub.rank)]
-    return (Matrix(sub.field, 1, sub.rank, coeffs) @ sub.basis).row(0)
+    return (Matrix._of(sub.field, 1, sub.rank, coeffs) @ sub.basis).row(0)
 
 
 def _random_within(rng: random.Random, sub: Subspace, k: int) -> Subspace:
@@ -258,7 +260,7 @@ def _axis_projection(cols: Matrix, support: set[int], fixed: set[int]) -> Partia
 
     def span(idx: set[int]) -> Subspace:
         rows = [e for j in sorted(idx) for e in cols.entries[j * n : (j + 1) * n]]
-        return Subspace(cols.field, n, Matrix(cols.field, len(idx), n, rows))
+        return Subspace(cols.field, n, Matrix._of(cols.field, len(idx), n, rows))
 
     return projection_of(OrthoSubspace._of(span(fixed), span(support - fixed)))
 

@@ -7,9 +7,10 @@ Exact scalars become ints and come back in one place, the integer-form
 section: a form ``(den, nums)`` holds scalars as ``nums / den``, one int
 per entry over Q and the real and imaginary parts side by side over
 Q(i).  Only ``_form`` reads a scalar's parts and only ``_scalars``
-builds scalars back, and ``partial_op`` holds its operator images in the
-same form.  A product clears each operand once with ``_form``, runs
-every dot product on Python ints and builds each output entry once.
+builds scalars back; a ``Subspace`` keeps the form of its canonical
+basis, and ``partial_op`` holds its operator images in the same form.
+A product clears each operand once with ``_form``, runs every dot
+product on Python ints and builds each output entry once.
 Row reduction clears each row with ``_form``, hands the integer
 elimination loop to ``kernel.rref_gauss`` and finishes the canonical
 form (leading ones) by dividing each eliminated integer row by its
@@ -21,11 +22,19 @@ Every basis is a row matrix, one basis vector per row: ``rref`` returns
 the canonical basis of a row space (its nonzero reduced rows, one per
 pivot, with no zero rows), and ``null_space`` returns the matrix of
 kernel rows that ``_kernel_rows`` reads off it; no routine takes rows
-out as vectors to build another matrix.  ``rref`` is the only
-elimination: null spaces, solutions, inverses and projectors are all
-read off one reduced form each.  ``_solve_block`` reduces ``[a | b]``
-once to solve ``a @ X == b`` (inverses, Gram projectors, the raw-sum
-check); subspace membership needs no solution and reads pivots only.
+out as vectors to build another matrix.  ``kernel.rref_gauss`` is the
+only elimination loop: null spaces, solutions, inverses and projectors
+are all read off one reduced form each.  ``_solve_block`` reduces
+``[a | b]`` once, through ``rref``, to solve ``a @ X == b``; it serves
+inverses and the raw-sum check only.  Projections run on the integer
+Gram solve ``_gram_solve``: for the integer rows ``O`` of a one-part it
+forms ``G = O Oᴴ`` on ints, reduces ``[G | O]`` once and divides each
+row by its pivot, which gives ``X = G⁻¹ O`` as one integer form with no
+scalar built.  It has two readers: ``gram_projection`` (and so
+``Subspace.projector``), the transpose of ``Oᴴ X``, and
+``PartialProjection``, whose images are ``(D Oᴴ) X`` for its domain
+basis ``D``.  Subspace membership needs no solution and reads pivots
+only.
 
 Validity is checked once, where entries enter.  The public ``Vector``,
 ``Matrix`` and ``Matrix.from_rows`` check sizes, refuse a vector over
@@ -313,8 +322,8 @@ def _check_shape(a: Matrix, b: Matrix):
 # per entry over Q, and over Q(i) the real and imaginary parts of each
 # entry side by side, as in ``rref_gauss`` rows.  Only ``_form`` reads a
 # scalar's parts and only ``_scalars`` builds scalars back, so products,
-# row reduction and the operator images of ``partial_op`` share one
-# layout.
+# row reduction, the Gram solve and the operator images of ``partial_op``
+# share one layout.
 
 def _width(field: Field) -> int:
     """The ints per entry of an integer form over ``field``."""
@@ -375,6 +384,15 @@ def _products(field: Field, rows: Sequence, cols: Sequence) -> list[int]:
                 sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
             )
     return out
+
+
+def _conjugates(field: Field, shaped: Sequence) -> list:
+    """The complex conjugates of rows or columns shaped as ``_rows``
+    gives them: over Q the same lists, over Q(i) the imaginary parts
+    negated."""
+    if field is Field.Q:
+        return list(shaped)
+    return [(re, [-x for x in im]) for re, im in shaped]
 
 
 def _product(a: Matrix, b: Sequence[Scalar], p: int) -> list[Scalar]:
@@ -518,20 +536,62 @@ def matrix_inverse(g: Matrix) -> Matrix:
     return x
 
 
+def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int, list[int]]]:
+    """The integer form of ``X = G⁻¹ O`` for the integer rows ``O``, at
+    least one, of width ``n``, with ``G = O Oᴴ``; None when ``G`` is
+    singular, that is when the rows are dependent.
+
+    ``Oᴴ X`` is the orthogonal projector onto the row space of ``O``,
+    and it is the same for every positive multiple of ``O``, so the
+    rows' own denominator never enters.  ``G`` is formed on ints and
+    ``[G | O]`` reduced once by ``rref_gauss``; each reduced row is then
+    divided by its pivot over the least common multiple of the pivots.
+    The pivots are real over Q(i) too: ``G`` is Hermitian positive
+    definite, so each is a Schur complement of ``G``, which is real,
+    times the real pivots and gcds its row was scaled by.
+    """
+    if n == 0:
+        return None
+    shaped = _rows(field, rows, n)
+    r = len(shaped)
+    gram = _products(field, shaped, _conjugates(field, shaped))
+    w = _width(field)
+    block = []
+    for i in range(r):
+        row = gram[i * w * r : (i + 1) * w * r] + list(rows[i * w * n : (i + 1) * w * n])
+        if field is Field.Q:
+            # Zero imaginary halves, as ``rref_gauss`` rows carry them.
+            flat = [0] * (2 * len(row))
+            flat[0::2] = row
+            row = flat
+        block.append(row)
+    reduced, pivots = rref_gauss(block, r + n)
+    if pivots != list(range(r)):
+        return None
+    den = lcm(*(row[2 * i] for i, row in enumerate(reduced)))
+    # Over Q only the real halves of the reduced rows belong to the form.
+    step, nums = (2 if field is Field.Q else 1), []
+    for i, row in enumerate(reduced):
+        k = den // row[2 * i]
+        nums += [x * k for x in row[2 * r :: step]]
+    return den, nums
+
+
 def gram_projection(basis: Matrix) -> Matrix:
     """Orthogonal projector onto the column space of ``basis``.
 
     Columns must be independent; the result P satisfies P @ P = P,
     conj-transpose(P) = P and P @ b = b for every basis column b.
     """
-    n = basis.nrows
-    r = basis.ncols
+    field, n, r = basis.field, basis.nrows, basis.ncols
     if r == 0:
-        return Matrix.zero(basis.field, n, n)
-    bh = basis.conj_transpose()
-    # X = G^-1 B^H from one reduction of [G | B^H]; G = B^H B is
-    # singular exactly when the columns are dependent.
-    x, rank = _solve_block(bh @ basis, bh)
-    if rank < r:
+        return Matrix.zero(field, n, n)
+    # The columns are the rows O of the Gram solve.  A row y goes to
+    # y Oᴴ X, so P is the transpose of Oᴴ X: Xᵀ times the conjugate of O.
+    _, rows = _form(field, basis.transpose().entries)
+    solved = _gram_solve(field, rows, n)
+    if solved is None:
         raise SingularGram("basis columns are dependent")
-    return basis @ x
+    den, x = solved
+    conj = _conjugates(field, _columns(field, rows, n))
+    return Matrix._of(field, n, n, _scalars(field, den, _products(field, _columns(field, x, n), conj)))

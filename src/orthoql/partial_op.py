@@ -9,8 +9,10 @@ The images are stored as one integer matrix over one denominator,
 ``(den, nums)``: a positive int and a flat tuple of int numerators,
 real and imaginary parts side by side over Q(i), as in ``rref_gauss``
 rows.  The forms and the integer products on them come from
-``linalg`` (``_form``, ``_scalars``, ``_rows``, ``_columns`` and
-``_products``), the one place where scalars become ints and back.  The
+``linalg`` (``_form``, ``_scalars``, ``_rows``, ``_columns``,
+``_conjugates``, ``_products`` and ``_gram_solve``), the one place
+where scalars become ints and back, and the integer form of a domain
+basis is the one its ``Subspace`` keeps, cleared once per space.  The
 form is kept primitive (``gcd(den, *nums) == 1``), which makes it
 unique per operator, so equality is literal equality of (domain, den,
 nums) and compares ints.  ``images`` and ``matrix`` are
@@ -27,10 +29,13 @@ Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
 ``PartialProjection`` is built from its pair and keeps it:
 ``PartialProjection(pair)`` takes the images of the pair's domain
-basis under the one-part's orthogonal projector; ``projection_of`` is
-that constructor, and ``subspaces_of`` reads the stored pair.  The
-pair keeps nothing of its projection, so no reference cycle ties the
-two together and each ``projection_of`` call builds one projection.
+basis under the one-part's orthogonal projector, with no projector
+built: for the one-part's integer rows O, the images of the domain
+basis D are ``(D Oᴴ) X`` with ``X = (O Oᴴ)⁻¹ O`` from one integer Gram
+solve, all on ints.  ``projection_of`` is that constructor, and
+``subspaces_of`` reads the stored pair.  The pair keeps nothing of
+its projection, so no reference cycle ties the two together and each
+``projection_of`` call builds one projection.
 The logical operations act on pairs: each projection connective is
 the projection of its pair connective from :mod:`orthoql.ortho`, so
 ``proj_compl`` is the projection of the negated pair, ``proj_minus``,
@@ -58,8 +63,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, _check_field, _columns, _form, _products, _rows
-from orthoql.linalg import _scalars, _solve_block, _width, null_space
+from orthoql.linalg import Matrix, Vector, _check_field, _columns, _conjugates, _form, _gram_solve
+from orthoql.linalg import _products, _rows, _scalars, _solve_block, _width, null_space
 from orthoql.ortho import OrthoSubspace, o_iff, o_implies, o_join, o_leq, o_meet, o_minus
 from orthoql.ortho import o_neg, o_not, o_perp
 from orthoql.scalars import Field, Scalar
@@ -206,10 +211,11 @@ class PartialProjection(PartialOperator):
 
     It is built from its orthogonal pair, and keeps it: the domain is
     the pair's domain, and each basis row b goes to its orthogonal
-    projection onto the one-part, so the zero-part is killed.  When one
-    part is zero the images are read off the ranks: the basis itself, or
-    zero.  The pair is orthogonal by the time it gets here, checked by
-    its public constructor or built so, and nothing is re-checked;
+    projection onto the one-part, so the zero-part is killed, taken on
+    integer forms with no projector built.  When one part is zero the
+    images are read off the ranks: the basis itself, or zero.  The pair
+    is orthogonal by the time it gets here, checked by its public
+    constructor or built so, and nothing is re-checked;
     ``from_matrix`` is where a matrix claims to be a projection."""
 
     __slots__ = ("pair",)
@@ -218,16 +224,20 @@ class PartialProjection(PartialOperator):
         dom = pair.dom
         field, n = dom.field, dom.ambient_dim
         if pair.zero.rank == 0:
-            den, nums = _form(field, dom.basis.entries)
+            den, nums = dom._basis_form
         elif pair.one.rank == 0:
             den, nums = 1, (0,) * (len(dom.basis.entries) * _width(field))
         else:
-            # Entry (i, j) of basis @ P^T is the dot product of basis row i
-            # with row j of the projector P, over one denominator each.
-            db, basis = _form(field, dom.basis.entries)
-            dp, projector = _form(field, pair.one.projector.entries)
-            nums = _products(field, _rows(field, basis, n), _rows(field, projector, n))
-            den = db * dp
+            # A row y goes to its projection y Oᴴ X onto the one-part's
+            # rows O, with X = (O Oᴴ)⁻¹ O from one integer Gram solve, so
+            # the images of the domain basis D are (D Oᴴ) X: k x r times r x n.
+            db, basis = dom._basis_form
+            _, one = pair.one._basis_form
+            dx, x = _gram_solve(field, one, n)
+            r = pair.one.rank
+            inner = _products(field, _rows(field, basis, n), _conjugates(field, _rows(field, one, n)))
+            nums = _products(field, _rows(field, inner, r), _columns(field, x, n))
+            den = db * dx
         form = PartialOperator._of(dom, den, nums)
         self.dom, self.den, self.nums, self.pair = dom, form.den, form.nums, pair
 
@@ -340,18 +350,16 @@ def op_eq(t: PartialOperator, u: PartialOperator) -> bool:
     return t.dom == u.dom and t.den == u.den and t.nums == u.nums
 
 
-def _first_difference(
-    t: PartialOperator, u: PartialOperator, basis: Matrix
-) -> Optional[Vector]:
-    """The first basis row that ``t`` and ``u`` map to different
-    vectors, or None when they agree on the span of ``basis``."""
-    rows = _form(basis.field, basis.entries)
+def _first_difference(t: PartialOperator, u: PartialOperator, sub: Subspace) -> Optional[Vector]:
+    """The first basis row of ``sub`` that ``t`` and ``u`` map to
+    different vectors, or None when they agree on ``sub``."""
+    rows = sub._basis_form
     (_, tv), (_, uv) = _apply(t, rows), _apply(u, rows)
     # Both values share the rows' denominator: compare tv / t.den with uv / u.den.
-    dt, du, w = t.den, u.den, _width(basis.field) * basis.ncols
-    for j in range(basis.nrows):
+    dt, du, w = t.den, u.den, _width(sub.field) * sub.ambient_dim
+    for j in range(sub.rank):
         if any(x * du != y * dt for x, y in zip(tv[j * w : (j + 1) * w], uv[j * w : (j + 1) * w])):
-            return basis.row(j)
+            return sub.basis.row(j)
     return None
 
 
@@ -364,7 +372,7 @@ def op_eq_witness(t: PartialOperator, u: PartialOperator):
             i = b._first_outside(a.basis)
             if i is not None:
                 return ("domain", a.basis.row(i))
-    b = _first_difference(t, u, t.dom.basis)
+    b = _first_difference(t, u, t.dom)
     return None if b is None else ("value", b)
 
 
@@ -382,7 +390,7 @@ def op_neq(t: PartialOperator, u: PartialOperator) -> tuple[bool, Optional[Vecto
     right = u.dom.meet(t.dom.perp())
     if right.is_strict:
         return True, right.basis.row(0)
-    b = _first_difference(t, u, t.dom.meet(u.dom).basis)
+    b = _first_difference(t, u, t.dom.meet(u.dom))
     return b is not None, b
 
 
@@ -408,13 +416,13 @@ def compose(q: PartialOperator, p: PartialOperator) -> PartialOperator:
         # In integers: the images are p.nums / p.den and dom(q)'s basis is
         # basis / db, so the residual is this integer matrix over p.den * db,
         # and a positive multiple of it has the same kernel.
-        db, basis = _form(field, q.dom.basis.entries)
+        db, basis = q.dom._basis_form
         inside = _times(field, n, p.nums, q.dom.pivots, basis)
         residual = [x * db - y for x, y in zip(p.nums, inside)]
         if any(residual):
             rows = Matrix._of(field, p.dom.rank, n, _scalars(field, 1, residual))
             dom = Subspace(field, n, null_space(rows.transpose()) @ p.dom.basis)
-            return PartialOperator._of(dom, *_apply(q, _apply(p, _form(field, dom.basis.entries))))
+            return PartialOperator._of(dom, *_apply(q, _apply(p, dom._basis_form)))
     return PartialOperator._of(p.dom, *_apply(q, (p.den, p.nums)))
 
 
@@ -467,8 +475,7 @@ def pls_add(t: PartialOperator, u: PartialOperator) -> PartialOperator:
         dom, (dt, tv), (du, uv) = t.dom, (t.den, t.nums), (u.den, u.nums)
     else:
         dom = t.dom.meet(u.dom)
-        rows = _form(dom.field, dom.basis.entries)
-        (dt, tv), (du, uv) = _apply(t, rows), _apply(u, rows)
+        (dt, tv), (du, uv) = _apply(t, dom._basis_form), _apply(u, dom._basis_form)
     return PartialOperator._of(dom, dt * du, [x * du + y * dt for x, y in zip(tv, uv)])
 
 
@@ -570,8 +577,8 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     c0 = compose(p_m0, p_l0)
     doms_ok = c1.dom == meet and c0.dom == meet
     values_ok = (
-        _first_difference(c1, p_l1, meet.basis) is None
-        and _first_difference(c0, p_m0, meet.basis) is None
+        _first_difference(c1, p_l1, meet) is None
+        and _first_difference(c0, p_m0, meet) is None
     )
     clauses["lescomp1_iia"] = (
         True,
@@ -669,7 +676,7 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
         join_proj = proj_join(p, q)
         rhs = pls_sub(pls_add(p, q), qp)
         common = join_proj.dom.meet(rhs.dom)
-        pointwise = _first_difference(join_proj, rhs, common.basis) is None
+        pointwise = _first_difference(join_proj, rhs, common) is None
         ones_raw = _raw_sum_covers(jp.one, jq.one)
         clauses["comm1_iv"] = (
             True,

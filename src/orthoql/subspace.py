@@ -1,9 +1,16 @@
 """Linear subspaces of Q^n and Q(i)^n with decidable lattice structure.
 
 A subspace is stored as the reduced row-echelon basis of its spanning
-set, the unique canonical representative of the space, so equality is
-bit-equality.  A span computed here (a product, stacked bases, a kernel)
-goes to ``rref`` as the matrix it already is.  Everything is exact: meet
+set, the unique canonical representative of the space.  The first
+time it is compared or hashed, or its basis is read as ints, it clears
+that basis once into its integer form ``(den, nums)`` (``linalg._form``)
+and keeps it: exact and unique per space, since the basis is.
+Equality compares that form, the field and the ambient dimension (the
+form alone does not fix the width of a row), and the hash hashes the
+same, so both run on ints.  ``partial_op`` reads the form for every
+operator built on the space.  A span computed here (a product, stacked
+bases, a kernel) goes to ``rref`` as the matrix it already is.
+Everything is exact: meet
 comes from the definition (coefficient pairs giving a common element),
 join is the span of stacked bases, the orthocomplement is read off the
 basis, and ``_first_outside`` alone decides whether rows lie in a space.
@@ -16,11 +23,12 @@ share results between equal operands: inside a ``_shared_results()``
 block, ``meet``, ``join`` and ``leq``, which the law suites repeat on
 equal operands that are distinct objects, first look their result up in
 one table keyed by the operation and its operands (whose equality
-includes the field), and store it there when they compute it.  Equal
-operands have equal results, so the table changes no answer.  It lives
-exactly as long as the outermost block; a nested block reuses it, and
-outside any block there is no table and every operation computes its
-result afresh.  ``perp`` and ``projector`` keep theirs on the subspace.
+includes the field and the ambient dimension), and store it there when
+they compute it.  Equal operands have equal results, so the table
+changes no answer.  It lives exactly as long as the outermost block; a
+nested block reuses it, and outside any block there is no table and
+every operation computes its result afresh.  ``perp`` and
+``projector`` keep theirs on the subspace.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from orthoql.linalg import (
     Vector,
     _check_field,
     _check_size,
+    _form,
     _kernel_rows,
     _own,
     gram_projection,
@@ -89,7 +98,7 @@ def _stacked(a: Matrix, b: Matrix) -> Matrix:
 class Subspace:
     """A subspace of the ambient space, canonically presented."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_hash")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_ints", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Matrix | Iterable = ()):
         """The span of ``rows``: spanning vectors (lists or ``Vector``s),
@@ -112,6 +121,7 @@ class Subspace:
         self.basis, self.pivots = rref(rows) if rows.nrows else (rows, ())
         self._perp = None
         self._projector = None
+        self._ints = None
         self._hash = None
 
     # --- constructors ------------------------------------------------
@@ -126,7 +136,7 @@ class Subspace:
         s = cls.__new__(cls)
         s.field, s.ambient_dim = field, ambient_dim
         s.basis, s.pivots = Matrix.identity(field, ambient_dim), tuple(range(ambient_dim))
-        s._perp = s._projector = s._hash = None
+        s._perp = s._projector = s._ints = s._hash = None
         return s
 
     # --- basic structure ---------------------------------------------
@@ -148,18 +158,29 @@ class Subspace:
         """Contains a nonzero vector."""
         return self.rank >= 1
 
+    @property
+    def _basis_form(self) -> tuple[int, tuple[int, ...]]:
+        """The integer form ``(den, nums)`` of the canonical basis, cleared
+        once and kept: exact, and unique per space, since the basis is."""
+        if self._ints is None:
+            den, nums = _form(self.field, self.basis.entries)
+            self._ints = den, tuple(nums)
+        return self._ints
+
     def __eq__(self, other):
+        # The form alone does not give the shape: span{(1, 0, 0, 1)} in
+        # Q^4 and Q^2 itself have the same one.
         if not isinstance(other, Subspace):
             return NotImplemented
         return (
             self.field is other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._basis_form == other._basis_form
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.ambient_dim, self.basis))
+            self._hash = hash((self.field, self.ambient_dim, self._basis_form))
         return self._hash
 
     def __repr__(self):

@@ -72,3 +72,50 @@ def test_the_check_sees_every_form():
         assert uses(source) == want, source
     allowed = "from orthoql.scalars import _gaussian\n\ndef f(x):\n    return x.re + x.im"
     assert uses(allowed) == (set(), set())
+
+
+# --- each subspace clears its basis once --------------------------------------
+
+def basis_clearings(source: str) -> int:
+    """The calls in ``source`` that hand ``_form`` the entries of some
+    object's ``basis`` (``x.basis.entries``, for any expression ``x``)."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "_form":
+            continue
+        count += sum(
+            isinstance(arg, ast.Attribute)
+            and arg.attr == "entries"
+            and isinstance(arg.value, ast.Attribute)
+            and arg.value.attr == "basis"
+            for arg in node.args
+        )
+    return count
+
+
+def test_only_subspace_clears_a_basis():
+    # ``Subspace._basis_form`` keeps the integer form of its canonical
+    # basis; every other reader takes it from there.
+    clearings = {
+        path.name: basis_clearings(path.read_text()) for path in sorted(SOURCES.glob("*.py"))
+    }
+    assert clearings.pop("subspace.py") == 1
+    assert all(count == 0 for count in clearings.values()), clearings
+
+
+def test_the_basis_check_sees_every_form():
+    cases = {
+        "_form(field, dom.basis.entries)": 1,
+        "_form(f, p.dom.basis.entries)": 1,
+        "linalg._form(f, q.dom.meet(r).basis.entries)": 1,
+        "_form(f, basis.entries)": 0,
+        "_form(f, dom.basis)": 0,
+        "_form(f, images.entries)": 0,
+        "rref(dom.basis.entries)": 0,
+    }
+    for source, want in cases.items():
+        assert basis_clearings(source) == want, source

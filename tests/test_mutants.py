@@ -26,10 +26,11 @@ from orthoql import linalg, ortho, partial_op, subspace
 from orthoql.laws import check_catalog, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
-from orthoql.partial_op import PartialProjection, check_order, pls_add, pls_scale
+from orthoql.partial_op import PartialProjection, check_order, norm_sq_is_one, pls_add, pls_scale
+from orthoql.partial_op import projection_of
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
-from test_exhaustive import Family, built, clql_slice, order_slice
+from test_exhaustive import Family, built, clql_slice
 
 
 def q(n, *rows):
@@ -51,10 +52,11 @@ def family_lattice():
     assert clql_slice(q3, q3.triples[:20]).ok
 
 
-def family_order():
+def family_norms():
     # A fresh Q(i)^2 family, so that the code under test builds its
-    # subspaces too, through the order calculus.
-    assert order_slice(Family(Field.Qi)).ok
+    # subspaces too: the norm certificate of each proper projection
+    # compares three Gram products of its basis, images and residues.
+    assert all(norm_sq_is_one(projection_of(pair)) for pair in Family(Field.Qi).proper)
 
 
 def complql_suite():
@@ -90,7 +92,7 @@ def orthocomplement():
 
 
 def fifths():
-    # Both parts nonzero, so the images come from a projector: e1 and e2
+    # Both parts nonzero, so the images come from the Gram solve: e1 and e2
     # go to 1/5 and 2/5 of (1, 2, 0).
     return PartialProjection(OrthoSubspace(q(3, [1, 2, 0]), q(3, [2, -1, 0])))
 
@@ -120,6 +122,21 @@ def ordered_norms():
     l = OrthoSubspace(q(2, [1, -1]), q(2, [1, 1]))
     m = OrthoSubspace(Subspace.full(Field.Q, 2), Subspace.zero(Field.Q, 2))
     assert check_order(l, m)["lescomp1_iiia"] == (True, True, "")
+
+
+def gaussian_projection():
+    # The projection onto span{(1, 1 + i)} that kills span{(-1 + i, 1)}
+    # maps e1 to (1, 1 + i) / 3 and e2 to (1 - i, 2) / 3.
+    v, w = [1, GaussianRational(1, 1)], [GaussianRational(-1, 1), 1]
+    p = PartialProjection(OrthoSubspace(Subspace(Field.Qi, 2, [v]), Subspace(Field.Qi, 2, [w])))
+    third = Fraction(1, 3)
+    want = [third, GaussianRational(third, third), GaussianRational(third, -third), 2 * third]
+    assert p.images == Matrix(Field.Qi, 2, 2, want)
+
+
+def distinct_ambients():
+    # span{(1, 0, 0, 1)} in Q^4 and Q^2 itself have the same integer form.
+    assert q(4, [1, 0, 0, 1]) != Subspace.full(Field.Q, 2)
 
 
 def values():
@@ -158,7 +175,7 @@ MUTANTS = {
         reduced_row,
     ),
     "product-drops-dy": (*PRODUCT_DROPS_DY, products),
-    "product-drops-dy-on-the-family": (*PRODUCT_DROPS_DY, family_order),
+    "product-drops-dy-on-the-family": (*PRODUCT_DROPS_DY, family_norms),
     "product-returns-a-bare-int": (
         linalg._scalars,
         "[Fraction(x, den) for x in nums]",
@@ -197,9 +214,21 @@ MUTANTS = {
     ),
     "projection-images-from-the-zero-part": (
         partial_op.PartialProjection.__init__,
-        "pair.one.projector",
-        "pair.zero.projector",
+        "_, one = pair.one._basis_form",
+        "_, one = pair.zero._basis_form",
         projection,
+    ),
+    "gram-drops-the-conjugate": (
+        linalg._gram_solve,
+        "_products(field, shaped, _conjugates(field, shaped))",
+        "_products(field, shaped, shaped)",
+        gaussian_projection,
+    ),
+    "subspace-equality-ignores-the-ambient-dimension": (
+        subspace.Subspace.__eq__,
+        "self.ambient_dim == other.ambient_dim",
+        "True",
+        distinct_ambients,
     ),
     "operator-form-keeps-its-gcd": (
         partial_op.PartialOperator._of.__func__,

@@ -133,8 +133,10 @@ def test_building_operators_computes_no_projector_of_a_domain(gram_projection_ca
     # An operator is its domain plus images, and a projection whose pair
     # has a zero part has the basis or zero as its images, so nothing
     # here needs the orthogonal projector onto any domain, operand or
-    # result.  Each builder makes fresh operands, so no projector cached
-    # by an earlier one is read.
+    # result.  A projection with both parts nonzero takes its images
+    # from one integer Gram solve of its one-part, and builds no
+    # projector either.  Each builder makes fresh operands, so no
+    # projector cached by an earlier one is read.
     m = Matrix.from_rows(Field.Q, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
 
     def plane():
@@ -155,6 +157,9 @@ def test_building_operators_computes_no_projector_of_a_domain(gram_projection_ca
         "PartialProjection": lambda: [
             PartialProjection.from_matrix(plane(), Matrix.identity(Field.Q, 3))
         ],
+        "both parts nonzero": lambda: [
+            PartialProjection(OrthoSubspace(qs([1, 2, 0]), qs([2, -1, 0], [0, 0, 1])))
+        ],
         "compose": lambda: combined(compose),
         "pls_add": lambda: combined(pls_add),
     }
@@ -163,6 +168,9 @@ def test_building_operators_computes_no_projector_of_a_domain(gram_projection_ca
         ops = build()
         assert gram_projection_calls == [], name
         assert [t.dom._projector for t in ops] == [None] * len(ops), name
+        for t in ops:
+            if isinstance(t, PartialProjection):
+                assert (t.pair.one._projector, t.pair.zero._projector) == (None, None), name
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -688,7 +696,7 @@ def test_first_difference_matches_a_per_vector_loop(field):
             b = a + random_matrix(rng, field) @ (Matrix.identity(field, 3) - kept.projector)
             want = first_difference_by_vector(a, b, dom.basis)
             t, u = PartialOperator.from_matrix(full, a), PartialOperator.from_matrix(full, b)
-            assert _first_difference(t, u, dom.basis) == want
+            assert _first_difference(t, u, dom) == want
             positions.add(None if want is None else dom.basis.rows().index(want))
     assert positions == {None, 0, 1, 2}
 

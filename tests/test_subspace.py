@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import sub_to_oracle, to_vec
@@ -32,6 +33,49 @@ def test_spanning_sets_collapse_to_one_representative():
     assert q3([1, 0, 0], [1, 1, 0]) == q3([0, 1, 0], [1, 0, 0])
     assert q3([1, 2, 3], [2, 4, 6]).rank == 1
     assert hash(q3([2, 4, 0])) == hash(q3([1, 2, 0]))
+
+
+small = st.integers(-2, 2)
+ENTRIES = {Field.Q: small, Field.Qi: st.builds(G, small, small)}
+
+
+@st.composite
+def spanning_sets(draw):
+    """A field, an ambient dimension and up to three spanning rows."""
+    field = draw(st.sampled_from([Field.Q, Field.Qi]))
+    n = draw(st.integers(1, 4))
+    row = st.lists(ENTRIES[field], min_size=n, max_size=n)
+    return field, n, draw(st.lists(row, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spanning_sets(), spanning_sets(), st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_equality_and_hash_are_those_of_the_canonical_basis(case, other, scales):
+    field, n, rows = case
+    a = Subspace(field, n, rows)
+    # Another spanning set of the same space: the rows rescaled and
+    # reversed, with the sum of the first two and a zero row added.
+    respanned = [[k * e for e in row] for k, row in zip(scales, rows)][::-1]
+    respanned += [[x + y for x, y in zip(*rows[:2])]] if len(rows) > 1 else []
+    b = Subspace(field, n, respanned + [[0] * n])
+    assert a == b and hash(a) == hash(b)
+    # Any second space is equal exactly when its canonical basis is.
+    c = Subspace(*other[:2], other[2])
+    assert (a == c) == (c.field is field and c.ambient_dim == n and c.basis == a.basis)
+    assert a != c or hash(a) == hash(c)
+    # The same rows padded with a zero coordinate: the zero spaces of
+    # two dimensions have the same integer form, and still differ.
+    assert a != Subspace(field, n + 1, [row + [0] for row in rows])
+    if field is Field.Q:
+        assert a != Subspace(Field.Qi, n, rows)
+
+
+def test_equal_integer_forms_in_different_ambients_differ():
+    line, plane = Subspace(Field.Q, 4, [[1, 0, 0, 1]]), Subspace.full(Field.Q, 2)
+    assert line._basis_form == plane._basis_form
+    assert line != plane and plane != line
+    assert Subspace.zero(Field.Q, 2) != Subspace.zero(Field.Q, 3)
+    assert Subspace.zero(Field.Q, 2) != Subspace.zero(Field.Qi, 2)
 
 
 def test_meet_join_perp_known():

@@ -23,26 +23,23 @@ the canonical basis of a row space (its nonzero reduced rows, one per
 pivot, with no zero rows), and ``null_space`` returns the matrix of
 kernel rows that ``_kernel_rows`` reads off it; no routine takes rows
 out as vectors to build another matrix.  ``kernel.rref_gauss`` is the
-only elimination loop: null spaces, solutions, inverses and projectors
-are all read off one reduced form each.  ``_solve_block`` reduces
-``[a | b]`` once, through ``rref``, to solve ``a @ X == b``; it serves
-inverses and the raw-sum check only.  Projections run on the integer
-Gram solve ``_gram_solve``: for the integer rows ``O`` of a one-part it
+only elimination loop: null spaces, inverses and projections are all
+read off one reduced form each.  ``matrix_inverse`` reduces ``[g | I]``
+once, through ``rref``.  Projections run on the integer Gram solve
+``_gram_solve``: for the integer rows ``O`` of a subspace's basis it
 forms ``G = O Oᴴ`` on ints, reduces ``[G | O]`` once and divides each
 row by its pivot, which gives ``X = G⁻¹ O`` as one integer form with no
-scalar built.  It has two readers: ``gram_projection`` (and so
-``Subspace.projector``), the transpose of ``Oᴴ X``, and
-``PartialProjection``, whose images are ``(D Oᴴ) X`` for its domain
-basis ``D``.  Subspace membership needs no solution and reads pivots
-only.
+scalar built.  Its one caller is ``Subspace``, which keeps ``X`` and
+maps rows ``y`` to their projections ``y Oᴴ X``.  Subspace membership
+needs no solution and reads pivots only.
 
 Validity is checked once, where entries enter.  The public ``Vector``,
 ``Matrix`` and ``Matrix.from_rows`` check sizes, refuse a vector over
 the other field and coerce every entry; ``identity`` and ``zero`` check
 their sizes.  Arithmetic results (sums, differences, negations,
 ``scaled``, which coerces its one factor, products, transposes,
-conjugates, kernel rows, the ``[a | b]`` block that ``_solve_block``
-reduces, and solutions) are already exact scalars of their field and
+conjugates, kernel rows, the ``[g | I]`` block that ``matrix_inverse``
+reduces, and inverses) are already exact scalars of their field and
 are built with the private ``Matrix._of`` and ``Vector._of``, which
 store them with no check.  ``rref``'s output and ``row`` still go
 through the public constructors.
@@ -67,7 +64,6 @@ __all__ = [
     "norm_sq",
     "rref",
     "null_space",
-    "gram_projection",
     "matrix_inverse",
 ]
 
@@ -499,41 +495,27 @@ def null_space(m: Matrix) -> Matrix:
     return _kernel_rows(*rref(m))
 
 
-def _solve_block(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
-    """One reduction of ``[a | b]`` that solves ``a @ X == b``: the
-    canonical X (free variables 0), or None when there is none, together
-    with the rank of ``a``, the pivots left of the block.  To ask only
-    whether rows lie in a space, see ``Subspace._first_outside``."""
-    _check_field(a, b)
-    if a.nrows != b.nrows:
-        raise DimensionMismatch(f"matrix has {a.nrows} rows, right-hand side has {b.nrows}")
-    n, p = a.ncols, b.ncols
-    w = n + p
-    aug = []
-    for i in range(a.nrows):
-        aug += a.entries[i * n : (i + 1) * n]
-        aug += b.entries[i * p : (i + 1) * p]
-    basis, pivots = rref(Matrix._of(a.field, a.nrows, w, aug))
-    rank = sum(1 for c in pivots if c < n)
-    if rank < len(pivots):
-        return None, rank
-    x = [a.field.zero] * (n * p)
-    for i, c in enumerate(pivots):
-        x[c * p : (c + 1) * p] = basis.entries[i * w + n : (i + 1) * w]
-    return Matrix._of(a.field, n, p, x), rank
-
-
 # --- inverses and projections -----------------------------------------
 
 def matrix_inverse(g: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises SingularGram when singular."""
-    n = g.nrows
+    """Inverse of a square matrix; raises SingularGram when singular.
+
+    ``[g | I]`` is reduced once: when ``g`` is invertible its pivots are
+    the first ``n`` columns and the reduced block is ``[I | g⁻¹]``."""
+    field, n = g.field, g.nrows
     if n != g.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    x, rank = _solve_block(g, Matrix.identity(g.field, n))
-    if rank < n:
+    block = []
+    for i in range(n):
+        block += g.entries[i * n : (i + 1) * n]
+        block += [field.one if j == i else field.zero for j in range(n)]
+    reduced, pivots = rref(Matrix._of(field, n, 2 * n, block))
+    if pivots != tuple(range(n)):
         raise SingularGram("matrix is singular")
-    return x
+    inverse = []
+    for i in range(n):
+        inverse += reduced.entries[i * 2 * n + n : (i + 1) * 2 * n]
+    return Matrix._of(field, n, n, inverse)
 
 
 def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int, list[int]]]:
@@ -541,11 +523,12 @@ def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int
     least one, of width ``n``, with ``G = O Oᴴ``; None when ``G`` is
     singular, that is when the rows are dependent.
 
-    ``Oᴴ X`` is the orthogonal projector onto the row space of ``O``,
-    and it is the same for every positive multiple of ``O``, so the
-    rows' own denominator never enters.  ``G`` is formed on ints and
-    ``[G | O]`` reduced once by ``rref_gauss``; each reduced row is then
-    divided by its pivot over the least common multiple of the pivots.
+    A row ``y`` goes to its orthogonal projection ``y Oᴴ X`` onto the
+    row space of ``O``, and ``Oᴴ X`` is the same for every positive
+    multiple of ``O``, so the rows' own denominator never enters.
+    ``G`` is formed on ints and ``[G | O]`` reduced once by
+    ``rref_gauss``; each reduced row is then divided by its pivot over
+    the least common multiple of the pivots.
     The pivots are real over Q(i) too: ``G`` is Hermitian positive
     definite, so each is a Schur complement of ``G``, which is real,
     times the real pivots and gcds its row was scaled by.
@@ -575,23 +558,3 @@ def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int
         k = den // row[2 * i]
         nums += [x * k for x in row[2 * r :: step]]
     return den, nums
-
-
-def gram_projection(basis: Matrix) -> Matrix:
-    """Orthogonal projector onto the column space of ``basis``.
-
-    Columns must be independent; the result P satisfies P @ P = P,
-    conj-transpose(P) = P and P @ b = b for every basis column b.
-    """
-    field, n, r = basis.field, basis.nrows, basis.ncols
-    if r == 0:
-        return Matrix.zero(field, n, n)
-    # The columns are the rows O of the Gram solve.  A row y goes to
-    # y Oᴴ X, so P is the transpose of Oᴴ X: Xᵀ times the conjugate of O.
-    _, rows = _form(field, basis.transpose().entries)
-    solved = _gram_solve(field, rows, n)
-    if solved is None:
-        raise SingularGram("basis columns are dependent")
-    den, x = solved
-    conj = _conjugates(field, _columns(field, rows, n))
-    return Matrix._of(field, n, n, _scalars(field, den, _products(field, _columns(field, x, n), conj)))

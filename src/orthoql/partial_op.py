@@ -9,10 +9,10 @@ The images are stored as one integer matrix over one denominator,
 ``(den, nums)``: a positive int and a flat tuple of int numerators,
 real and imaginary parts side by side over Q(i), as in ``rref_gauss``
 rows.  The forms and the integer products on them come from
-``linalg`` (``_form``, ``_scalars``, ``_rows``, ``_columns``,
-``_conjugates``, ``_products`` and ``_gram_solve``), the one place
-where scalars become ints and back, and the integer form of a domain
-basis is the one its ``Subspace`` keeps, cleared once per space.  The
+``linalg`` (``_form``, ``_scalars``, ``_rows``, ``_columns`` and
+``_products``), the one place where scalars become ints and back, and
+the integer form of a domain basis is the one its ``Subspace`` keeps,
+cleared once per space.  The
 form is kept primitive (``gcd(den, *nums) == 1``), which makes it
 unique per operator, so equality is literal equality of (domain, den,
 nums) and compares ints.  ``images`` and ``matrix`` are
@@ -29,10 +29,11 @@ Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
 ``PartialProjection`` is built from its pair and keeps it:
 ``PartialProjection(pair)`` takes the images of the pair's domain
-basis under the one-part's orthogonal projector, with no projector
+basis under the one-part's orthogonal projection, with no projector
 built: for the one-part's integer rows O, the images of the domain
-basis D are ``(D Oᴴ) X`` with ``X = (O Oᴴ)⁻¹ O`` from one integer Gram
-solve, all on ints.  ``projection_of`` is that constructor, and
+basis D are ``(D Oᴴ) X``, from ``Subspace._projection`` of the
+one-part, which solves ``X = (O Oᴴ)⁻¹ O`` once per subspace and keeps
+it, all on ints.  ``projection_of`` is that constructor, and
 ``subspaces_of`` reads the stored pair.  The pair keeps nothing of
 its projection, so no reference cycle ties the two together and each
 ``projection_of`` call builds one projection.
@@ -59,16 +60,16 @@ maps into law reports.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from orthoql.errors import AmbientMismatch, NotInDomain
-from orthoql.linalg import Matrix, Vector, _check_field, _columns, _conjugates, _form, _gram_solve
-from orthoql.linalg import _products, _rows, _scalars, _solve_block, _width, null_space
+from orthoql.linalg import Matrix, Vector, _check_field, _columns, _form, _products, _rows
+from orthoql.linalg import _scalars, _width, null_space, rref
 from orthoql.ortho import OrthoSubspace, o_iff, o_implies, o_join, o_leq, o_meet, o_minus
 from orthoql.ortho import o_neg, o_not, o_perp
 from orthoql.scalars import Field, Scalar
-from orthoql.subspace import Subspace, _stacked, perp_rel
+from orthoql.subspace import Subspace, perp_rel
 
 __all__ = [
     "PartialOperator",
@@ -222,22 +223,11 @@ class PartialProjection(PartialOperator):
 
     def __init__(self, pair: OrthoSubspace):
         dom = pair.dom
-        field, n = dom.field, dom.ambient_dim
-        if pair.zero.rank == 0:
+        if pair.zero.is_zero:
+            # The domain is the one-part, so each basis row is its own image.
             den, nums = dom._basis_form
-        elif pair.one.rank == 0:
-            den, nums = 1, (0,) * (len(dom.basis.entries) * _width(field))
         else:
-            # A row y goes to its projection y Oᴴ X onto the one-part's
-            # rows O, with X = (O Oᴴ)⁻¹ O from one integer Gram solve, so
-            # the images of the domain basis D are (D Oᴴ) X: k x r times r x n.
-            db, basis = dom._basis_form
-            _, one = pair.one._basis_form
-            dx, x = _gram_solve(field, one, n)
-            r = pair.one.rank
-            inner = _products(field, _rows(field, basis, n), _conjugates(field, _rows(field, one, n)))
-            nums = _products(field, _rows(field, inner, r), _columns(field, x, n))
-            den = db * dx
+            den, nums = pair.one._projection(dom._basis_form)
         form = PartialOperator._of(dom, den, nums)
         self.dom, self.den, self.nums, self.pair = dom, form.den, form.nums, pair
 
@@ -534,13 +524,15 @@ COMM_CLAUSES = ("comm1_i", "comm1_ii", "comm1_iii", "comm1_iv")
 COR7_CLAUSES = ("cor7_i", "cor7_ii", "cor7_iii")
 
 
-def _spanning_samples(sub: Subspace) -> Matrix:
-    # Basis vectors plus pairwise sums, one per row: enough to exercise
-    # the inequalities off the coordinate axes of the basis.
-    n = sub.ambient_dim
-    rows = [sub.basis.entries[i * n : (i + 1) * n] for i in range(sub.rank)]
-    rows += [tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
-    return Matrix._of(sub.field, len(rows), n, [e for x in rows for e in x])
+def _spanning_samples(sub: Subspace) -> tuple[int, list]:
+    """The integer rows of the basis vectors plus their pairwise sums,
+    over the basis denominator: enough to exercise the inequalities off
+    the coordinate axes of the basis."""
+    den, nums = sub._basis_form
+    w = _width(sub.field) * sub.ambient_dim
+    rows = [nums[i * w : (i + 1) * w] for i in range(sub.rank)]
+    rows += [tuple(map(add, a, b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+    return den, rows
 
 
 def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
@@ -593,9 +585,9 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     )
     clauses["lescomp1_meet"] = (True, split_ok, "")
 
-    samples = _spanning_samples(meet)
-    ds, xs = _form(meet.field, samples.entries)
+    ds, samples = _spanning_samples(meet)
     ops = (p_l1, p_m1, p_m0, p_l0)
+    xs = [x for row in samples for x in row]
     values = [_apply(t, (ds, xs))[1] for t in ops]
     dl1, dm1, dm0, dl0 = (t.den for t in ops)
     # Sample j is x / ds for its integer row x, and t maps it to
@@ -603,25 +595,26 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
     # (ds * t.den)^2 and Re <t(x), x> is v.x over ds^2 * t.den, both for
     # interleaved Q(i) rows too; the comparisons cross-multiply the dens.
     w = _width(meet.field) * meet.ambient_dim
-    per_sample = [
-        (xs[j * w : (j + 1) * w], [v[j * w : (j + 1) * w] for v in values])
-        for j in range(samples.nrows)
-    ]
+    per_sample = [(x, [v[j * w : (j + 1) * w] for v in values]) for j, x in enumerate(samples)]
+
+    def sample(x) -> str:
+        return f"sample {Vector._of(meet.field, _scalars(meet.field, ds, x))!r}"
+
     norm_ok = True
     norm_detail = ""
-    for j, (_, vs) in enumerate(per_sample):
+    for x, vs in per_sample:
         l1, m1, m0, l0 = (sum(map(mul, v, v)) for v in vs)
         up = l1 * dm1 * dm1 <= m1 * dl1 * dl1
         down = m0 * dl0 * dl0 <= l0 * dm0 * dm0
         if not (up and down):
             norm_ok = False
-            norm_detail = f"sample {samples.row(j)!r}"
+            norm_detail = sample(x)
             break
     clauses["lescomp1_iiia"] = (True, norm_ok, norm_detail)
 
     inner_ok = True
     inner_detail = ""
-    for j, (x, vs) in enumerate(per_sample):
+    for x, vs in per_sample:
         l1, m1, m0, l0 = (sum(map(mul, v, x)) for v in vs)
         # Im <t(x), x> is v_im . x_re - v_re . x_im over Q(i).
         real = meet.field is Field.Q or all(
@@ -629,19 +622,20 @@ def check_order(l: OrthoSubspace, m: OrthoSubspace) -> dict:
         )
         if not (real and l1 * dm1 <= m1 * dl1 and m0 * dl0 <= l0 * dm0):
             inner_ok = False
-            inner_detail = f"sample {samples.row(j)!r}"
+            inner_detail = sample(x)
             break
     clauses["lescomp1_iva"] = (True, inner_ok, inner_detail)
     return clauses
 
 
 def _raw_sum_covers(a: Subspace, b: Subspace) -> bool:
-    """Whether {x + y : x in a, y in b} already fills the join of a and b."""
+    """Whether {x + y : x in a, y in b} already fills the join of a and b:
+    one ``rref`` of ``[aᵀ | bᵀ | joinᵀ]``, with no pivot in the join's block."""
     joined = a.join(b)
-    if a.is_zero and b.is_zero:
-        return joined.is_zero
-    x, _ = _solve_block(_stacked(a.basis, b.basis), joined.basis.transpose())
-    return x is not None
+    k, n = a.rank + b.rank, a.ambient_dim
+    rows = a.basis.entries + b.basis.entries + joined.basis.entries
+    pivots = rref(Matrix._of(a.field, k + joined.rank, n, rows).transpose())[1]
+    return all(c < k for c in pivots)
 
 
 def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:

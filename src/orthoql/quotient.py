@@ -4,7 +4,9 @@ Vectors of the domain represent their own classes: two representatives
 are identified when their zero-components agree, and the inner product
 of classes is the inner product of those components.  Mapping a class
 to its zero-component is then a linear isometry onto the zero-part,
-and viewing a domain vector as its class is a contraction.
+and viewing a domain vector as its class is a contraction.  The
+zero-component is the orthogonal projection onto the zero-part, read
+off the one Gram solve that the zero-part ``Subspace`` keeps.
 """
 
 from __future__ import annotations

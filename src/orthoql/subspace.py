@@ -18,6 +18,15 @@ An operation with a zero or full operand is read off the ranks with no
 elimination, and containment between spaces of equal rank is a bitwise
 comparison of their bases, since equal-rank containment is equality.
 
+The subspace owns its orthogonal projection.  For its basis rows ``O``
+it solves ``X = (O Oᴴ)⁻¹ O`` once, on ints (``linalg._gram_solve``),
+the first time a projection is asked for, and keeps ``X``; the one
+private method ``_projection`` then maps the integer form of any rows
+``y`` to ``y Oᴴ X``.  ``project``, ``distance_sq``, ``projector``
+(built from the identity rows on each read), ``partial_op.decompose``,
+the quotient's ``q_iso`` and the images of every partial projection
+whose one-part this is all go through it.
+
 Because the canonical basis is an exact structural key, a law run can
 share results between equal operands: inside a ``_shared_results()``
 block, ``meet``, ``join`` and ``leq``, which the law suites repeat on
@@ -27,15 +36,15 @@ includes the field and the ambient dimension), and store it there when
 they compute it.  Equal operands have equal results, so the table
 changes no answer.  It lives exactly as long as the outermost block; a
 nested block reuses it, and outside any block there is no table and
-every operation computes its result afresh.  ``perp`` and
-``projector`` keep theirs on the subspace.
+every operation computes its result afresh.  ``perp`` and the Gram
+solve are kept on the subspace.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from orthoql import scalars
 from orthoql.errors import AmbientMismatch, DimensionMismatch
@@ -44,10 +53,15 @@ from orthoql.linalg import (
     Vector,
     _check_field,
     _check_size,
+    _columns,
+    _conjugates,
     _form,
+    _gram_solve,
     _kernel_rows,
     _own,
-    gram_projection,
+    _products,
+    _rows,
+    _scalars,
     norm_sq,
     null_space,
     rref,
@@ -98,7 +112,7 @@ def _stacked(a: Matrix, b: Matrix) -> Matrix:
 class Subspace:
     """A subspace of the ambient space, canonically presented."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_projector", "_ints", "_hash")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_perp", "_gram", "_ints", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Matrix | Iterable = ()):
         """The span of ``rows``: spanning vectors (lists or ``Vector``s),
@@ -120,7 +134,7 @@ class Subspace:
             rows = Matrix(field, len(vectors), ambient_dim, [e for v in vectors for e in v])
         self.basis, self.pivots = rref(rows) if rows.nrows else (rows, ())
         self._perp = None
-        self._projector = None
+        self._gram = None
         self._ints = None
         self._hash = None
 
@@ -136,7 +150,7 @@ class Subspace:
         s = cls.__new__(cls)
         s.field, s.ambient_dim = field, ambient_dim
         s.basis, s.pivots = Matrix.identity(field, ambient_dim), tuple(range(ambient_dim))
-        s._perp = s._projector = s._ints = s._hash = None
+        s._perp = s._gram = s._ints = s._hash = None
         return s
 
     # --- basic structure ---------------------------------------------
@@ -295,15 +309,48 @@ class Subspace:
 
     # --- metric structure ------------------------------------------------
 
+    def _projection(self, rows: tuple[int, Sequence[int]]) -> tuple[int, list[int]]:
+        """The integer form of the orthogonal projections onto this space
+        of the rows of the integer form ``rows``.
+
+        For the basis rows ``O`` a row ``y`` goes to ``y Oᴴ X``, with
+        ``X = (O Oᴴ)⁻¹ O`` from one integer Gram solve, solved the first
+        time it is needed and then kept.  A zero or full space reads the
+        answer off the ranks: zero, or the rows themselves."""
+        den, nums = rows
+        if self.is_full:
+            return den, list(nums)
+        if self.is_zero:
+            return 1, [0] * len(nums)
+        field, n = self.field, self.ambient_dim
+        _, basis = self._basis_form
+        if self._gram is None:
+            self._gram = _gram_solve(field, basis, n)
+        dx, x = self._gram
+        inner = _products(field, _rows(field, nums, n), _conjugates(field, _rows(field, basis, n)))
+        return den * dx, _products(field, _rows(field, inner, self.rank), _columns(field, x, n))
+
     @property
     def projector(self) -> Matrix:
-        """Ambient matrix of the orthogonal projection onto this space."""
-        if self._projector is None:
-            self._projector = gram_projection(self.basis.transpose())
-        return self._projector
+        """Ambient matrix of the orthogonal projection onto this space,
+        built on each read: its column j is the projection of the j-th
+        identity row."""
+        field, n = self.field, self.ambient_dim
+        identity = Matrix.identity(field, n)
+        den, nums = self._projection(_form(field, identity.entries))
+        return Matrix._of(field, n, n, _scalars(field, den, nums)).transpose()
 
     def project(self, x: Vector) -> Vector:
-        return self.projector @ x
+        """The orthogonal projection of x onto this space."""
+        if not isinstance(x, Vector):
+            raise TypeError(f"{type(x).__name__} is not a vector")
+        _check_field(self, x)
+        if x.dim != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of dimension {x.dim} in ambient dimension {self.ambient_dim}"
+            )
+        den, nums = self._projection(_form(self.field, x.entries))
+        return Vector._of(self.field, _scalars(self.field, den, nums))
 
     def distance_sq(self, x: Vector) -> Fraction:
         """Squared distance from x to this subspace; 0 iff contained."""

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import oracle
-from orthoql import linalg, subspace
+from orthoql import linalg, partial_op, subspace
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialOperator, PartialProjection
@@ -212,17 +212,18 @@ def scalar_contract():
 
 
 def _record_calls(monkeypatch, name):
-    """The arguments handed to ``linalg.<name>`` from now on, recorded at
-    both of its binding sites, ``linalg`` and ``subspace``."""
+    """The arguments handed to ``linalg.<name>`` from now on, one tuple
+    per call, recorded at every module that binds it by name."""
     calls = []
     real = getattr(linalg, name)
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    for module in (linalg, subspace):
-        monkeypatch.setattr(module, name, counted)
+    for module in (linalg, subspace, partial_op):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -233,10 +234,10 @@ def rref_calls(monkeypatch):
 
 
 @pytest.fixture
-def gram_projection_calls(monkeypatch):
-    """The bases handed to ``gram_projection`` from now on: one per
-    orthogonal projector computed."""
-    return _record_calls(monkeypatch, "gram_projection")
+def gram_solve_calls(monkeypatch):
+    """The integer rows handed to ``_gram_solve`` from now on: one call
+    per Gram solve, which a subspace makes at most once."""
+    return _record_calls(monkeypatch, "_gram_solve")
 
 
 @pytest.fixture

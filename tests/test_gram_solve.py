@@ -1,11 +1,13 @@
-"""The integer Gram solve and its two readers, against the oracle.
+"""The integer Gram solve and the projections read off it, against the oracle.
 
 ``linalg._gram_solve`` takes the integer rows O of independent vectors
-to X = (O Oᴴ)⁻¹ O as one integer form.  ``gram_projection`` reads the
-orthogonal projector off it, and ``PartialProjection`` the images of
-its domain basis.  Each is compared with the oracle, which solves the
-Gram system on fractions, over Q and Q(i), for one-parts of every rank
-1..n-1 and for domains that are and are not the whole space."""
+to X = (O Oᴴ)⁻¹ O as one integer form.  A ``Subspace`` solves its own
+basis once and maps rows y to y Oᴴ X: ``Subspace.projector`` is the
+projection of the identity rows, and ``PartialProjection`` takes the
+images of its domain basis from its one-part.  Each is compared with
+the oracle, which solves the Gram system on fractions, over Q and Q(i),
+for one-parts of every rank 1..n-1 and for domains that are and are not
+the whole space."""
 
 import random
 
@@ -13,8 +15,7 @@ import pytest
 
 import oracle
 from conftest import form_values, from_vec, oracle_to_sub, to_mat
-from orthoql.errors import SingularGram
-from orthoql.linalg import Matrix, _gram_solve, gram_projection
+from orthoql.linalg import Matrix, _gram_solve
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection
 from orthoql.scalars import Field
@@ -81,26 +82,27 @@ def test_the_gram_solve_refuses_dependent_rows(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_the_projector_matches_the_oracle(field):
-    # Spanning columns drawn as they come, not in canonical form.
+    # Spanning rows drawn as they come, not in canonical form.
     rng = random.Random(f"projector-{field.value}")
     for n in (2, 3, 4):
         for r in range(1, n):
             for nums in independent_draws(rng, field, n, r, 3):
                 rows = as_vectors(field, nums, n)
-                cols = Matrix.from_rows(field, [from_vec(field, v) for v in rows])
-                got = gram_projection(cols.transpose())
+                got = Subspace(field, n, [from_vec(field, v) for v in rows]).projector
                 assert to_mat(got) == oracle.gram_projection_matrix(rows, n)
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_the_projector_refuses_dependent_columns(field):
-    for rows in ([[1, 2, 0], [2, 4, 0]], [[0, 0, 0]], [[1, 0], [0, 1], [1, 1]]):
-        with pytest.raises(SingularGram):
-            gram_projection(Matrix.from_rows(field, rows).transpose())
-    # Vectors of Q^0 are all zero.
-    with pytest.raises(SingularGram):
-        gram_projection(Matrix(field, 0, 2, []))
-    assert gram_projection(Matrix(field, 3, 0, [])) == Matrix.zero(field, 3, 3)
+def test_the_projector_of_a_dependent_or_zero_span(field):
+    # Dependent spanning rows give the projector onto their span.
+    for rows in ([[1, 2, 0], [2, 4, 0]], [[1, 0], [0, 1], [1, 1]]):
+        n = len(rows[0])
+        want = oracle.gram_projection_matrix(oracle.span(oracle.mat(rows), n), n)
+        assert to_mat(Subspace(field, n, rows).projector) == want
+    # The zero space projects everything to zero; Q^0 has a 0x0 projector.
+    assert Subspace(field, 3, [[0, 0, 0]]).projector == Matrix.zero(field, 3, 3)
+    assert Subspace.zero(field, 0).projector == Matrix(field, 0, 0, [])
+    assert Subspace.full(field, 0).projector == Matrix(field, 0, 0, [])
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -11,8 +11,8 @@ from orthoql.errors import DimensionMismatch, SingularGram
 from orthoql.linalg import (
     Matrix,
     Vector,
-    _solve_block,
-    gram_projection,
+    _form,
+    _gram_solve,
     inner,
     matrix_inverse,
     norm_sq,
@@ -20,6 +20,7 @@ from orthoql.linalg import (
     rref,
 )
 from orthoql.scalars import Field, GaussianRational as G, conj
+from orthoql.subspace import Subspace
 
 
 def rand_matrix(rng, field, nrows, ncols):
@@ -58,16 +59,17 @@ def test_null_space_known():
 
 
 def test_gram_projection_known():
-    b = Matrix(Field.Q, 2, 1, [F(1), F(1)])
-    p = gram_projection(b)
+    p = Subspace(Field.Q, 2, [[1, 1]]).projector
     assert p == Matrix(Field.Q, 2, 2, [F(1, 2)] * 4)
 
 
 def test_gram_projection_rejects_dependent_columns():
+    # The Gram solve behind every projector refuses dependent rows; a
+    # subspace hands it only its canonical basis, which is independent.
     for field in (Field.Q, Field.Qi):
-        cols = Matrix.from_rows(field, [[1, 2, 0], [2, 4, 0]]).transpose()
-        with pytest.raises(SingularGram):
-            gram_projection(cols)
+        rows = Matrix.from_rows(field, [[1, 2, 0], [2, 4, 0]])
+        assert _gram_solve(field, _form(field, rows.entries)[1], 3) is None
+        assert Subspace(field, 3, rows).projector == Subspace(field, 3, [[1, 2, 0]]).projector
 
 
 def test_projection_matrix_properties():
@@ -77,8 +79,8 @@ def test_projection_matrix_properties():
             dim = rng.randint(1, 4)
             k = rng.randint(0, dim)
             cols = rand_matrix(rng, field, dim, k)
-            basis, _ = rref(cols.transpose())
-            p = gram_projection(basis.transpose())
+            sub = Subspace(field, dim, cols.transpose())
+            basis, p = sub.basis, sub.projector
             assert p @ p == p
             assert p.conj_transpose() == p
             for b in basis.rows():
@@ -139,39 +141,32 @@ def test_rref_and_nullspace_match_oracle():
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
-def test_solve_block_matches_oracle_column_by_column(field):
+def test_matrix_inverse_matches_oracle_column_by_column(field):
     rng = random.Random(47)
     seen = set()
     for _ in range(80):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        a = rand_matrix(rng, field, nrows, ncols)
-        if ncols > 1 and rng.randint(0, 1):
-            # Repeat the first column last, so that a has a free column.
-            a = Matrix.from_rows(field, [list(r)[: ncols - 1] + [r[0]] for r in a.rows()])
-        # Columns in the column space of a, and random ones that mostly are not.
-        cols = [
-            list(a @ rand_matrix(rng, field, 1, ncols).row(0))
-            if rng.randint(0, 1)
-            else list(rand_matrix(rng, field, 1, nrows).row(0))
-            for _ in range(rng.randint(1, 3))
-        ]
-        b = Matrix.from_rows(field, cols).transpose()
-        x, rank = _solve_block(a, b)
-        assert rank == oracle.rank(to_mat(a))
-        wants = [oracle.solve_naive(to_mat(a), col) for col in to_mat(b.transpose())]
-        if None in wants:
-            assert x is None
+        n = rng.randint(1, 4)
+        a = rand_matrix(rng, field, n, n)
+        if n > 1 and rng.randint(0, 1):
+            # Repeat the first column last, so that a is singular.
+            a = Matrix.from_rows(field, [list(r)[: n - 1] + [r[0]] for r in a.rows()])
+        # Column j of the inverse solves a @ x == e_j.
+        wants = [oracle.solve_naive(to_mat(a), e) for e in oracle.full(n)]
+        singular = oracle.rank(to_mat(a)) < n
+        assert singular == (None in wants)
+        if singular:
+            with pytest.raises(SingularGram):
+                matrix_inverse(a)
         else:
-            assert x is not None and a @ x == b
+            x = matrix_inverse(a)
+            assert a @ x == Matrix.identity(field, n)
             assert list(to_mat(x.transpose())) == wants
-        seen.add((rank < ncols, x is None))
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
-    # No rows: every right-hand side is solved by zero, and the rank is 0.
-    x, rank = _solve_block(Matrix(field, 0, 3, []), Matrix(field, 0, 2, []))
-    assert rank == 0 and x == Matrix.zero(field, 3, 2)
+        seen.add(singular)
+    assert seen == {False, True}
+    # No rows: the empty matrix is its own inverse.
+    assert matrix_inverse(Matrix(field, 0, 0, [])) == Matrix(field, 0, 0, [])
     with pytest.raises(DimensionMismatch):
-        _solve_block(Matrix.identity(field, 2), Matrix.identity(field, 3))
+        matrix_inverse(Matrix.zero(field, 2, 3))
 
 
 def test_det_and_inverse():

@@ -21,7 +21,7 @@ from types import CodeType
 import pytest
 
 import oracle
-from conftest import to_num
+from conftest import to_mat, to_num, to_vec
 from orthoql import linalg, ortho, partial_op, subspace
 from orthoql.laws import check_catalog, check_complql
 from orthoql.linalg import Matrix, Vector
@@ -134,6 +134,14 @@ def gaussian_projection():
     assert p.images == Matrix(Field.Qi, 2, 2, want)
 
 
+def gaussian_project():
+    # A Q(i) vector projected onto a Q(i) plane of Q(i)^3, against the
+    # oracle's normal equations.
+    plane = Subspace(Field.Qi, 3, [[1, GaussianRational(0, 1), 0], [0, 1, GaussianRational(1, -1)]])
+    x = Vector(Field.Qi, [GaussianRational(2, 1), 1, GaussianRational(0, 3)])
+    assert to_vec(plane.project(x)) == oracle.project_onto(to_vec(x), to_mat(plane.basis), 3)
+
+
 def distinct_ambients():
     # span{(1, 0, 0, 1)} in Q^4 and Q^2 itself have the same integer form.
     assert q(4, [1, 0, 0, 1]) != Subspace.full(Field.Q, 2)
@@ -146,7 +154,7 @@ def values():
 
 # --- the table -------------------------------------------------------------
 
-# Two edits that more than one probe kills: (function, source text,
+# Three edits that more than one probe kills: (function, source text,
 # mutated text).
 MEET_OF_INCOMPARABLES_IS_ZERO = (
     subspace.Subspace._meet,
@@ -156,6 +164,11 @@ MEET_OF_INCOMPARABLES_IS_ZERO = (
     "    r, k = self.rank, self.rank + other.rank",
 )
 PRODUCT_DROPS_DY = (linalg._product, "_scalars(field, dx * dy,", "_scalars(field, dx,")
+PROJECTION_DROPS_THE_CONJUGATE = (
+    subspace.Subspace._projection,
+    "_conjugates(field, _rows(field, basis, n))",
+    "_rows(field, basis, n)",
+)
 
 # name -> (function, source text, mutated text, probe).  The functions
 # are read at import, before the contract fixtures wrap any of them.
@@ -214,9 +227,14 @@ MUTANTS = {
     ),
     "projection-images-from-the-zero-part": (
         partial_op.PartialProjection.__init__,
-        "_, one = pair.one._basis_form",
-        "_, one = pair.zero._basis_form",
+        "pair.one._projection(dom._basis_form)",
+        "pair.zero._projection(dom._basis_form)",
         projection,
+    ),
+    "projection-drops-the-conjugate": (*PROJECTION_DROPS_THE_CONJUGATE, gaussian_project),
+    "projection-drops-the-conjugate-in-the-images": (
+        *PROJECTION_DROPS_THE_CONJUGATE,
+        gaussian_projection,
     ),
     "gram-drops-the-conjugate": (
         linalg._gram_solve,

@@ -20,6 +20,7 @@ from orthoql.generators import (
     random_member,
     random_partial_projection,
     random_scalar,
+    random_subspace,
     rng_from,
 )
 from orthoql.laws import check_pls
@@ -129,14 +130,13 @@ def test_operators_on_different_ambient_spaces_compare_unequal():
     assert rebuilt in ops and ops.index(rebuilt) == 2
 
 
-def test_building_operators_computes_no_projector_of_a_domain(gram_projection_calls):
+def test_building_operators_computes_no_projector_of_a_domain(gram_solve_calls):
     # An operator is its domain plus images, and a projection whose pair
     # has a zero part has the basis or zero as its images, so nothing
-    # here needs the orthogonal projector onto any domain, operand or
-    # result.  A projection with both parts nonzero takes its images
-    # from one integer Gram solve of its one-part, and builds no
-    # projector either.  Each builder makes fresh operands, so no
-    # projector cached by an earlier one is read.
+    # here solves the Gram system of any domain, operand or result.  A
+    # projection with both parts nonzero takes its images from one Gram
+    # solve of its one-part, and of nothing else.  Each builder makes
+    # fresh operands, so no solve kept by an earlier one is read.
     m = Matrix.from_rows(Field.Q, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
 
     def plane():
@@ -164,13 +164,13 @@ def test_building_operators_computes_no_projector_of_a_domain(gram_projection_ca
         "pls_add": lambda: combined(pls_add),
     }
     for name, build in builders.items():
-        del gram_projection_calls[:]
+        del gram_solve_calls[:]
         ops = build()
-        assert gram_projection_calls == [], name
-        assert [t.dom._projector for t in ops] == [None] * len(ops), name
-        for t in ops:
-            if isinstance(t, PartialProjection):
-                assert (t.pair.one._projector, t.pair.zero._projector) == (None, None), name
+        assert [t.dom._gram for t in ops] == [None] * len(ops), name
+        one_parts = [t.pair.one for t in ops if isinstance(t, PartialProjection)]
+        solved = [a for a in one_parts if a._gram is not None]
+        assert len(gram_solve_calls) == len(solved) == (name == "both parts nonzero"), name
+        assert all(t.pair.zero._gram is None for t in ops if isinstance(t, PartialProjection)), name
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
@@ -857,6 +857,19 @@ def test_a_raw_sum_check_is_one_elimination(field, rref_calls):
             del rref_calls[:]
             assert _raw_sum_covers(a, b)
             assert len(rref_calls) == 1
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_raw_sum_check_matches_the_oracle(field):
+    # Each basis row of the oracle's join must solve [aᵀ | bᵀ] c == row.
+    rng = rng_from(61)
+    for _ in range(30):
+        a, b = random_subspace(rng, field, 3), random_subspace(rng, field, 3)
+        cols = sub_to_oracle(a) + sub_to_oracle(b)
+        system = tuple(tuple(col[i] for col in cols) for i in range(3))
+        join = oracle.s_join(sub_to_oracle(a), sub_to_oracle(b), 3)
+        want = all(oracle.solve_naive(system, row) is not None for row in join)
+        assert _raw_sum_covers(a, b) == want
 
 
 def test_commutation_suite_on_generated_pairs():

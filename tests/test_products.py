@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import is_canonical, to_mat, to_vec
-from orthoql.linalg import Matrix, Vector, gram_projection, rref
+from orthoql.linalg import Matrix, Vector, rref
 from orthoql.scalars import Field, GaussianRational as G
+from orthoql.subspace import Subspace
 
 SHAPES = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 4, 2), (4, 4, 4), (2, 5, 3)]
 
@@ -105,7 +106,7 @@ def test_qi_results_hold_canonical_triples_and_agree_with_the_oracle(data):
     prod = a @ b
     gram = a @ a.conj_transpose()
     basis, _ = rref(a)
-    proj = gram_projection(basis.transpose())
+    proj = Subspace(Field.Qi, k, a).projector
     for m in (prod, gram, basis, proj):
         assert all(is_canonical(e) for e in m.entries)
     assert to_mat(prod) == oracle.mat_mul(to_mat(a), to_mat(b))

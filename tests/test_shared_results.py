@@ -1,8 +1,8 @@
 """Where each cached result lives.  One law run shares a table of
 ``meet``, ``join`` and ``leq`` results between equal operands: it
 changes no answer, never mixes fields, and lives exactly as long as the
-outermost run.  A subspace keeps its own orthocomplement and projector,
-a projection keeps its pair while the pair keeps nothing of its
+outermost run.  A subspace keeps its own orthocomplement and the Gram
+solve behind every projection onto it, a projection keeps its pair while the pair keeps nothing of its
 projection, and only the public pair constructor checks orthogonality;
 the connectives' pairs are orthogonal by construction."""
 
@@ -34,7 +34,9 @@ from orthoql.ortho import (
     o_not,
     o_perp,
 )
+from orthoql.linalg import Vector
 from orthoql.partial_op import (
+    decompose,
     identity_on,
     proj_compl,
     proj_iff,
@@ -49,6 +51,7 @@ from orthoql.partial_op import (
     total_zero,
     zero_on,
 )
+from orthoql.quotient import QuotientSpace
 from orthoql.scalars import Field
 from orthoql.subspace import Subspace, _shared_results, perp_rel
 
@@ -89,17 +92,29 @@ def test_shared_results_change_no_answer(field):
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
-def test_a_subspace_keeps_its_orthocomplement_and_projector(field, gram_projection_calls):
+def test_a_subspace_keeps_its_orthocomplement_and_projector(field, gram_solve_calls):
+    # Every projection onto a subspace reads one Gram solve of its basis,
+    # made the first time it is needed and kept on the subspace object.
     rng = rng_from(59)
     spaces = [random_subspace(rng, field, 3) for _ in range(8)]
+    assert any(0 < a.rank < 3 for a in spaces)
+    x = Vector(field, [1, -2, 3])
     with _shared_results():
         for a in spaces:
-            twin = copy(a)
-            assert a.perp() is a.perp() and a.projector is a.projector
+            solves = 0 if a.is_zero or a.is_full else 1
+            del gram_solve_calls[:]
+            pair = OrthoSubspace(a, a.perp())
+            a.projector, a.project(x), a.distance_sq(x), decompose(pair, x)
+            QuotientSpace(o_neg(pair)).q_iso(x)
+            # A projection with a as its one-part, twice.
+            projection_of(pair), projection_of(pair)
+            assert a.perp() is a.perp() and a.projector == a.projector
+            assert len(gram_solve_calls) == solves
             # An equal space is another object with its own caches.
+            twin = copy(a)
             assert twin.perp() == a.perp() and twin.perp() is not a.perp()
-            assert twin.projector == a.projector and twin.projector is not a.projector
-    assert len(gram_projection_calls) == 2 * len(spaces)
+            assert twin.projector == a.projector
+            assert len(gram_solve_calls) == 2 * solves
     assert [a.perp() for a in spaces] == [copy(a).perp() for a in spaces]
 
 

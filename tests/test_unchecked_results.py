@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from orthoql.cli import main
-from orthoql.linalg import Matrix, Vector, _kernel_rows, _solve_block, rref
+from orthoql.linalg import Matrix, Vector, _kernel_rows, matrix_inverse, rref
 from orthoql.partial_op import PartialOperator, _spanning_samples
 from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace
@@ -58,6 +58,8 @@ SWITCHED = {
     "_kernel_rows": (0, lambda o: _kernel_rows(*o["reduced"])),
     "PartialOperator.matrix": (0, lambda o: o["op"].matrix),
     "_spanning_samples": (0, lambda o: _spanning_samples(o["plane"])),
+    "Subspace.projector": (0, lambda o: o["plane"].projector),
+    "Subspace.project": (0, lambda o: o["plane"].project(o["x"])),
 }
 
 
@@ -73,16 +75,14 @@ def test_an_arithmetic_result_coerces_nothing(name, field, coerce_calls):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_a_solution_is_read_off_the_reduction_uncoerced(field, coerce_calls):
-    """``_solve_block`` builds ``[a | b]`` unchecked, from entries that
+    """``matrix_inverse`` builds ``[g | I]`` unchecked, from entries that
     are already exact, and coerces only its reduced form, which ``rref``
-    builds on the public path; the solution ``X`` adds nothing."""
-    o = operands(field)
-    g, b = o["g"], o["a"]
+    builds on the public path; the inverse adds nothing."""
+    g = operands(field)["g"]
     del coerce_calls[:]
-    x, rank = _solve_block(g, b)
-    width = g.ncols + b.ncols
-    assert rank == 2 and g @ x == b
-    assert len(coerce_calls) == rank * width
+    x = matrix_inverse(g)
+    assert g @ x == Matrix.identity(field, 2)
+    assert len(coerce_calls) == g.nrows * 2 * g.ncols
 
 
 @pytest.mark.parametrize("field", FIELDS)

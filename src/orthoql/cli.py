@@ -5,6 +5,10 @@ named subspaces given by spanning rows of scalar strings, named
 orthogonal pairs referencing two subspace names, and named operators
 referencing a domain name plus a square matrix.  Every load fully
 validates the instances, so a file that parses is safe to compute with.
+``Field.parse`` is the one check of each scalar, in a file or in a
+vector argument: it builds the entry exact, and the loader, once it has
+checked the shapes, stores the parsed rows, matrices and vectors with
+``Matrix._of``/``Vector._of``, coercing nothing again.
 
 Reports are printed to stdout and are byte-identical for identical
 inputs; wall-clock timing goes to stderr, which keeps stdout
@@ -98,7 +102,10 @@ class InstanceFile:
     operators: dict = dc_field(default_factory=dict)
 
 
-def _parse_rows(fld: Field, dim: int, rows, where: str) -> list:
+def _parse_rows(fld: Field, dim: int, rows, where: str) -> Matrix:
+    """The matrix of ``rows``, each a list of ``dim`` scalar strings.
+    ``Field.parse`` builds each entry exact, and the shape is checked
+    here, so the matrix is stored with no second check."""
     if not isinstance(rows, list):
         raise ParseError(f"{where}: expected a list of rows")
     out = []
@@ -106,10 +113,10 @@ def _parse_rows(fld: Field, dim: int, rows, where: str) -> list:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {i} must list {dim} scalars")
         try:
-            out.append([fld.parse(str(s)) for s in row])
+            out += [fld.parse(str(s)) for s in row]
         except ParseError as exc:
             raise ParseError(f"{where}: row {i}: {exc}") from None
-    return out
+    return Matrix._of(fld, len(rows), dim, out)
 
 
 def _section(raw: dict, key: str, path: str):
@@ -186,13 +193,11 @@ def load_instances(path: str) -> InstanceFile:
             )
         if "matrix" not in body:
             raise ParseError(f"operator {name!r}: missing key 'matrix'")
-        rows = _parse_rows(fld, dim, body["matrix"], f"operator {name!r}")
-        if len(rows) != dim:
+        matrix = _parse_rows(fld, dim, body["matrix"], f"operator {name!r}")
+        if matrix.nrows != dim:
             raise ParseError(f"operator {name!r}: matrix must have {dim} rows")
         try:
-            inst.operators[name] = PartialOperator.from_matrix(
-                inst.subspaces[ref], Matrix.from_rows(fld, rows)
-            )
+            inst.operators[name] = PartialOperator.from_matrix(inst.subspaces[ref], matrix)
         except OrthoQLError as exc:
             raise ParseError(f"operator {name!r}: {exc}") from None
     return inst
@@ -210,7 +215,7 @@ def _parse_vector(fld: Field, dim: int, text: str) -> Vector:
     if len(parts) != dim:
         raise ParseError(f"vector {text!r}: expected {dim} comma-separated scalars")
     try:
-        return Vector(fld, [fld.parse(p) for p in parts])
+        return Vector._of(fld, [fld.parse(p) for p in parts])
     except ParseError as exc:
         raise ParseError(f"vector {text!r}: {exc}") from None
 

@@ -7,8 +7,10 @@ shaped generators whose outputs satisfy the hypotheses of the
 conditional laws by construction (ordered pairs, orthogonal total
 pairs, commuting projections); without them the conditional clauses
 would be vacuous on random data.  Drawn scalars are exact by
-construction, so the rows built from them are stored with
-``Matrix._of``, with no coerce.
+construction, so every vector, row set and matrix built from them (the
+drawn vectors, spanning rows, operator matrices and the skew-adjoint
+matrix of a Cayley unitary) is stored with ``Matrix._of`` or
+``Vector._of``, with no coerce.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def random_scalar(rng: random.Random, field: Field) -> Scalar:
 
 
 def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
-    return Vector(field, (random_scalar(rng, field) for _ in range(dim)))
+    return Vector._of(field, [random_scalar(rng, field) for _ in range(dim)])
 
 
 def _random_rows(rng: random.Random, field: Field, k: int, ncols: int) -> Matrix:
@@ -213,7 +215,7 @@ def random_partial_operator(
 ) -> PartialOperator:
     dom = Subspace.full(field, dim) if total else random_subspace(rng, field, dim)
     entries = [random_scalar(rng, field) for _ in range(dim * dim)]
-    return PartialOperator.from_matrix(dom, Matrix(field, dim, dim, entries))
+    return PartialOperator.from_matrix(dom, Matrix._of(field, dim, dim, entries))
 
 
 def random_partial_projection(
@@ -246,7 +248,7 @@ def cayley_unitary(rng: random.Random, field: Field, dim: int) -> Matrix:
                     a = frac()
                     entries[i][j] = a
                     entries[j][i] = -a
-    a = Matrix.from_rows(field, entries)
+    a = Matrix._of(field, dim, dim, [e for row in entries for e in row])
     eye = Matrix.identity(field, dim)
     return (eye - a) @ matrix_inverse(eye + a)
 

@@ -518,10 +518,10 @@ def matrix_inverse(g: Matrix) -> Matrix:
     return Matrix._of(field, n, n, inverse)
 
 
-def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int, list[int]]]:
+def _gram_solve(field: Field, rows: Sequence[int], n: int) -> tuple[int, list[int]]:
     """The integer form of ``X = G⁻¹ O`` for the integer rows ``O``, at
-    least one, of width ``n``, with ``G = O Oᴴ``; None when ``G`` is
-    singular, that is when the rows are dependent.
+    least one, of width ``n``, with ``G = O Oᴴ``; raises SingularGram
+    when ``G`` is singular, that is when the rows are dependent.
 
     A row ``y`` goes to its orthogonal projection ``y Oᴴ X`` onto the
     row space of ``O``, and ``Oᴴ X`` is the same for every positive
@@ -533,8 +533,6 @@ def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int
     definite, so each is a Schur complement of ``G``, which is real,
     times the real pivots and gcds its row was scaled by.
     """
-    if n == 0:
-        return None
     shaped = _rows(field, rows, n)
     r = len(shaped)
     gram = _products(field, shaped, _conjugates(field, shaped))
@@ -550,7 +548,7 @@ def _gram_solve(field: Field, rows: Sequence[int], n: int) -> Optional[tuple[int
         block.append(row)
     reduced, pivots = rref_gauss(block, r + n)
     if pivots != list(range(r)):
-        return None
+        raise SingularGram("rows are dependent")
     den = lcm(*(row[2 * i] for i, row in enumerate(reduced)))
     # Over Q only the real halves of the reduced rows belong to the form.
     step, nums = (2 if field is Field.Q else 1), []

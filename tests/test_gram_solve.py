@@ -1,7 +1,8 @@
 """The integer Gram solve and the projections read off it, against the oracle.
 
 ``linalg._gram_solve`` takes the integer rows O of independent vectors
-to X = (O Oᴴ)⁻¹ O as one integer form.  A ``Subspace`` solves its own
+to X = (O Oᴴ)⁻¹ O as one integer form, and refuses dependent rows with
+``SingularGram``, as ``matrix_inverse`` refuses a singular matrix.  A ``Subspace`` solves its own
 basis once and maps rows y to y Oᴴ X: ``Subspace.projector`` is the
 projection of the identity rows, and ``PartialProjection`` takes the
 images of its domain basis from its one-part.  Each is compared with
@@ -15,6 +16,7 @@ import pytest
 
 import oracle
 from conftest import form_values, from_vec, oracle_to_sub, to_mat
+from orthoql.errors import SingularGram
 from orthoql.linalg import Matrix, _gram_solve
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection
@@ -76,8 +78,8 @@ def test_the_gram_solve_refuses_dependent_rows(field):
             w = width(field) * n
             nums[-w:] = [sum(nums[k::w][:-1]) for k in range(w)]
             assert oracle.rank(as_vectors(field, nums, n)) < r
-            assert _gram_solve(field, nums, n) is None
-    assert _gram_solve(field, [], 0) is None
+            with pytest.raises(SingularGram):
+                _gram_solve(field, nums, n)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -14,6 +14,8 @@ text no longer occurs in the source fails, and is then rewritten against
 the new code rather than dropped."""
 
 import inspect
+import json
+import tempfile
 import textwrap
 from fractions import Fraction
 from types import CodeType
@@ -22,7 +24,8 @@ import pytest
 
 import oracle
 from conftest import to_mat, to_num, to_vec
-from orthoql import linalg, ortho, partial_op, subspace
+from orthoql import linalg, ortho, partial_op, scalars, subspace
+from orthoql.cli import load_instances
 from orthoql.laws import check_catalog, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
@@ -81,6 +84,17 @@ def gaussian_products():
 
 def reduced_row():
     assert q(2, [2, 3]).basis.entries == (1, Fraction(3, 2))
+
+
+def loaded_file():
+    # Whole-number scalars in a Q file: the loader stores what the parser
+    # builds with no second check, so each must be a Fraction already.
+    document = {"field": "Q", "ambient_dim": 2, "subspaces": {"A": {"basis": [["2", "1/3"]]}}}
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/instances.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        assert load_instances(path).subspaces["A"] == q(2, [6, 1])
 
 
 def zero_matrix():
@@ -195,6 +209,12 @@ MUTANTS = {
         "[x if den == 1 else Fraction(x, den) for x in nums]",
         products,
     ),
+    "parsed-whole-number-is-a-bare-int": (
+        scalars._fraction,
+        "return Fraction(int(num), int(den) if den else 1)",
+        "return Fraction(int(num), int(den)) if den else int(num)",
+        loaded_file,
+    ),
     "products-add-the-real-cross-term": (
         linalg._products,
         "sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))",
@@ -265,6 +285,12 @@ MUTANTS = {
         "return den * t.den,",
         "return den,",
         values,
+    ),
+    "complement-is-the-projection-itself": (
+        partial_op.proj_compl,
+        "projection_of(o_neg(p.pair))",
+        "projection_of(p.pair)",
+        ordered_norms,
     ),
     "order-norms-drop-the-denominators": (
         partial_op.check_order,

@@ -2,16 +2,19 @@
 ``Vector`` and ``Matrix.from_rows`` coerce and refuse, while arithmetic
 results (sums, products, transposes, reindexing), already exact
 scalars of their field, are built with ``Matrix._of``/``Vector._of`` and
-coerce nothing.  The session-wide ``scalar_contract`` fixture checks
-what those unchecked builds hold, and these tests count the ``coerce``
-calls.  The public path's refusals are held by ``test_boundary`` and
-``test_scalars``."""
+coerce nothing.  So are the rows, matrices and vectors that the file
+loader reads, whose entries ``Field.parse`` has just built.  ``rref``'s
+canonical basis is still coerced (see ``test_checked_sites``).  The
+session-wide ``scalar_contract`` fixture checks what those unchecked
+builds hold, and these tests count the ``coerce`` calls.  The public
+path's refusals are held by ``test_boundary`` and ``test_scalars``."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from orthoql.cli import main
+from orthoql.cli import _parse_vector, load_instances, main
 from orthoql.linalg import Matrix, Vector, _kernel_rows, matrix_inverse, rref
 from orthoql.partial_op import PartialOperator, _spanning_samples
 from orthoql.scalars import Field, GaussianRational
@@ -85,6 +88,49 @@ def test_a_solution_is_read_off_the_reduction_uncoerced(field, coerce_calls):
     assert len(coerce_calls) == g.nrows * 2 * g.ncols
 
 
+# A subspace, a pair and an operator over each field, as files give them.
+FILES = {
+    Field.Q: {
+        "field": "Q",
+        "ambient_dim": 3,
+        "subspaces": {
+            "A": {"basis": [["1", "1/2", "0"], ["2", "1", "3"]]},
+            "B": {"basis": [["-1", "2", "0"]]},
+            "Zero": {"basis": []},
+        },
+        "ortho": {"P": {"one": "A", "zero": "Zero"}, "R": {"one": "B", "zero": "Zero"}},
+        "operators": {
+            "T": {"dom": "A", "matrix": [["1", "0", "-2/3"], ["0", "1", "0"], ["5", "0", "1"]]}
+        },
+    },
+    Field.Qi: {
+        "field": "Qi",
+        "ambient_dim": 2,
+        "subspaces": {"A": {"basis": [["1", "1i"]]}, "B": {"basis": [["1", "-1i"]]}},
+        "ortho": {"P": {"one": "A", "zero": "B"}},
+        "operators": {"T": {"dom": "A", "matrix": [["1/2", "1-1/3i"], ["0", "2i"]]}},
+    },
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_file_is_loaded_with_no_second_check(field, tmp_path, coerce_calls, rref_calls):
+    """``Field.parse`` builds each scalar of a file or a vector argument
+    exact, and the loader stores what it parsed with no second check:
+    the only entries coerced are those of the canonical bases that
+    ``rref`` builds for the file's subspaces."""
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps(FILES[field]))
+    del coerce_calls[:]
+    inst = load_instances(str(path))
+    x = _parse_vector(field, inst.ambient_dim, ", ".join(["1/3"] * inst.ambient_dim))
+    calls = len(coerce_calls)
+    assert len(rref_calls) == 2
+    assert calls == sum(len(rref(m)[0].entries) for (m,) in rref_calls)
+    assert set(inst.subspaces) == set(FILES[field]["subspaces"]) and set(inst.operators) == {"T"}
+    assert x == Vector(field, [F(1, 3)] * inst.ambient_dim)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_the_public_constructors_still_coerce(field, coerce_calls):
     kind = F if field is Field.Q else GaussianRational
@@ -101,9 +147,11 @@ def test_the_public_constructors_still_coerce(field, coerce_calls):
 
 # ``coerce`` calls of one in-process ``check --random 4 4 7 --laws SUITE``,
 # at most.  They were 4,138, 4,555 and 2,350 while every arithmetic
-# result still went through the public constructor; a re-coercion that
-# creeps back in fails here without a timing run.
-CHECK_COERCE_CEILING = {"comm": 1_402, "pls": 238, "order": 814}
+# result still went through the public constructor, and 669, 218 and 216
+# while the generators' draws did; what is left comes from ``rref``'s
+# canonical bases and the other checked sites of ``test_checked_sites``.
+# A re-coercion that creeps back in fails here without a timing run.
+CHECK_COERCE_CEILING = {"comm": 637, "pls": 154, "order": 216}
 
 
 @pytest.mark.parametrize("suite", CHECK_COERCE_CEILING)

@@ -2,7 +2,10 @@
 
 Everything is driven by an explicit random.Random, so a seed pins the
 whole sample.  Scalar entries are small rationals: numerators in
--3..3, denominators in 1..3.  Besides plain uniform sampling there are
+-3..3, denominators in 1..3, each taken from a table of those 21
+fractions by two draws that consume the stream as two ``randint`` calls
+would, so a seed draws the same scalars it always has (a Q(i) scalar is
+two of them).  Besides plain uniform sampling there are
 shaped generators whose outputs satisfy the hypotheses of the
 conditional laws by construction (ordered pairs, orthogonal total
 pairs, commuting projections); without them the conditional clauses
@@ -52,13 +55,19 @@ def rng_from(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
 
 
-def random_scalar(rng: random.Random, field: Field) -> Scalar:
-    def frac() -> Fraction:
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+# The drawn fractions p/q, p in -3..3 and q in 1..3, at [p + 3][q - 1].
+_SMALL = tuple(tuple(Fraction(p, q) for q in (1, 2, 3)) for p in range(-3, 4))
+_NUMERATORS, _DENOMINATORS = range(7), range(3)
 
+
+def random_scalar(rng: random.Random, field: Field) -> Scalar:
+    # rng.choice(range(w)) draws _randbelow(w), as rng.randint does over w
+    # values, so the stream is the one that Fraction(randint(-3, 3),
+    # randint(1, 3)) consumed.
+    re = _SMALL[rng.choice(_NUMERATORS)][rng.choice(_DENOMINATORS)]
     if field is Field.Qi:
-        return GaussianRational(frac(), frac())
-    return frac()
+        return GaussianRational(re, _SMALL[rng.choice(_NUMERATORS)][rng.choice(_DENOMINATORS)])
+    return re
 
 
 def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:

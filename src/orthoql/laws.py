@@ -18,7 +18,14 @@ gets its line even with nothing to check, runs the generator inside one
 returns.  So equal operands share their meets, joins and orders for the
 length of the run and no longer; a subspace keeps its own
 orthocomplement and projector, and a pair keeps nothing of its
-projection, which is built anew wherever a suite asks for it.  The
+projection, which is built anew wherever a suite asks for it.
+
+A verdict's operands and witness are text, or a zero-argument callable
+that builds it.  ``check_clql``, ``check_complql`` and ``check_pls``
+pass a ``functools.partial`` of ``str.format`` over their operands, and
+``LawResult.record`` calls it only for a violation, so the reprs of
+subspaces, pairs and scalars are built for no instance that holds; the
+text is byte for byte the f-string it stands for.  The
 clause calculi of ``partial_op`` (the order characterization, commuting
 projections and Cor. 7) return plain {clause: (applicable, holds,
 detail)} maps, whose entries ``check_lescomp`` and ``check_comm`` pass
@@ -39,7 +46,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from orthoql.generators import _modular_triples
 from orthoql.linalg import _check_size
@@ -93,6 +100,14 @@ __all__ = [
 ]
 
 
+# A violation's text, or a zero-argument callable that builds it.
+Text = Union[str, Callable[[], str]]
+
+
+def _resolved(text: Text) -> str:
+    return text() if callable(text) else text
+
+
 @dataclass
 class Violation:
     operands: str
@@ -106,12 +121,15 @@ class LawResult:
     hypothesis_met: int = 0
     violations: list = dc_field(default_factory=list)
 
-    def record(self, applicable: bool, holds: bool, operands: str = "", witness: str = ""):
+    def record(self, applicable: bool, holds: bool, operands: Text = "", witness: Text = ""):
+        """Count one verdict.  ``operands`` and ``witness`` are text or
+        zero-argument callables that return it, resolved only for a
+        violation."""
         self.instances += 1
         if applicable:
             self.hypothesis_met += 1
             if not holds:
-                self.violations.append(Violation(operands, witness))
+                self.violations.append(Violation(_resolved(operands), _resolved(witness)))
 
     @property
     def expected_fail(self) -> bool:
@@ -267,7 +285,7 @@ def check_clql(instances: Sequence[tuple[Subspace, Subspace, Subspace]]):
         top = Subspace.full(first.field, first.ambient_dim)
         yield "clql0", first.ambient_dim >= 1, bottom != top, "ambient"
     for l, m, n in instances:
-        ops = f"L={l!r} M={m!r} N={n!r}"
+        ops = functools.partial("L={!r} M={!r} N={!r}".format, l, m, n)
         top = Subspace.full(l.field, l.ambient_dim)
         bottom = Subspace.zero(l.field, l.ambient_dim)
         meet = l.meet(m)
@@ -337,7 +355,7 @@ def check_complql(
             n >= 1,
             bottom.is_total and top.is_total and apart,
             "ambient",
-            repr(witness),
+            functools.partial(repr, witness),
         )
         yield (
             "corcomplql_iii",
@@ -352,7 +370,7 @@ def check_complql(
             "ambient",
         )
     for l, m, n_pair in instances:
-        ops = f"L={l!r} M={m!r} N={n_pair!r}"
+        ops = functools.partial("L={!r} M={!r} N={!r}".format, l, m, n_pair)
         field, dim = l.field, l.ambient_dim
         bottom = OrthoSubspace.bottom(field, dim)
         top = OrthoSubspace.top(field, dim)
@@ -468,7 +486,7 @@ def check_pls(ops: Sequence[PartialOperator], ks: Sequence[Scalar]):
         w = ops[(idx + 2) % count]
         k = ks[idx % len(ks)]
         k2 = ks[(idx + 1) % len(ks)]
-        opers = f"T=#{idx} U=#{(idx + 1) % count} k={k} k2={k2}"
+        opers = functools.partial("T=#{} U=#{} k={} k2={}".format, idx, (idx + 1) % count, k, k2)
 
         linear = (
             op_eq(pls_add(t, u), pls_add(u, t))

@@ -4,7 +4,12 @@ An element is a pair (one, zero) of subspaces that are orthogonal to
 each other: "one" carries the vectors regarded as fully inside, "zero"
 the vectors regarded as fully outside, and their join is the domain on
 which membership is decided.  Pairs where the domain is the whole
-ambient space are called total.  The complement simply swaps the two
+ambient space are called total.  Orthogonal parts are independent, so a
+pair whose ranks add up to the ambient dimension is total, and its
+domain is read off the ranks as ``Subspace.full`` with no join
+computed; every reader of ``dom`` (``is_total``, ``local_zero``,
+``local_one`` and the projection built on the pair) takes it from
+there.  The complement simply swaps the two
 components, which makes it an involution by construction; the
 interesting content is how it interacts with meet and join, and that
 is what the law battery in :mod:`orthoql.laws` exercises.
@@ -100,9 +105,16 @@ class OrthoSubspace:
 
     @property
     def dom(self) -> Subspace:
-        """Join of the two components: where membership is settled."""
+        """Join of the two components: where membership is settled.  The
+        parts are orthogonal, so independent: when their ranks add up to
+        the ambient dimension the join is the whole space, with no
+        elimination."""
         if self._dom is None:
-            self._dom = self.one.join(self.zero)
+            one, zero = self.one, self.zero
+            if one.rank + zero.rank == one.ambient_dim:
+                self._dom = Subspace.full(one.field, one.ambient_dim)
+            else:
+                self._dom = one.join(zero)
         return self._dom
 
     @property

@@ -23,7 +23,7 @@ images``, which is ``rows @ matrix^T`` exactly, for any rows, in the
 domain or not.  So the partial linear structure, composition and the
 order calculus's sample values act on the integer forms alone, and
 the private ``PartialOperator._of`` stores each result with its gcd
-divided out once.
+divided out once, and with no division pass when that gcd is already 1.
 
 Projections defined on a domain that splits as (fixed part) + (killed
 part) correspond exactly to orthogonal pairs of subspaces, and a
@@ -140,7 +140,10 @@ class PartialOperator:
         stored with their gcd divided out and no check."""
         t = object.__new__(cls)
         g = gcd(den, *nums)
-        t.dom, t.den, t.nums = dom, den // g, tuple(x // g for x in nums)
+        if g == 1:
+            t.dom, t.den, t.nums = dom, den, tuple(nums)
+        else:
+            t.dom, t.den, t.nums = dom, den // g, tuple(x // g for x in nums)
         return t
 
     @classmethod

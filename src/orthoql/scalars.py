@@ -7,6 +7,9 @@ one positive denominator, held as three ints and reduced by one routine,
 and reductions go through.  Their parts are read as fractions through
 ``re`` and ``im``.  Both kinds are immutable, always reduced, and
 compared bit for bit: there is no tolerance anywhere in this package.
+Because no scalar changes once built, ``Field.zero`` and ``Field.one``
+hand out one shared constant per field instead of building a new one on
+each read.
 """
 
 from __future__ import annotations
@@ -218,6 +221,11 @@ def scalar_text(a: Scalar) -> str:
     return _frac_text(a)
 
 
+# Each field's zero and one, built once and shared: scalars are immutable.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+_QI_ZERO, _QI_ONE = GaussianRational(0), GaussianRational(1)
+
+
 class Field(enum.Enum):
     """Coefficient field tag.  All scalars in one computation share one."""
 
@@ -226,11 +234,11 @@ class Field(enum.Enum):
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self is Field.Q else GaussianRational(0)
+        return _Q_ZERO if self is Field.Q else _QI_ZERO
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self is Field.Q else GaussianRational(1)
+        return _Q_ONE if self is Field.Q else _QI_ONE
 
     def coerce(self, value) -> Scalar:
         """Normalize an int, a Fraction or a GaussianRational into this

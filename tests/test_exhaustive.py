@@ -180,6 +180,20 @@ def test_the_family_and_its_orthogonal_pairs_agree_with_the_oracle(field):
     assert fam.orthogonal == orthogonal
 
 
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_every_orthogonal_pair_has_the_domain_its_parts_join_to(field):
+    # ``dom`` reads a total domain off the ranks; each pair is built
+    # anew, so its domain is not yet known, and the join comes from the
+    # parts themselves.
+    n = SPACES[field][0]
+    fam = built(field)
+    for a, b in fam.orthogonal:
+        one, zero = fam.subs[a], fam.subs[b]
+        pair = OrthoSubspace(one, zero)
+        assert pair.dom == one.join(zero), (a, b)
+        assert pair.is_total == oracle.o_total((sub_to_oracle(one), sub_to_oracle(zero)), n)
+
+
 # --- the law slices ------------------------------------------------------
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

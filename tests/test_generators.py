@@ -1,6 +1,9 @@
 """Sanity checks for the instance generators: determinism, validity of
 what they emit, and coverage of the hypotheses the law suites gate on."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import conjugated
@@ -17,6 +20,7 @@ from orthoql.generators import (
     random_ortho,
     random_partial_operator,
     random_partial_projection,
+    random_scalar,
     random_subspace,
     random_subspace_within,
     random_vector,
@@ -25,8 +29,27 @@ from orthoql.generators import (
 from orthoql.linalg import Matrix
 from orthoql.ortho import OrthoSubspace, o_leq, o_neg
 from orthoql.partial_op import PartialProjection, compose, op_eq, projection_of
-from orthoql.scalars import Field
+from orthoql.scalars import Field, GaussianRational
 from orthoql.subspace import Subspace, perp_rel
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_a_drawn_scalar_is_the_two_randint_fraction_from_the_same_stream(field):
+    # The table draw must consume the random stream exactly as the
+    # fraction of two randint calls did, scalar by scalar.
+    def written_out(rng):
+        def frac():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+        return GaussianRational(frac(), frac()) if field is Field.Qi else frac()
+
+    kind = GaussianRational if field is Field.Qi else Fraction
+    for seed in range(200):
+        drawn, want = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            x = random_scalar(drawn, field)
+            assert type(x) is kind and x == written_out(want), seed
+            assert drawn.getstate() == want.getstate(), seed
 
 
 def test_same_seed_same_stream():

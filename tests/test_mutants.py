@@ -24,9 +24,9 @@ import pytest
 
 import oracle
 from conftest import to_mat, to_num, to_vec
-from orthoql import linalg, ortho, partial_op, scalars, subspace
+from orthoql import laws, linalg, ortho, partial_op, scalars, subspace
 from orthoql.cli import load_instances
-from orthoql.laws import check_catalog, check_complql
+from orthoql.laws import check_catalog, check_clql, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection, check_order, norm_sq_is_one, pls_add, pls_scale
@@ -166,6 +166,24 @@ def values():
     assert fifths()(Vector(Field.Q, [1, 0, 0])) == Vector(Field.Q, [fifth, 2 * fifth, 0])
 
 
+def short_ranks():
+    # Two orthogonal lines of Q^3: their ranks add up to 2, one short of
+    # 3, so the pair is not total and its domain is the plane they span.
+    pair = OrthoSubspace(q(3, [1, 0, 0]), q(3, [0, 1, 0]))
+    assert not pair.is_total and pair.dom == q(3, [1, 0, 0], [0, 1, 0])
+
+
+def clql_violation_text():
+    # Under the meet mutant two crossing planes of Q^3 meet in zero, so
+    # their common line N lies below both but not below their meet, and
+    # clql1 fails; its violation names the operands as the f-string does.
+    l, m, n = q(3, [1, 0, 0], [0, 1, 0]), q(3, [0, 1, 0], [0, 0, 1]), q(3, [0, 1, 0])
+    with pytest.MonkeyPatch.context() as patch:
+        _swap(patch, *MEET_OF_INCOMPARABLES_IS_ZERO)
+        violations = check_clql([(l, m, n)]).results["clql1"].violations
+    assert [v.operands for v in violations] == [f"L={l!r} M={m!r} N={n!r}"]
+
+
 # --- the table -------------------------------------------------------------
 
 # Three edits that more than one probe kills: (function, source text,
@@ -268,10 +286,12 @@ MUTANTS = {
         "True",
         distinct_ambients,
     ),
+    # Every form then skips the division; operator_contract's
+    # primitivity check fails before the probe's own comparison.
     "operator-form-keeps-its-gcd": (
         partial_op.PartialOperator._of.__func__,
-        "g = gcd(den, *nums)",
-        "g = 1",
+        "if g == 1:",
+        "if g >= 1:",
         one_form,
     ),
     "scale-multiplies-den-by-the-numerator": (
@@ -297,6 +317,18 @@ MUTANTS = {
         "up = l1 * dm1 * dm1 <= m1 * dl1 * dl1",
         "up = l1 <= m1",
         ordered_norms,
+    ),
+    "dom-full-from-short-ranks": (
+        ortho.OrthoSubspace.dom.fget,
+        "== one.ambient_dim",
+        ">= one.ambient_dim - 1",
+        short_ranks,
+    ),
+    "violation-text-left-unresolved": (
+        laws.LawResult.record,
+        "Violation(_resolved(operands), ",
+        "Violation(operands, ",
+        clql_violation_text,
     ),
 }
 

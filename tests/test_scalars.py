@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import is_canonical, to_num
+from orthoql.cli import cmd_check, main
 from orthoql.errors import AmbientMismatch, ParseError
 from orthoql.linalg import Matrix, Vector, inner
 from orthoql.ortho import OrthoSubspace
@@ -171,10 +172,29 @@ def test_mixed_arithmetic_with_plain_numbers():
 
 def test_field_constants():
     assert is_zero(Field.Q.zero) and is_zero(Field.Qi.zero)
+    # One shared zero and one per field: scalars are immutable.
+    assert all(f.zero is f.zero and f.one is f.one for f in Field)
     assert Field.Q.one == Fraction(1)
     assert Field.Qi.one == GaussianRational(1)
     assert scalar_text(Field.Q.coerce(7)) == "7/1"
     assert scalar_text(Field.Qi.coerce(7)) == "7/1+0/1i"
+
+
+def test_a_law_run_leaves_the_shared_constants_as_they_were(capsys):
+    # Every suite over Q through the command line, and over Q(i) through
+    # cmd_check, since --random draws over Q only.
+    assert main(["check", "--random", "3", "4", "7", "--laws", "all"]) == 0
+    assert cmd_check(None, (3, 4, 7), "all", "text", Field.Qi) == 0
+    assert capsys.readouterr().out.count("result: ok") == 2
+    q, qi = Field.Q, Field.Qi
+    assert [(type(x), x.numerator, x.denominator) for x in (q.zero, q.one)] == [
+        (Fraction, 0, 1),
+        (Fraction, 1, 1),
+    ]
+    assert [(type(z), z._a, z._b, z._d) for z in (qi.zero, qi.one)] == [
+        (GaussianRational, 0, 0, 1),
+        (GaussianRational, 1, 0, 1),
+    ]
 
 
 # --- Q(i) scalars against the oracle ---------------------------------------

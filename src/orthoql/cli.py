@@ -3,12 +3,18 @@
 Instance files are JSON: a coefficient field tag, an ambient dimension,
 named subspaces given by spanning rows of scalar strings, named
 orthogonal pairs referencing two subspace names, and named operators
-referencing a domain name plus a square matrix.  Every load fully
-validates the instances, so a file that parses is safe to compute with.
-``Field.parse`` is the one check of each scalar, in a file or in a
-vector argument: it builds the entry exact, and the loader, once it has
-checked the shapes, stores the parsed rows, matrices and vectors with
-``Matrix._of``/``Vector._of``, coercing nothing again.
+referencing a domain name plus a square matrix.  Every load checks the
+whole file, whichever objects the command names, so a file that loads
+is safe to compute with: every scalar, shape, name and reference, and
+the orthogonality of each pair, decided on its parts' spanning rows
+(orthogonality is bilinear, so no basis is reduced for it).  The named
+subspaces, pairs and operators are then built lazily: each the first
+time a command reads it, and kept, so a command pays for the objects it
+reads.  ``Field.parse`` is the one check of each scalar, in a file or
+in a vector argument, run once per distinct text of a file: it builds
+the entry exact, and the loader, once it has checked the shapes, stores
+the parsed rows, matrices and vectors with ``Matrix._of``/``Vector._of``,
+coercing nothing again.
 
 Reports are printed to stdout and are byte-identical for identical
 inputs; wall-clock timing goes to stderr, which keeps stdout
@@ -30,7 +36,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from orthoql import laws
@@ -93,18 +100,50 @@ MAX_RANDOM_COUNT = 10000
 
 # --- instance files ----------------------------------------------------
 
+class _Built(Mapping):
+    """Named objects, each built from its checked source the first time
+    it is read and then kept, so a name read twice is the same object.
+    Membership, iteration and length read the names alone."""
+
+    __slots__ = ("_build", "_sources", "_built")
+
+    def __init__(self, build, sources: dict):
+        self._build, self._sources, self._built = build, sources, {}
+
+    def __getitem__(self, name):
+        try:
+            return self._built[name]
+        except KeyError:
+            source = self._sources[name]
+        built = self._built[name] = self._build(source)
+        return built
+
+    def __contains__(self, name) -> bool:
+        return name in self._sources
+
+    def __iter__(self):
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
 @dataclass
 class InstanceFile:
+    """A loaded file: its field, its dimension and its named objects, as
+    read-only mappings that ``load_instances`` fills lazily."""
+
     field: Field
     ambient_dim: int
-    subspaces: dict = dc_field(default_factory=dict)
-    ortho: dict = dc_field(default_factory=dict)
-    operators: dict = dc_field(default_factory=dict)
+    subspaces: Mapping
+    ortho: Mapping
+    operators: Mapping
 
 
-def _parse_rows(fld: Field, dim: int, rows, where: str) -> Matrix:
+def _parse_rows(fld: Field, dim: int, rows, where: str, parsed: dict) -> Matrix:
     """The matrix of ``rows``, each a list of ``dim`` scalar strings.
-    ``Field.parse`` builds each entry exact, and the shape is checked
+    ``Field.parse`` builds each entry exact, once per distinct text of
+    the file (``parsed`` keeps what it built), and the shape is checked
     here, so the matrix is stored with no second check."""
     if not isinstance(rows, list):
         raise ParseError(f"{where}: expected a list of rows")
@@ -112,11 +151,23 @@ def _parse_rows(fld: Field, dim: int, rows, where: str) -> Matrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {i} must list {dim} scalars")
-        try:
-            out += [fld.parse(str(s)) for s in row]
-        except ParseError as exc:
-            raise ParseError(f"{where}: row {i}: {exc}") from None
+        for s in row:
+            text = str(s)
+            x = parsed.get(text)
+            if x is None:
+                try:
+                    x = parsed[text] = fld.parse(text)
+                except ParseError as exc:
+                    raise ParseError(f"{where}: row {i}: {exc}") from None
+            out.append(x)
     return Matrix._of(fld, len(rows), dim, out)
+
+
+def _orthogonal_rows(one: Matrix, zero: Matrix) -> bool:
+    """Whether the spans of two sets of rows are orthogonal: by
+    bilinearity, whether each row of one is orthogonal to each row of
+    the other, with no basis of either span computed."""
+    return (one @ zero.conj_transpose()).is_zero
 
 
 def _section(raw: dict, key: str, path: str):
@@ -134,6 +185,14 @@ def _section(raw: dict, key: str, path: str):
 
 
 def load_instances(path: str) -> InstanceFile:
+    """The instance file at ``path``, checked whole: every scalar is
+    parsed and every shape, name and reference checked, and each pair's
+    parts are orthogonal on their spanning rows; the first defect raises
+    ``ParseError``.  Each subspace, pair and operator is built from its
+    checked rows the first time a command reads it, a pair's parts and
+    an operator's domain as the file's subspaces of those names.  None
+    of these builds can fail: they are the checked spans, an orthogonal
+    pair of them, and a square matrix of the file's dimension on one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -158,49 +217,62 @@ def load_instances(path: str) -> InstanceFile:
     if dim > MAX_DIM:
         raise ParseError(f"{path}: ambient_dim may be at most {MAX_DIM}")
 
-    inst = InstanceFile(fld, dim)
+    parsed = {}
+    rows = {}
     for name, body in _section(raw, "subspaces", path):
         if "basis" not in body:
             raise ParseError(f"subspace {name!r}: missing key 'basis'")
-        rows = _parse_rows(fld, dim, body["basis"], f"subspace {name!r}")
-        inst.subspaces[name] = Subspace(fld, dim, rows)
+        rows[name] = _parse_rows(fld, dim, body["basis"], f"subspace {name!r}", parsed)
 
+    pairs = {}
     for name, body in _section(raw, "ortho", path):
-        if name in inst.subspaces:
+        if name in rows:
             raise ParseError(f"ortho pair {name!r}: the name is already a subspace's")
-        parts = []
+        refs = []
         for key in ("one", "zero"):
             if key not in body:
                 raise ParseError(f"ortho pair {name!r}: missing key {key!r}")
             ref = body[key]
-            if not isinstance(ref, str) or ref not in inst.subspaces:
+            if not isinstance(ref, str) or ref not in rows:
                 raise ParseError(
                     f"ortho pair {name!r}: {key} references unknown subspace {ref!r}"
                 )
-            parts.append(inst.subspaces[ref])
-        try:
-            inst.ortho[name] = OrthoSubspace(parts[0], parts[1])
-        except (ValueError, OrthoQLError) as exc:
-            raise ParseError(f"ortho pair {name!r}: {exc}") from None
+            refs.append(ref)
+        one, zero = refs
+        if not _orthogonal_rows(rows[one], rows[zero]):
+            raise ParseError(
+                f"ortho pair {name!r}: components of an orthogonal pair must be orthogonal"
+            )
+        pairs[name] = one, zero
 
+    matrices = {}
     for name, body in _section(raw, "operators", path):
         if "dom" not in body:
             raise ParseError(f"operator {name!r}: missing key 'dom'")
         ref = body["dom"]
-        if not isinstance(ref, str) or ref not in inst.subspaces:
+        if not isinstance(ref, str) or ref not in rows:
             raise ParseError(
                 f"operator {name!r}: dom references unknown subspace {ref!r}"
             )
         if "matrix" not in body:
             raise ParseError(f"operator {name!r}: missing key 'matrix'")
-        matrix = _parse_rows(fld, dim, body["matrix"], f"operator {name!r}")
+        matrix = _parse_rows(fld, dim, body["matrix"], f"operator {name!r}", parsed)
         if matrix.nrows != dim:
             raise ParseError(f"operator {name!r}: matrix must have {dim} rows")
-        try:
-            inst.operators[name] = PartialOperator.from_matrix(inst.subspaces[ref], matrix)
-        except OrthoQLError as exc:
-            raise ParseError(f"operator {name!r}: {exc}") from None
-    return inst
+        matrices[name] = ref, matrix
+
+    subspaces = _Built(functools.partial(Subspace, fld, dim), rows)
+
+    def build_pair(refs):
+        one, zero = refs
+        return OrthoSubspace._of(subspaces[one], subspaces[zero])
+
+    def build_operator(source):
+        dom, matrix = source
+        return PartialOperator.from_matrix(subspaces[dom], matrix)
+
+    ortho, operators = _Built(build_pair, pairs), _Built(build_operator, matrices)
+    return InstanceFile(fld, dim, subspaces, ortho, operators)
 
 
 def _basis_payload(sub: Subspace) -> list:

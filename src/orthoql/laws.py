@@ -27,9 +27,10 @@ pass a ``functools.partial`` of ``str.format`` over their operands, and
 subspaces, pairs and scalars are built for no instance that holds; the
 text is byte for byte the f-string it stands for.  The
 clause calculi of ``partial_op`` (the order characterization, commuting
-projections and Cor. 7) return plain {clause: (applicable, holds,
-detail)} maps, whose entries ``check_lescomp`` and ``check_comm`` pass
-on as verdicts.
+projections and Cor. 7) return {clause: (applicable, holds, detail)}
+maps, whose entries ``check_lescomp`` and ``check_comm`` pass on as
+verdicts; the commuting calculus hands the witness detail of a
+non-commuting pair over as a callable too.
 
 A small catalog of classical counterexamples (distributivity and the
 Heyting adjunction, one standard witness each) is kept separate: those

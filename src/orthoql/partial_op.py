@@ -647,12 +647,17 @@ def commuting_calculus(p: PartialProjection, q: PartialProjection) -> dict:
 
     Every clause assumes that p and q commute.  When the composites
     differ, all four clauses come back as hypothesis-not-met, and their
-    detail names the ``op_eq_witness`` of the two composites.
+    detail is a zero-argument callable that names the ``op_eq_witness``
+    of the two composites: a verdict whose hypothesis is not met is
+    never reported, so the witness is found only if it is asked for.
     """
     qp = compose(q, p)
     pq = compose(p, q)
     if not op_eq(qp, pq):
-        detail = f"the composites differ: witness={op_eq_witness(pq, qp)}"
+
+        def detail():
+            return f"the composites differ: witness={op_eq_witness(pq, qp)}"
+
         return {c: (False, True, detail) for c in COMM_CLAUSES}
     jp, jq = p.pair, q.pair
 

@@ -255,21 +255,22 @@ class Field(enum.Enum):
     def parse(self, text: str) -> Scalar:
         """The scalar that ``text`` writes, built from the integer groups
         of the one match that validated it: "p", "p/q", and over Q(i)
-        also "p/q+r/si" and "r/si"."""
+        also "p/q+r/si" and "r/si".  A Q(i) scalar is reduced straight
+        from those ints to its canonical triple, with no fraction built."""
         t = text.strip().replace(" ", "")
         try:
             m = _REAL_RE.match(t)
             if m:
-                q = _fraction(*m.groups())
-                return q if self is Field.Q else GaussianRational(q)
+                if self is Field.Q:
+                    return _fraction(*m.groups())
+                return _gaussian_of(*m.groups(), "0", None)
             if self is Field.Qi:
                 m = _FULL_RE.match(t)
                 if m:
-                    g = m.groups()
-                    return GaussianRational(_fraction(*g[:2]), _fraction(*g[2:]))
+                    return _gaussian_of(*m.groups())
                 m = _IMAG_RE.match(t)
                 if m:
-                    return GaussianRational(0, _fraction(*m.groups()))
+                    return _gaussian_of("0", None, *m.groups())
         except ZeroDivisionError:
             raise ParseError(f"{text!r} has a zero denominator") from None
         except ValueError:
@@ -282,3 +283,20 @@ class Field(enum.Enum):
 def _fraction(num: str, den: Optional[str]) -> Fraction:
     """The fraction of a matched numerator group and denominator group."""
     return Fraction(int(num), int(den) if den else 1)
+
+
+def _gaussian_of(a: str, b: Optional[str], c: str, d: Optional[str]) -> GaussianRational:
+    """``a/b + (c/d) i`` from matched numerator and denominator groups
+    (an absent denominator is 1), as the triple ``(a d + c b i) / b d``.
+    The groups are read in ``_fraction``'s order, so a text that is both
+    overlong and over zero fails as the fractions did."""
+    (a, b), (c, d) = _ints(a, b), _ints(c, d)
+    return _gaussian(a * d, c * b, b * d)
+
+
+def _ints(num: str, den: Optional[str]) -> tuple[int, int]:
+    """The numerator and nonzero denominator of a matched rational."""
+    n, d = int(num), int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    return n, d

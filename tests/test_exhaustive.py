@@ -26,13 +26,16 @@ mutants that a slice of the family kills.
 
 import functools
 import itertools
+import operator
 import random
 
 import pytest
 
 import oracle
 from conftest import sub_to_oracle, to_vec
+from orthoql.cli import _orthogonal_rows
 from orthoql.laws import CLQL_LAWS, check_clql, check_comm, check_complql, check_lescomp
+from orthoql.linalg import Matrix
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_minus
 from orthoql.partial_op import projection_of
 from orthoql.scalars import Field, GaussianRational
@@ -192,6 +195,49 @@ def test_every_orthogonal_pair_has_the_domain_its_parts_join_to(field):
         pair = OrthoSubspace(one, zero)
         assert pair.dom == one.join(zero), (a, b)
         assert pair.is_total == oracle.o_total((sub_to_oracle(one), sub_to_oracle(zero)), n)
+
+
+def spanning_sets(field):
+    """Three spanning sets of each family member, as matrices of raw
+    rows: the first combination of directions that spans it, then that
+    with a zero row added, and with a dependent row (the sum of its
+    first and last rows) added."""
+    n, units = SPACES[field]
+    first = {}
+    for k in range(n + 1):
+        for rows in itertools.combinations(directions(n, units), k):
+            first.setdefault(Subspace(field, n, rows), list(rows))
+    zero = (0,) * n
+    sets = []
+    for rows in first.values():
+        dependent = tuple(map(operator.add, rows[0], rows[-1])) if rows else zero
+        sets.append(
+            [
+                Matrix(field, len(r), n, [e for row in r for e in row])
+                for r in (rows, rows + [zero], rows + [dependent])
+            ]
+        )
+    return sets
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.Qi])
+def test_orthogonality_on_spanning_rows_agrees_with_perp_rel(field):
+    # The file loader decides a pair on its parts' spanning rows, with no
+    # basis reduced; zero and dependent rows change no verdict.  Each
+    # spanning set of each member meets one of every other member's, and
+    # every pairing of the three kinds occurs.
+    n = SPACES[field][0]
+    sets = spanning_sets(field)
+    subs = built(field).subs
+    assert [[Subspace(field, n, m) for m in member] for member in sets] == [[s] * 3 for s in subs]
+    orthogonal = 0
+    for x, a_sets in zip(subs, sets):
+        for j, (y, b_sets) in enumerate(zip(subs, sets)):
+            for k, a in enumerate(a_sets):
+                got = _orthogonal_rows(a, b_sets[(j + k) % 3])
+                assert got == perp_rel(x, y)
+                orthogonal += got
+    assert orthogonal == 3 * len(built(field).orthogonal)
 
 
 # --- the law slices ------------------------------------------------------

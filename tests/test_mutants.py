@@ -13,7 +13,9 @@ and must fail with an ``AssertionError`` under its mutant.  A row whose
 text no longer occurs in the source fails, and is then rewritten against
 the new code rather than dropped."""
 
+import contextlib
 import inspect
+import io
 import json
 import tempfile
 import textwrap
@@ -24,8 +26,8 @@ import pytest
 
 import oracle
 from conftest import to_mat, to_num, to_vec
-from orthoql import laws, linalg, ortho, partial_op, scalars, subspace
-from orthoql.cli import load_instances
+from orthoql import cli, laws, linalg, ortho, partial_op, scalars, subspace
+from orthoql.cli import load_instances, main
 from orthoql.laws import check_catalog, check_clql, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
@@ -86,15 +88,38 @@ def reduced_row():
     assert q(2, [2, 3]).basis.entries == (1, Fraction(3, 2))
 
 
-def loaded_file():
-    # Whole-number scalars in a Q file: the loader stores what the parser
-    # builds with no second check, so each must be a Fraction already.
-    document = {"field": "Q", "ambient_dim": 2, "subspaces": {"A": {"basis": [["2", "1/3"]]}}}
+def saved(document, use):
+    """``use(path)`` with ``document`` saved as an instance file at ``path``."""
     with tempfile.TemporaryDirectory() as folder:
         path = f"{folder}/instances.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(document, fh)
-        assert load_instances(path).subspaces["A"] == q(2, [6, 1])
+        return use(path)
+
+
+def loaded_file():
+    # Whole-number scalars in a Q file: the loader stores what the parser
+    # builds with no second check, so each must be a Fraction already.
+    document = {"field": "Q", "ambient_dim": 2, "subspaces": {"A": {"basis": [["2", "1/3"]]}}}
+    assert saved(document, load_instances).subspaces["A"] == q(2, [6, 1])
+
+
+def unnamed_skew_pair():
+    # A pair whose parts are not orthogonal: the command names another
+    # object, which loads fine, but the file is refused whole.
+    document = {
+        "field": "Q",
+        "ambient_dim": 2,
+        "subspaces": {"A": {"basis": [["1", "0"]]}, "B": {"basis": [["1", "1"]]}},
+        "ortho": {"P": {"one": "A", "zero": "B"}},
+    }
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert saved(document, lambda path: main(["op", "neg", "A", "--file", path])) == 2
+
+
+def gaussian_parse():
+    z = Field.Qi.parse("1/2+1/3i")
+    assert (z._a, z._b, z._d) == (3, 2, 6)
 
 
 def zero_matrix():
@@ -232,6 +257,18 @@ MUTANTS = {
         "return Fraction(int(num), int(den) if den else 1)",
         "return Fraction(int(num), int(den)) if den else int(num)",
         loaded_file,
+    ),
+    "file-pair-orthogonal-on-any-rows": (
+        cli._orthogonal_rows,
+        "return (one @ zero.conj_transpose()).is_zero",
+        "return True",
+        unnamed_skew_pair,
+    ),
+    "gaussian-parse-drops-a-denominator": (
+        scalars._gaussian_of,
+        "b * d",
+        "d",
+        gaussian_parse,
     ),
     "products-add-the-real-cross-term": (
         linalg._products,

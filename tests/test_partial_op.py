@@ -844,8 +844,9 @@ def test_non_commuting_pair_meets_no_hypothesis_and_names_a_witness():
     assert verdicts(clauses) == {c: NOT_MET for c in COMM_CLAUSES}
     witness = op_eq_witness(compose(p, q), compose(q, p))
     assert witness is not None
+    # The detail is a callable, resolved only where a verdict is reported.
     for _, _, detail in clauses.values():
-        assert detail == f"the composites differ: witness={witness}"
+        assert detail() == f"the composites differ: witness={witness}"
 
 
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])

@@ -117,6 +117,45 @@ def test_a_gaussian_rational_parses_part_by_part(re_text, im_text, form):
     assert is_canonical(z) and (z.re, z.im) == want
 
 
+# Numerator and denominator groups: signs, zeros, a leading zero, a
+# denominator that cancels and one that is zero.
+SWEEP_NUMERATORS = ("0", "-0", "+0", "1", "+2", "-3", "6", "-12")
+SWEEP_DENOMINATORS = (None, "1", "2", "3", "4", "6", "08", "0")
+
+
+def sweep():
+    """(text, real groups, imaginary groups) of every "p", "p/q", "r/si"
+    and "p/q±r/si" over the groups above."""
+    rats = [(n, d) for n in SWEEP_NUMERATORS for d in SWEEP_DENOMINATORS]
+
+    def text(n, d):
+        return n if d is None else f"{n}/{d}"
+
+    for x in rats:
+        yield text(*x), x, ("0", None)
+        yield text(*x) + "i", ("0", None), x
+        for n, d in rats:
+            signed = n if n[0] in "+-" else "+" + n
+            yield f"{text(*x)}{text(signed, d)}i", x, (signed, d)
+
+
+def test_a_gaussian_rational_parses_to_the_triple_of_its_fractions():
+    # Field.parse reduces the matched ints straight to the triple; the
+    # parts as fractions, put together by the constructor, must agree.
+    checked = 0
+    for text, re_groups, im_groups in sweep():
+        try:
+            want = GaussianRational(*(Fraction(int(n), int(d or 1)) for n, d in (re_groups, im_groups)))
+        except ZeroDivisionError:
+            with pytest.raises(ParseError, match="zero denominator"):
+                Field.Qi.parse(text)
+            continue
+        z = Field.Qi.parse(text)
+        assert (z._a, z._b, z._d) == (want._a, want._b, want._d), text
+        checked += 1
+    assert checked == 2 * 56 + 56 * 56
+
+
 def test_unicode_digits_leading_zeros_and_signs_parse():
     assert Field.Q.parse("٣/٠٤") == Fraction(3, 4)
     assert Field.Q.parse("-007/014") == Fraction(-1, 2)

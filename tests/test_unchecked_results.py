@@ -117,12 +117,16 @@ FILES = {
 def test_a_file_is_loaded_with_no_second_check(field, tmp_path, coerce_calls, rref_calls):
     """``Field.parse`` builds each scalar of a file or a vector argument
     exact, and the loader stores what it parsed with no second check:
-    the only entries coerced are those of the canonical bases that
-    ``rref`` builds for the file's subspaces."""
+    once every loaded value has been read, and so built, the only
+    entries coerced are those of the canonical bases that ``rref``
+    builds for the file's nonzero subspaces."""
     path = tmp_path / "instances.json"
     path.write_text(json.dumps(FILES[field]))
     del coerce_calls[:]
     inst = load_instances(str(path))
+    for section in (inst.subspaces, inst.ortho, inst.operators):
+        for name in section:
+            section[name]
     x = _parse_vector(field, inst.ambient_dim, ", ".join(["1/3"] * inst.ambient_dim))
     calls = len(coerce_calls)
     assert len(rref_calls) == 2

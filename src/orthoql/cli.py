@@ -37,7 +37,6 @@ import json
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from orthoql import laws
@@ -54,7 +53,7 @@ from orthoql.generators import (
     random_scalar,
     rng_from,
 )
-from orthoql.linalg import Matrix, Vector
+from orthoql.linalg import Matrix, Vector, _conjugates, _form, _products, _rows
 from orthoql.ortho import (
     OrthoSubspace,
     o_eq,
@@ -128,16 +127,17 @@ class _Built(Mapping):
         return len(self._sources)
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(laws._Record):
     """A loaded file: its field, its dimension and its named objects, as
     read-only mappings that ``load_instances`` fills lazily."""
 
-    field: Field
-    ambient_dim: int
-    subspaces: Mapping
-    ortho: Mapping
-    operators: Mapping
+    __slots__ = ("field", "ambient_dim", "subspaces", "ortho", "operators")
+
+    def __init__(
+        self, field: Field, ambient_dim: int, subspaces: Mapping, ortho: Mapping, operators: Mapping
+    ):
+        self.field, self.ambient_dim = field, ambient_dim
+        self.subspaces, self.ortho, self.operators = subspaces, ortho, operators
 
 
 def _parse_rows(fld: Field, dim: int, rows, where: str, parsed: dict) -> Matrix:
@@ -166,8 +166,13 @@ def _parse_rows(fld: Field, dim: int, rows, where: str, parsed: dict) -> Matrix:
 def _orthogonal_rows(one: Matrix, zero: Matrix) -> bool:
     """Whether the spans of two sets of rows are orthogonal: by
     bilinearity, whether each row of one is orthogonal to each row of
-    the other, with no basis of either span computed."""
-    return (one @ zero.conj_transpose()).is_zero
+    the other, with no basis of either span computed.  Each product is
+    taken on the integer forms of the rows and the first nonzero one
+    decides; no scalar is built."""
+    fld, n = one.field, one.ncols
+    xs = _rows(fld, _form(fld, one.entries)[1], n)
+    ys = _conjugates(fld, _rows(fld, _form(fld, zero.entries)[1], n))
+    return not any(any(_products(fld, [x], [y])) for x in xs for y in ys)
 
 
 def _section(raw: dict, key: str, path: str):

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
 from orthoql.generators import _modular_triples
@@ -109,18 +108,48 @@ def _resolved(text: Text) -> str:
     return text() if callable(text) else text
 
 
-@dataclass
-class Violation:
-    operands: str
-    witness: str = ""
+class _Record:
+    """A record with the fields named in its ``__slots__``: equal to a
+    record of its own class whose fields are all equal, written as
+    ``Name(field=value, ...)``, and unhashable, since its fields can
+    change.  The records of ``laws`` and ``cli`` share it, so importing
+    the package costs no class generator."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class LawResult:
-    law: str
-    instances: int = 0
-    hypothesis_met: int = 0
-    violations: list = dc_field(default_factory=list)
+class Violation(_Record):
+    __slots__ = ("operands", "witness")
+
+    def __init__(self, operands: str, witness: str = ""):
+        self.operands, self.witness = operands, witness
+
+
+class LawResult(_Record):
+    __slots__ = ("law", "instances", "hypothesis_met", "violations")
+
+    def __init__(
+        self,
+        law: str,
+        instances: int = 0,
+        hypothesis_met: int = 0,
+        violations: Optional[list] = None,
+    ):
+        self.law, self.instances, self.hypothesis_met = law, instances, hypothesis_met
+        self.violations = [] if violations is None else violations
 
     def record(self, applicable: bool, holds: bool, operands: Text = "", witness: Text = ""):
         """Count one verdict.  ``operands`` and ``witness`` are text or
@@ -148,9 +177,11 @@ class LawResult:
         )
 
 
-@dataclass
-class LawReport:
-    results: dict = dc_field(default_factory=dict)
+class LawReport(_Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: Optional[dict] = None):
+        self.results = {} if results is None else results
 
     def result(self, law: str) -> LawResult:
         if law not in self.results:
@@ -603,13 +634,11 @@ def check_comm(
 
 # --- counterexample catalog -----------------------------------------------
 
-@dataclass
-class Counterexample:
-    law: str
-    operands: dict
-    lhs: Subspace
-    rhs: Subspace
-    note: str = ""
+class Counterexample(_Record):
+    __slots__ = ("law", "operands", "lhs", "rhs", "note")
+
+    def __init__(self, law: str, operands: dict, lhs: Subspace, rhs: Subspace, note: str = ""):
+        self.law, self.operands, self.lhs, self.rhs, self.note = law, operands, lhs, rhs, note
 
     def summary(self) -> str:
         binds = ", ".join(f"{k}={v!r}" for k, v in self.operands.items())

@@ -41,6 +41,8 @@ _RAT = r"([+-]?\d+)(?:/(\d+))?"
 _REAL_RE = re.compile(rf"^{_RAT}$")
 _FULL_RE = re.compile(rf"^{_RAT}([+-]\d+)(?:/(\d+))?i$")
 _IMAG_RE = re.compile(rf"^{_RAT}i$")
+# Whitespace between two digits: dropping it would join two numerals.
+_SPLIT_RE = re.compile(r"\d\s+\d")
 
 
 def _frac_text(q: Fraction) -> str:
@@ -255,8 +257,13 @@ class Field(enum.Enum):
     def parse(self, text: str) -> Scalar:
         """The scalar that ``text`` writes, built from the integer groups
         of the one match that validated it: "p", "p/q", and over Q(i)
-        also "p/q+r/si" and "r/si".  A Q(i) scalar is reduced straight
-        from those ints to its canonical triple, with no fraction built."""
+        also "p/q+r/si" and "r/si".  Spaces around the signs, the slash
+        and the text are dropped, but whitespace between two digits is
+        refused, so "1 2" is never read as 12.  A Q(i) scalar is reduced
+        straight from those ints to its canonical triple, with no
+        fraction built."""
+        if _split_numeral(text):
+            raise ParseError(f"{text!r} has whitespace between two digits")
         t = text.strip().replace(" ", "")
         try:
             m = _REAL_RE.match(t)
@@ -278,6 +285,11 @@ class Field(enum.Enum):
             # limit (sys.get_int_max_str_digits, 4300 by default).
             raise ParseError(f"scalar of {len(t)} characters has too many digits") from None
         raise ParseError(f"cannot parse {text!r} as a scalar over {self.value}")
+
+
+def _split_numeral(text: str) -> bool:
+    """Whether ``text`` holds whitespace between two digits."""
+    return _SPLIT_RE.search(text) is not None
 
 
 def _fraction(num: str, den: Optional[str]) -> Fraction:

@@ -475,6 +475,23 @@ def test_a_complex_scalar_cannot_enter_a_q_file(tmp_path, good_file, capsys, sca
     assert_rejected(capsys, "project", "L", f"(1,{scalar},0)", "--file", good_file)
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_a_space_between_two_digits_in_a_file(tmp_path, capsys, field):
+    for section, name, key in (("subspaces", "A", "basis"), ("operators", "T", "matrix")):
+        payload = json.loads(json.dumps(GOOD))
+        payload["field"] = field
+        payload[section][name][key][0][1] = "1 2"
+        line = assert_rejected(capsys, "check", "--file", write_instances(tmp_path, payload))
+        assert line.endswith("row 0: '1 2' has whitespace between two digits")
+
+
+@pytest.mark.parametrize("vector", ["(1 2,0,0)", "(1,1/2 3,0)"])
+def test_a_space_between_two_digits_in_a_vector(good_file, capsys, vector):
+    line = assert_rejected(capsys, "project", "L", vector, "--file", good_file)
+    assert line.startswith(f"error: vector {vector!r}: ") and "whitespace between two digits" in line
+    assert_rejected(capsys, "quotient", "L", "(1,0,0)", vector, "--file", good_file)
+
+
 @pytest.mark.parametrize("scalar", ["9" * 5000, "1/" + "7" * 5000 + "i"])
 def test_overlong_scalar_in_a_file(tmp_path, capsys, scalar):
     # Past CPython's integer-string digit limit int() raises ValueError.

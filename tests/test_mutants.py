@@ -28,7 +28,8 @@ import oracle
 from conftest import to_mat, to_num, to_vec
 from orthoql import cli, laws, linalg, ortho, partial_op, scalars, subspace
 from orthoql.cli import load_instances, main
-from orthoql.laws import check_catalog, check_clql, check_complql
+from orthoql.errors import ParseError
+from orthoql.laws import LawResult, check_catalog, check_clql, check_complql
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialProjection, check_order, norm_sq_is_one, pls_add, pls_scale
@@ -120,6 +121,20 @@ def unnamed_skew_pair():
 def gaussian_parse():
     z = Field.Qi.parse("1/2+1/3i")
     assert (z._a, z._b, z._d) == (3, 2, 6)
+
+
+def split_numeral():
+    # With the space dropped, "1 2" would be read as 12.
+    try:
+        value = Field.Q.parse("1 2")
+    except ParseError:
+        return
+    raise AssertionError(f"'1 2' parsed as {value}")
+
+
+def record_equality():
+    # Two results of one law that differ in their instance count alone.
+    assert LawResult("clql1", 1) != LawResult("clql1", 2)
 
 
 def zero_matrix():
@@ -260,7 +275,7 @@ MUTANTS = {
     ),
     "file-pair-orthogonal-on-any-rows": (
         cli._orthogonal_rows,
-        "return (one @ zero.conj_transpose()).is_zero",
+        "return not any(any(_products(fld, [x], [y])) for x in xs for y in ys)",
         "return True",
         unnamed_skew_pair,
     ),
@@ -269,6 +284,18 @@ MUTANTS = {
         "b * d",
         "d",
         gaussian_parse,
+    ),
+    "digit-space-check-skipped": (
+        scalars._split_numeral,
+        "return _SPLIT_RE.search(text) is not None",
+        "return False",
+        split_numeral,
+    ),
+    "record-equality-reads-the-first-field-only": (
+        laws._Record.__eq__,
+        "self._values() == other._values()",
+        "self._values()[:1] == other._values()[:1]",
+        record_equality,
     ),
     "products-add-the-real-cross-term": (
         linalg._products,

@@ -186,6 +186,25 @@ def test_parse_rejects_garbage(bad):
         Field.Qi.parse(bad)
 
 
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("text", ["1 2", "1/2 3", "1 2/3 4", " -1  2 ", "1/2\t3", "٣ ٤"])
+def test_whitespace_between_two_digits_is_a_parse_error(field, text):
+    # Dropping it would join two numerals: "1 2" would read as 12.
+    with pytest.raises(ParseError, match="whitespace between two digits"):
+        field.parse(text)
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_whitespace_elsewhere_is_dropped(field):
+    half = Fraction(1, 2)
+    cases = {" 1 ": 1, "1 /2": half, "1/ 2": half, "- 1": -1, " + 3 / 6 ": half}
+    for text, want in cases.items():
+        assert field.parse(text) == field.coerce(want), text
+    if field is Field.Qi:
+        assert field.parse("1/2 + 1/3i") == GaussianRational(Fraction(1, 2), Fraction(1, 3))
+        assert field.parse(" - 2 i") == GaussianRational(0, -2)
+
+
 def test_q_rejects_imaginary():
     with pytest.raises(ParseError):
         Field.Q.parse("1+2i")

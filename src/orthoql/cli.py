@@ -37,22 +37,9 @@ import json
 import sys
 import time
 from collections.abc import Mapping
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from orthoql import laws
-from orthoql.errors import NotInDomain, OrthoQLError, ParseError
-from orthoql.generators import (
-    clql_triples,
-    commuting_pairs,
-    complql_triples,
-    non_ordered_ortho_pairs,
-    ordered_ortho_pairs,
-    orthogonal_total_pair,
-    random_ortho,
-    random_partial_operator,
-    random_scalar,
-    rng_from,
-)
+from orthoql.errors import NotInDomain, OrthoQLError, ParseError, _Record
 from orthoql.linalg import Matrix, Vector, _conjugates, _form, _products, _rows
 from orthoql.ortho import (
     OrthoSubspace,
@@ -73,6 +60,12 @@ from orthoql.partial_op import (
 from orthoql.quotient import QuotientSpace
 from orthoql.scalars import Field, scalar_text
 from orthoql.subspace import Subspace
+
+# The law suites and the generators are imported only where a suite runs
+# or instances are drawn, so that the commands that do neither never
+# load them.
+if TYPE_CHECKING:
+    from orthoql import laws
 
 __all__ = [
     "EXIT_INTERNAL_ERROR",
@@ -127,7 +120,7 @@ class _Built(Mapping):
         return len(self._sources)
 
 
-class InstanceFile(laws._Record):
+class InstanceFile(_Record):
     """A loaded file: its field, its dimension and its named objects, as
     read-only mappings that ``load_instances`` fills lazily."""
 
@@ -409,6 +402,19 @@ def _check_suite(
     random_spec: Optional[tuple],
     fld: Field,
 ) -> laws.LawReport:
+    from orthoql import laws
+    from orthoql.generators import (
+        clql_triples,
+        commuting_pairs,
+        complql_triples,
+        non_ordered_ortho_pairs,
+        ordered_ortho_pairs,
+        orthogonal_total_pair,
+        random_partial_operator,
+        random_scalar,
+        rng_from,
+    )
+
     if random_spec is not None:
         dim, count, seed = random_spec
     else:
@@ -476,6 +482,8 @@ def cmd_check(
         raise ParseError(
             f"unknown law selector {selector!r}; expected one of {', '.join(_SELECTORS)}"
         )
+    from orthoql import laws
+
     selectors = _SELECTORS[:-1] if selector == "all" else (selector,)
     report = laws.LawReport()
     for sel in selectors:
@@ -528,6 +536,8 @@ def cmd_roundtrip(
     if inst is not None:
         pairs = [(name, inst.ortho[name]) for name in sorted(inst.ortho)]
     else:
+        from orthoql.generators import random_ortho, rng_from
+
         dim, count, seed = random_spec
         rng = rng_from(seed)
         pairs = [(f"#{i}", random_ortho(rng, fld, dim)) for i in range(count)]

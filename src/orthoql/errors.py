@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its records."""
 
 from __future__ import annotations
 
@@ -34,3 +34,27 @@ class NotInDomain(OrthoQLError):
 
 class ParseError(OrthoQLError):
     """Malformed textual input (scalar, vector, expression, or file)."""
+
+
+class _Record:
+    """A record with the fields named in its ``__slots__``: equal to a
+    record of its own class whose fields are all equal, written as
+    ``Name(field=value, ...)``, and unhashable, since its fields can
+    change.  The records of ``laws`` and ``cli`` share it, so importing
+    either costs no class generator, and the command line's
+    ``InstanceFile`` needs no ``laws``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

@@ -48,6 +48,7 @@ import functools
 import random
 from typing import Callable, Optional, Sequence, Union
 
+from orthoql.errors import _Record
 from orthoql.generators import _modular_triples
 from orthoql.linalg import _check_size
 from orthoql.ortho import (
@@ -106,29 +107,6 @@ Text = Union[str, Callable[[], str]]
 
 def _resolved(text: Text) -> str:
     return text() if callable(text) else text
-
-
-class _Record:
-    """A record with the fields named in its ``__slots__``: equal to a
-    record of its own class whose fields are all equal, written as
-    ``Name(field=value, ...)``, and unhashable, since its fields can
-    change.  The records of ``laws`` and ``cli`` share it, so importing
-    the package costs no class generator."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Violation(_Record):

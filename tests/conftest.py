@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import oracle
-from orthoql import linalg, partial_op, subspace
+from orthoql import linalg, partial_op, scalars, subspace
 from orthoql.linalg import Matrix, Vector
 from orthoql.ortho import OrthoSubspace
 from orthoql.partial_op import PartialOperator, PartialProjection
@@ -208,6 +208,30 @@ def scalar_contract():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Matrix, "_of", classmethod(matrix))
         patch.setattr(Vector, "_of", classmethod(vector))
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def gaussian_contract():
+    """Every ``GaussianRational`` that the package makes, through
+    ``_gaussian`` at each module that binds it (``scalars`` for the
+    arithmetic, ``linalg`` for products and reductions), holds its
+    canonical triple: ``d > 0`` and ``gcd(a, b, d) == 1``, asserted once
+    per distinct triple for the whole session."""
+    build = scalars._gaussian
+    seen = set()
+
+    def checked(a, b, d):
+        z = build(a, b, d)
+        key = z._a, z._b, z._d
+        if key not in seen:
+            assert is_canonical(z), f"not canonical: {key}, made from {(a, b, d)}"
+            seen.add(key)
+        return z
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (scalars, linalg):
+            patch.setattr(module, "_gaussian", checked)
         yield
 
 

@@ -26,7 +26,8 @@ import pytest
 
 import oracle
 from conftest import to_mat, to_num, to_vec
-from orthoql import cli, laws, linalg, ortho, partial_op, scalars, subspace
+import orthoql
+from orthoql import cli, errors, laws, linalg, ortho, partial_op, scalars, subspace
 from orthoql.cli import load_instances, main
 from orthoql.errors import ParseError
 from orthoql.laws import LawResult, check_catalog, check_clql, check_complql
@@ -135,6 +136,21 @@ def split_numeral():
 def record_equality():
     # Two results of one law that differ in their instance count alone.
     assert LawResult("clql1", 1) != LawResult("clql1", 2)
+
+
+def resolved_name():
+    # The package keeps a name once read; dropped from its namespace, the
+    # name is resolved afresh, and the namespace is left as it was found.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(vars(orthoql), "Subspace", Subspace)
+        patch.delitem(vars(orthoql), "Subspace")
+        assert orthoql.Subspace is orthoql.subspace.Subspace
+
+
+def reduced_gaussian():
+    # (1/2) * 2 is made as the triple (2, 0, 2) and reduced to (1, 0, 1).
+    z = GaussianRational(Fraction(1, 2)) * 2
+    assert (z._a, z._b, z._d) == (1, 0, 1)
 
 
 def zero_matrix():
@@ -292,10 +308,24 @@ MUTANTS = {
         split_numeral,
     ),
     "record-equality-reads-the-first-field-only": (
-        laws._Record.__eq__,
+        errors._Record.__eq__,
         "self._values() == other._values()",
         "self._values()[:1] == other._values()[:1]",
         record_equality,
+    ),
+    "package-name-resolves-to-its-module": (
+        orthoql.__getattr__,
+        "value = module if home == name else getattr(module, name)",
+        "value = module",
+        resolved_name,
+    ),
+    # Every triple then keeps its common factor; gaussian_contract's
+    # canonical-triple check fails before the probe's own comparison.
+    "gaussian-keeps-an-unreduced-triple": (
+        scalars._gaussian,
+        "if g == 1:",
+        "if g >= 1:",
+        reduced_gaussian,
     ),
     "products-add-the-real-cross-term": (
         linalg._products,

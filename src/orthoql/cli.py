@@ -6,9 +6,10 @@ orthogonal pairs referencing two subspace names, and named operators
 referencing a domain name plus a square matrix.  Every load checks the
 whole file, whichever objects the command names, so a file that loads
 is safe to compute with: every scalar, shape, name and reference, and
-the orthogonality of each pair, decided on its parts' spanning rows
-(orthogonality is bilinear, so no basis is reduced for it).  The named
-subspaces, pairs and operators are then built lazily: each the first
+the orthogonality of each pair, decided on its parts' spanning rows by
+``linalg._first_nonorthogonal``, the test that ``coperp_rel`` runs on
+bases (orthogonality is bilinear, so no basis is reduced for it).  The
+named subspaces, pairs and operators are then built lazily: each the first
 time a command reads it, and kept, so a command pays for the objects it
 reads.  ``Field.parse`` is the one check of each scalar, in a file or
 in a vector argument, run once per distinct text of a file: it builds
@@ -40,7 +41,7 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from orthoql.errors import NotInDomain, OrthoQLError, ParseError, _Record
-from orthoql.linalg import Matrix, Vector, _conjugates, _form, _products, _rows
+from orthoql.linalg import Matrix, Vector, _first_nonorthogonal, _form
 from orthoql.ortho import (
     OrthoSubspace,
     o_eq,
@@ -156,18 +157,6 @@ def _parse_rows(fld: Field, dim: int, rows, where: str, parsed: dict) -> Matrix:
     return Matrix._of(fld, len(rows), dim, out)
 
 
-def _orthogonal_rows(one: Matrix, zero: Matrix) -> bool:
-    """Whether the spans of two sets of rows are orthogonal: by
-    bilinearity, whether each row of one is orthogonal to each row of
-    the other, with no basis of either span computed.  Each product is
-    taken on the integer forms of the rows and the first nonzero one
-    decides; no scalar is built."""
-    fld, n = one.field, one.ncols
-    xs = _rows(fld, _form(fld, one.entries)[1], n)
-    ys = _conjugates(fld, _rows(fld, _form(fld, zero.entries)[1], n))
-    return not any(any(_products(fld, [x], [y])) for x in xs for y in ys)
-
-
 def _section(raw: dict, key: str, path: str):
     """The (name, body) entries of one named section; every body must be
     a JSON object."""
@@ -236,12 +225,12 @@ def load_instances(path: str) -> InstanceFile:
                     f"ortho pair {name!r}: {key} references unknown subspace {ref!r}"
                 )
             refs.append(ref)
-        one, zero = refs
-        if not _orthogonal_rows(rows[one], rows[zero]):
+        xs, ys = (_form(fld, rows[ref].entries)[1] for ref in refs)
+        if _first_nonorthogonal(fld, xs, ys, dim) is not None:
             raise ParseError(
                 f"ortho pair {name!r}: components of an orthogonal pair must be orthogonal"
             )
-        pairs[name] = one, zero
+        pairs[name] = tuple(refs)
 
     matrices = {}
     for name, body in _section(raw, "operators", path):

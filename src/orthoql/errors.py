@@ -47,13 +47,11 @@ class _Record:
     __slots__ = ()
     __hash__ = None
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -1,5 +1,7 @@
 """Seeded random instances for the law suites and the CLI.
 
+Every draw here is one that ``check --random`` or ``roundtrip --random``
+makes; draws that only the tests use live with the tests.
 Everything is driven by an explicit random.Random, so a seed pins the
 whole sample.  Scalar entries are small rationals: numerators in
 -3..3, denominators in 1..3, each taken from a table of those 21
@@ -10,10 +12,9 @@ shaped generators whose outputs satisfy the hypotheses of the
 conditional laws by construction (ordered pairs, orthogonal total
 pairs, commuting projections); without them the conditional clauses
 would be vacuous on random data.  Drawn scalars are exact by
-construction, so every vector, row set and matrix built from them (the
-drawn vectors, spanning rows, operator matrices and the skew-adjoint
-matrix of a Cayley unitary) is stored with ``Matrix._of`` or
-``Vector._of``, with no coerce.
+construction, so every row set and matrix built from them (spanning
+rows, operator matrices and the skew-adjoint matrix of a Cayley
+unitary) is stored with ``Matrix._of``, with no coerce.
 """
 
 from __future__ import annotations
@@ -22,32 +23,26 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from orthoql.linalg import Matrix, Vector, matrix_inverse
+from orthoql.linalg import Matrix, matrix_inverse
 from orthoql.ortho import OrthoSubspace, o_neg
 from orthoql.partial_op import PartialOperator, PartialProjection, projection_of
-from orthoql.quotient import QuotientSpace
 from orthoql.scalars import Field, GaussianRational, Scalar
 from orthoql.subspace import Subspace
 
 __all__ = [
     "rng_from",
     "random_scalar",
-    "random_vector",
     "random_subspace",
-    "random_member",
     "random_subspace_within",
     "random_ortho",
-    "random_total_ortho",
     "orthogonal_total_pair",
     "clql_triples",
     "complql_triples",
     "ordered_ortho_pairs",
     "non_ordered_ortho_pairs",
     "random_partial_operator",
-    "random_partial_projection",
     "cayley_unitary",
     "commuting_pairs",
-    "quotient_samples",
 ]
 
 
@@ -70,21 +65,12 @@ def random_scalar(rng: random.Random, field: Field) -> Scalar:
     return re
 
 
-def random_vector(rng: random.Random, field: Field, dim: int) -> Vector:
-    return Vector._of(field, [random_scalar(rng, field) for _ in range(dim)])
-
-
 def _random_rows(rng: random.Random, field: Field, k: int, ncols: int) -> Matrix:
     return Matrix._of(field, k, ncols, [random_scalar(rng, field) for _ in range(k * ncols)])
 
 
 def random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
     return Subspace(field, dim, _random_rows(rng, field, rng.randint(0, dim), dim))
-
-
-def random_member(rng: random.Random, sub: Subspace) -> Vector:
-    coeffs = [random_scalar(rng, sub.field) for _ in range(sub.rank)]
-    return (Matrix._of(sub.field, 1, sub.rank, coeffs) @ sub.basis).row(0)
 
 
 def _random_within(rng: random.Random, sub: Subspace, k: int) -> Subspace:
@@ -100,10 +86,6 @@ def random_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:
     one = random_subspace(rng, field, dim)
     zero = random_subspace_within(rng, one.perp())
     return OrthoSubspace._of(one, zero)
-
-
-def random_total_ortho(rng: random.Random, field: Field, dim: int) -> OrthoSubspace:
-    return OrthoSubspace.total_from(random_subspace(rng, field, dim))
 
 
 def clql_triples(
@@ -187,7 +169,7 @@ def complql_triples(
             a, b = orthogonal_total_pair(rng, field, dim)
             l, m = o_neg(b), o_neg(a)
         else:
-            l = random_total_ortho(rng, field, dim)
+            l = OrthoSubspace.total_from(random_subspace(rng, field, dim))
             m = l
         out.append((l, m, n_pair))
     return out
@@ -225,13 +207,6 @@ def random_partial_operator(
     dom = Subspace.full(field, dim) if total else random_subspace(rng, field, dim)
     entries = [random_scalar(rng, field) for _ in range(dim * dim)]
     return PartialOperator.from_matrix(dom, Matrix._of(field, dim, dim, entries))
-
-
-def random_partial_projection(
-    rng: random.Random, field: Field, dim: int, total: bool = False
-) -> PartialProjection:
-    pair = (random_total_ortho if total else random_ortho)(rng, field, dim)
-    return projection_of(pair)
 
 
 def cayley_unitary(rng: random.Random, field: Field, dim: int) -> Matrix:
@@ -312,22 +287,3 @@ def commuting_pairs(
         out.append((_axis_projection(cols, s1, t1), _axis_projection(cols, s2, t2)))
     return out
 
-
-def quotient_samples(
-    rng: random.Random, field: Field, dim: int, count: int
-) -> list[tuple[QuotientSpace, Vector, Vector, Vector]]:
-    """Quotients with three random members of the carrier each."""
-    out = []
-    for _ in range(count):
-        base = random_ortho(rng, field, dim)
-        q = QuotientSpace(base)
-        carrier = base.dom
-        out.append(
-            (
-                q,
-                random_member(rng, carrier),
-                random_member(rng, carrier),
-                random_member(rng, carrier),
-            )
-        )
-    return out

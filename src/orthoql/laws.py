@@ -143,10 +143,6 @@ class LawResult(_Record):
     def expected_fail(self) -> bool:
         return self.law in FAILING_LAWS
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def line(self) -> str:
         tag = " [expected-fail]" if self.expected_fail else ""
         return (
@@ -618,11 +614,6 @@ class Counterexample(_Record):
     def __init__(self, law: str, operands: dict, lhs: Subspace, rhs: Subspace, note: str = ""):
         self.law, self.operands, self.lhs, self.rhs, self.note = law, operands, lhs, rhs, note
 
-    def summary(self) -> str:
-        binds = ", ".join(f"{k}={v!r}" for k, v in self.operands.items())
-        text = f"{self.law} fails at {binds}: lhs={self.lhs!r} rhs={self.rhs!r}"
-        return f"{text} ({self.note})" if self.note else text
-
 
 # The standard two-dimensional witnesses: each operand is the span of
 # its integer rows, padded with zeros to the dimension.
@@ -672,12 +663,11 @@ def _modularity_gap(l: Subspace, m: Subspace, n: Subspace) -> Optional[Counterex
     return None
 
 
-def find_counterexample(
-    law: str,
-    dim: int,
-    field: Field = Field.Q,
-    budget: int = 32,
-) -> Optional[Counterexample]:
+# How many triples the modularity search tries.
+_MODULARITY_TRIPLES = 32
+
+
+def find_counterexample(law: str, dim: int, field: Field = Field.Q) -> Optional[Counterexample]:
     """Search for a violating instance; None when none is found.
 
     Distributivity and the Heyting adjunction are each tried on one
@@ -686,8 +676,9 @@ def find_counterexample(
 
     Modularity holds at finite dimension (sums of subspaces are closed),
     so its search is expected to come back empty, but it is a real one:
-    it tries ``budget`` triples (L, M, N), drawn from the fixed seed 0,
-    with 0 < N < L < H, 0 < M < H and M comparable with neither L nor N.
+    it tries ``_MODULARITY_TRIPLES`` triples (L, M, N), drawn from the
+    fixed seed 0, with 0 < N < L < H, 0 < M < H and M comparable with
+    neither L nor N.
     Any other triple misses the hypothesis N <= L or is settled by the
     lattice axioms alone, so it could not expose a wrong ``meet`` or
     ``join``.  Such a triple needs three dimensions: at ``dim <= 2``
@@ -696,10 +687,6 @@ def find_counterexample(
     if law not in FAILING_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {FAILING_LAWS}")
     _check_size(dim)
-    if type(budget) is not int:
-        raise TypeError(f"budget {budget!r} is not an int")
-    if budget < 0:
-        raise ValueError(f"budget {budget} must be nonnegative")
     if dim < 2:
         return None
     gap = {
@@ -708,7 +695,7 @@ def find_counterexample(
         "modularity": _modularity_gap,
     }[law]
     if law == "modularity":
-        catalog = _modular_triples(random.Random(0), field, dim, budget)
+        catalog = _modular_triples(random.Random(0), field, dim, _MODULARITY_TRIPLES)
     else:
         pad = (0,) * (dim - 2)
         catalog = [[Subspace(field, dim, [row + pad for row in rows]) for rows in _WITNESSES[law]]]

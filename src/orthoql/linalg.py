@@ -10,7 +10,10 @@ Q(i).  Only ``_form`` reads a scalar's parts and only ``_scalars``
 builds scalars back; a ``Subspace`` keeps the form of its canonical
 basis, and ``partial_op`` holds its operator images in the same form.
 A product clears each operand once with ``_form``, runs every dot
-product on Python ints and builds each output entry once.
+product on Python ints and builds each output entry once, and
+``_first_nonorthogonal``, the one orthogonality test, runs the same dot
+products on the rows of two forms (for ``coperp_rel`` and the file
+loader) and builds no scalar at all.
 Row reduction clears each row with ``_form``, hands the integer
 elimination loop to ``kernel.rref_gauss`` and finishes the canonical
 form (leading ones) by dividing each eliminated integer row by its
@@ -87,10 +90,6 @@ class Vector:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(scalars.is_zero(e) for e in self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -195,10 +194,6 @@ class Matrix:
 
     def rows(self):
         return [self.row(i) for i in range(self.nrows)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(scalars.is_zero(e) for e in self.entries)
 
     # --- arithmetic -------------------------------------------------
 
@@ -389,6 +384,23 @@ def _conjugates(field: Field, shaped: Sequence) -> list:
     if field is Field.Q:
         return list(shaped)
     return [(re, [-x for x in im]) for re, im in shaped]
+
+
+def _first_nonorthogonal(
+    field: Field, xs: Sequence[int], ys: Sequence[int], n: int
+) -> Optional[tuple[int, int]]:
+    """The first ``(i, j)``, in row-major order, for which row ``x_i`` of
+    the integer numerators ``xs`` and row ``y_j`` of ``ys``, both of
+    width ``n``, have ``<x_i, y_j> != 0``; None when every row of ``xs``
+    is orthogonal to every row of ``ys``.  A positive denominator
+    changes no zero, so the numerators alone decide, and no scalar is
+    built."""
+    ys = _conjugates(field, _rows(field, ys, n))
+    for i, x in enumerate(_rows(field, xs, n)):
+        for j, y in enumerate(ys):
+            if any(_products(field, [x], [y])):
+                return i, j
+    return None
 
 
 def _product(a: Matrix, b: Sequence[Scalar], p: int) -> list[Scalar]:

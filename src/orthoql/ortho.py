@@ -121,10 +121,6 @@ class OrthoSubspace:
     def is_total(self) -> bool:
         return self.dom.is_full
 
-    @property
-    def is_strict(self) -> bool:
-        return self.one.is_strict
-
     def local_zero(self) -> "OrthoSubspace":
         """The least element of the interval this pair lives in."""
         return OrthoSubspace._of(Subspace.zero(self.field, self.ambient_dim), self.dom)

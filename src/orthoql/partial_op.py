@@ -34,7 +34,8 @@ built: for the one-part's integer rows O, the images of the domain
 basis D are ``(D Oᴴ) X``, from ``Subspace._projection`` of the
 one-part, which solves ``X = (O Oᴴ)⁻¹ O`` once per subspace and keeps
 it, all on ints.  ``projection_of`` is that constructor, and
-``subspaces_of`` reads the stored pair.  The pair keeps nothing of
+``subspaces_of``, its inverse in the library's API (no command calls
+it), reads the stored pair.  The pair keeps nothing of
 its projection, so no reference cycle ties the two together and each
 ``projection_of`` call builds one projection.
 The logical operations act on pairs: each projection connective is
@@ -516,7 +517,7 @@ def norm_sq_is_one(p: PartialProjection) -> bool:
     basis, images = p.dom.basis, p.images
     missed = basis - images
     form = basis @ basis.conj_transpose() - images @ images.conj_transpose()
-    return not images.is_zero and form == missed @ missed.conj_transpose()
+    return any(p.nums) and form == missed @ missed.conj_transpose()
 
 
 # --- clause calculi ---------------------------------------------------

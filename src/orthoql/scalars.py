@@ -29,7 +29,6 @@ __all__ = [
     "Scalar",
     "abs_sq",
     "conj",
-    "is_zero",
     "scalar_text",
 ]
 
@@ -85,8 +84,12 @@ class GaussianRational:
 
     @staticmethod
     def _lift(other):
+        """``other`` as a GaussianRational, or None when it is no exact
+        scalar; a bool is none, so comparing with one answers False."""
         if isinstance(other, GaussianRational):
             return other
+        if type(other) is bool:
+            return None
         if isinstance(other, (int, Fraction)):
             return GaussianRational(other)
         return None
@@ -203,10 +206,6 @@ def conj(a: Scalar) -> Scalar:
     if isinstance(a, GaussianRational):
         return a.conjugate()
     return a
-
-
-def is_zero(a: Scalar) -> bool:
-    return not a
 
 
 def abs_sq(a: Scalar) -> Fraction:

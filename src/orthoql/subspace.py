@@ -14,6 +14,10 @@ Everything is exact: meet
 comes from the definition (coefficient pairs giving a common element),
 join is the span of stacked bases, the orthocomplement is read off the
 basis, and ``_first_outside`` alone decides whether rows lie in a space.
+Orthogonality of two spaces (``coperp_rel``, and ``perp_rel`` through
+it) is read off the integer forms of their bases by
+``linalg._first_nonorthogonal``, the one orthogonality test, which the
+file loader also runs on spanning rows; no product matrix is built.
 An operation with a zero or full operand is read off the ranks with no
 elimination, and containment between spaces of equal rank is a bitwise
 comparison of their bases, since equal-rank containment is equality.
@@ -55,6 +59,7 @@ from orthoql.linalg import (
     _check_size,
     _columns,
     _conjugates,
+    _first_nonorthogonal,
     _form,
     _gram_solve,
     _kernel_rows,
@@ -376,14 +381,11 @@ def coperp_rel(a: Subspace, b: Subspace):
 
     Returns ``(True, (x, y))`` for the first basis pair, in row-major
     order, with <x, y> != 0, or ``(False, None)`` when the spaces are
-    orthogonal.  Entry (i, j) of ``a.basis @ b.basis^H`` is <a_i, b_j>.
+    orthogonal, decided on the integer forms of the two bases.
     """
     Subspace._check_ambient(a, b)
-    if a.is_zero or b.is_zero:
+    found = _first_nonorthogonal(a.field, a._basis_form[1], b._basis_form[1], a.ambient_dim)
+    if found is None:
         return False, None
-    products = a.basis @ b.basis.conj_transpose()
-    for k, value in enumerate(products.entries):
-        if not scalars.is_zero(value):
-            i, j = divmod(k, b.rank)
-            return True, (a.basis.row(i), b.basis.row(j))
-    return False, None
+    i, j = found
+    return True, (a.basis.row(i), b.basis.row(j))

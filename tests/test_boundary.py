@@ -332,22 +332,6 @@ DIMENSION_CASES = {
     "find_counterexample(law, True)": (lambda: find_counterexample("distributivity", True), TypeError),
     "find_counterexample(law, 2.0)": (lambda: find_counterexample("distributivity", 2.0), TypeError),
     "find_counterexample(law, -1)": (lambda: find_counterexample("distributivity", -1), ValueError),
-    "find_counterexample(law, 4, budget=True)": (
-        lambda: find_counterexample("modularity", 4, budget=True),
-        TypeError,
-    ),
-    "find_counterexample(law, 4, budget=2.5)": (
-        lambda: find_counterexample("modularity", 4, budget=2.5),
-        TypeError,
-    ),
-    "find_counterexample(law, 4, budget=-1)": (
-        lambda: find_counterexample("modularity", 4, budget=-1),
-        ValueError,
-    ),
-    "find_counterexample(law, 1, budget=-1)": (
-        lambda: find_counterexample("distributivity", 1, budget=-1),
-        ValueError,
-    ),
     "check_catalog(law, True, Q)": (lambda: check_catalog("distributivity", True, Field.Q), TypeError),
     "check_catalog(law, -1, Q)": (lambda: check_catalog("distributivity", -1, Field.Q), ValueError),
 }
@@ -357,13 +341,4 @@ DIMENSION_CASES = {
 def test_a_dimension_is_a_nonnegative_int(case):
     build, error = DIMENSION_CASES[case]
     with pytest.raises(error):
-        build()
-
-
-@pytest.mark.parametrize("case", [case for case in DIMENSION_CASES if "budget" in case])
-def test_a_bad_budget_is_refused_by_name(case):
-    """The search budget is refused with a message that names it, not
-    with the one for a dimension."""
-    build, error = DIMENSION_CASES[case]
-    with pytest.raises(error, match="budget"):
         build()

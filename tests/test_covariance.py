@@ -17,15 +17,13 @@ wrong slot, so every Q(i) unitary drawn here has a non-real entry.
 import pytest
 
 from conftest import conjugated
+from draws import random_member, random_partial_projection, random_vector
 from orthoql.generators import (
     cayley_unitary,
-    random_member,
     random_ortho,
     random_partial_operator,
-    random_partial_projection,
     random_subspace,
     random_subspace_within,
-    random_vector,
     rng_from,
 )
 from orthoql.linalg import Matrix
@@ -62,7 +60,7 @@ def moved_pair(u, pair):
 def shows_apart(t, s, x):
     """Whether x witnesses op_neq(t, s): nonzero, and in one domain and
     orthogonal to the other, or in both with different images."""
-    if x.is_zero:
+    if not any(x):
         return False
     in_t, in_s = t.dom.contains(x), s.dom.contains(x)
     if in_t and in_s:

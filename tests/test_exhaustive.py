@@ -33,9 +33,8 @@ import pytest
 
 import oracle
 from conftest import sub_to_oracle, to_vec
-from orthoql.cli import _orthogonal_rows
 from orthoql.laws import CLQL_LAWS, check_clql, check_comm, check_complql, check_lescomp
-from orthoql.linalg import Matrix
+from orthoql.linalg import Matrix, _first_nonorthogonal, _form
 from orthoql.ortho import OrthoSubspace, o_join, o_leq, o_meet, o_minus
 from orthoql.partial_op import projection_of
 from orthoql.scalars import Field, GaussianRational
@@ -220,6 +219,12 @@ def spanning_sets(field):
     return sets
 
 
+def orthogonal_rows(a: Matrix, b: Matrix) -> bool:
+    """The file loader's verdict on two sets of spanning rows."""
+    xs, ys = (_form(m.field, m.entries)[1] for m in (a, b))
+    return _first_nonorthogonal(a.field, xs, ys, a.ncols) is None
+
+
 @pytest.mark.parametrize("field", [Field.Q, Field.Qi])
 def test_orthogonality_on_spanning_rows_agrees_with_perp_rel(field):
     # The file loader decides a pair on its parts' spanning rows, with no
@@ -234,7 +239,7 @@ def test_orthogonality_on_spanning_rows_agrees_with_perp_rel(field):
     for x, a_sets in zip(subs, sets):
         for j, (y, b_sets) in enumerate(zip(subs, sets)):
             for k, a in enumerate(a_sets):
-                got = _orthogonal_rows(a, b_sets[(j + k) % 3])
+                got = orthogonal_rows(a, b_sets[(j + k) % 3])
                 assert got == perp_rel(x, y)
                 orthogonal += got
     assert orthogonal == 3 * len(built(field).orthogonal)

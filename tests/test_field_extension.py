@@ -10,17 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+from draws import random_member, random_vector
 from orthoql.generators import (
     commuting_pairs,
     non_ordered_ortho_pairs,
     ordered_ortho_pairs,
     orthogonal_total_pair,
-    random_member,
     random_ortho,
     random_partial_operator,
     random_scalar,
     random_subspace,
-    random_vector,
     rng_from,
 )
 from orthoql.laws import check_comm, check_lescomp, check_pls

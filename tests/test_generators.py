@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import conjugated
+from draws import quotient_samples, random_member, random_partial_projection, random_vector
 from orthoql.generators import (
     cayley_unitary,
     clql_triples,
@@ -15,15 +16,11 @@ from orthoql.generators import (
     non_ordered_ortho_pairs,
     ordered_ortho_pairs,
     orthogonal_total_pair,
-    quotient_samples,
-    random_member,
     random_ortho,
     random_partial_operator,
-    random_partial_projection,
     random_scalar,
     random_subspace,
     random_subspace_within,
-    random_vector,
     rng_from,
 )
 from orthoql.linalg import Matrix

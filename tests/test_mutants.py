@@ -27,7 +27,7 @@ import pytest
 import oracle
 from conftest import to_mat, to_num, to_vec
 import orthoql
-from orthoql import cli, errors, laws, linalg, ortho, partial_op, scalars, subspace
+from orthoql import errors, laws, linalg, ortho, partial_op, scalars, subspace
 from orthoql.cli import load_instances, main
 from orthoql.errors import ParseError
 from orthoql.laws import LawResult, check_catalog, check_clql, check_complql
@@ -49,7 +49,7 @@ def q(n, *rows):
 def modular_search():
     # A real meet never breaks the modular law; check_catalog runs the
     # search through the law-suite runner.
-    assert check_catalog("modularity", 3, Field.Q).results["modularity"].passed
+    assert check_catalog("modularity", 3, Field.Q).results["modularity"].violations == []
 
 
 def family_lattice():
@@ -151,6 +151,14 @@ def reduced_gaussian():
     # (1/2) * 2 is made as the triple (2, 0, 2) and reduced to (1, 0, 1).
     z = GaussianRational(Fraction(1, 2)) * 2
     assert (z._a, z._b, z._d) == (1, 0, 1)
+
+
+def bool_comparison():
+    # A bool is no exact scalar: comparing with one answers, and never raises.
+    try:
+        assert GaussianRational(1) != True  # noqa: E712
+    except TypeError as exc:
+        raise AssertionError(f"comparing with a bool raised {exc}") from None
 
 
 def zero_matrix():
@@ -290,9 +298,9 @@ MUTANTS = {
         loaded_file,
     ),
     "file-pair-orthogonal-on-any-rows": (
-        cli._orthogonal_rows,
-        "return not any(any(_products(fld, [x], [y])) for x in xs for y in ys)",
-        "return True",
+        linalg._first_nonorthogonal,
+        "return i, j",
+        "return None",
         unnamed_skew_pair,
     ),
     "gaussian-parse-drops-a-denominator": (
@@ -309,8 +317,8 @@ MUTANTS = {
     ),
     "record-equality-reads-the-first-field-only": (
         errors._Record.__eq__,
-        "self._values() == other._values()",
-        "self._values()[:1] == other._values()[:1]",
+        "fields = self.__slots__",
+        "fields = self.__slots__[:1]",
         record_equality,
     ),
     "package-name-resolves-to-its-module": (
@@ -326,6 +334,12 @@ MUTANTS = {
         "if g == 1:",
         "if g >= 1:",
         reduced_gaussian,
+    ),
+    "gaussian-lifts-a-bool": (
+        GaussianRational._lift,
+        "if type(other) is bool:",
+        "if False:",
+        bool_comparison,
     ),
     "products-add-the-real-cross-term": (
         linalg._products,

@@ -7,12 +7,10 @@ import pytest
 
 import oracle
 from conftest import sub_to_oracle, to_num, to_vec
+from draws import quotient_samples, random_member, random_vector
 from orthoql.errors import NotInDomain
 from orthoql.generators import (
-    quotient_samples,
-    random_member,
     random_ortho,
-    random_vector,
     rng_from,
 )
 from orthoql.linalg import Vector, inner, norm_sq

@@ -21,7 +21,6 @@ from orthoql.scalars import (
     _gaussian,
     abs_sq,
     conj,
-    is_zero,
     scalar_text,
 )
 from orthoql.subspace import Subspace
@@ -44,7 +43,7 @@ def test_ring_laws(a, b, c):
 
 @given(gaussians)
 def test_division_inverts_multiplication(a):
-    if not is_zero(a):
+    if a:
         assert (a * a) / a == a
         assert a / a == GaussianRational(1)
 
@@ -229,7 +228,7 @@ def test_mixed_arithmetic_with_plain_numbers():
 
 
 def test_field_constants():
-    assert is_zero(Field.Q.zero) and is_zero(Field.Qi.zero)
+    assert not Field.Q.zero and not Field.Qi.zero
     # One shared zero and one per field: scalars are immutable.
     assert all(f.zero is f.zero and f.one is f.one for f in Field)
     assert Field.Q.one == Fraction(1)
@@ -371,6 +370,13 @@ def test_an_inexact_or_foreign_scalar_is_refused(value):
     ):
         with pytest.raises(TypeError, match=name):
             build(value)
+
+
+def test_comparing_with_a_bool_answers_false():
+    # A bool is no exact scalar, so it equals none, as a bool entry is refused.
+    assert not GaussianRational(1) == True  # noqa: E712
+    assert GaussianRational(0) not in [False]
+    assert {True: "a"}.get(GaussianRational(1)) is None
 
 
 def test_an_operand_over_the_other_field_is_refused():
